@@ -2,12 +2,11 @@
 
 Both ``check_regression.py`` (BENCH speedups) and ``check_quality.py``
 (QUALITY detection metrics) compare freshly written JSON reports against
-the last *committed* copy of the same file.  The committed copy comes
-from ``git show HEAD:benchmarks/<name>`` by default — the working-tree
-copy has just been overwritten by the run under test — or from a
-directory of snapshot copies taken before the run (the CI lanes snapshot
-``benchmarks/`` into ``$RUNNER_TEMP`` first, so a re-run on a dirty tree
-still compares against the accepted numbers).
+the last *committed* copy of the same file.  Fresh reports never land on
+the committed copies: benchmark runs write theirs into :data:`FRESH_DIR`
+(gitignored), scenario runs into the directory given by ``--out``.  The
+committed copy comes from ``git show HEAD:benchmarks/<name>`` by default,
+or from a directory of snapshot copies when one is given.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ import subprocess
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent
+#: Where benchmark runs write fresh ``BENCH_*.json`` reports (gitignored).
+FRESH_DIR = BENCH_DIR / "fresh"
 
 
 def committed_baseline(name: str) -> dict | None:

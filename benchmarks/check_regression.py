@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Fail CI when a freshly measured benchmark ratio regresses >25%.
 
-Every throughput benchmark writes a ``BENCH_*.json`` next to this script
-with a ``speedup`` field (vectorized/sharded path vs. its scalar
-reference).  Those files are committed, so the repository always carries
-the last accepted numbers; after the slow lane re-runs the benchmarks,
-this script compares each freshly written ratio against the committed
-baseline and exits non-zero if any dropped by more than
-``MAX_REGRESSION`` (25%).
+Every throughput benchmark reports a ``speedup`` field (vectorized/sharded
+path vs. its scalar reference).  The accepted numbers are committed as
+``benchmarks/BENCH_*.json``; a benchmark run writes its fresh copies to
+``benchmarks/fresh/`` (gitignored) and never touches the committed ones.
+After the slow lane re-runs the benchmarks, this script compares each
+fresh ratio against the committed baseline and exits non-zero if any
+dropped by more than ``MAX_REGRESSION`` (25%).
 
-Baselines come from ``git show HEAD:benchmarks/<name>`` by default (the
-working-tree copies have just been overwritten by the benchmark run);
-``--baseline-dir`` points at a directory of snapshot copies instead.
+Fresh reports are read from ``benchmarks/fresh/``, which each pytest
+session running the benchmarks empties of earlier sessions' reports
+before its first benchmark, so a report missing there was not written
+by the last run.  Baselines come from ``git show HEAD:benchmarks/<name>``
+by default; ``--baseline-dir`` points at a directory of snapshot copies
+instead.
 
 On hosts with fewer than 4 CPUs the whole gate is *skipped, loudly*:
 wall-clock ratios on a 1-core container measure the scheduler, not the
@@ -27,7 +30,8 @@ import os
 import sys
 from pathlib import Path
 
-from baselines import BENCH_DIR, load_baseline
+from baselines import FRESH_DIR, load_baseline
+
 #: File -> field holding the pinned ratio.
 RATIO_FIELDS = {
     "BENCH_runner.json": "speedup",
@@ -88,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     for name, field in RATIO_FIELDS.items():
-        fresh_path = BENCH_DIR / name
+        fresh_path = FRESH_DIR / name
         if not fresh_path.is_file():
             print(f"{name}: SKIP (no fresh file written by this benchmark run)")
             continue

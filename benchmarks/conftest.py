@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baselines import FRESH_DIR
 from repro.obs.metrics import get_registry
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.targets import TargetList
@@ -104,11 +105,23 @@ def bench_rng() -> np.random.Generator:
     return np.random.default_rng(777)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def fresh_reports():
+    """Clear fresh reports earlier sessions left, so the gate sees only this run's."""
+    for stale in FRESH_DIR.glob("BENCH_*.json"):
+        stale.unlink()
+
+
 @pytest.fixture()
 def bench_report_writer():
-    """Write a ``BENCH_*.json``, folding in MetricsRegistry telemetry.
+    """Write a fresh ``BENCH_*.json``, folding in MetricsRegistry telemetry.
 
-    Every benchmark report gains a ``telemetry`` section recording the
+    A benchmark passes the path of its committed report; the fresh report
+    goes to the same name under ``benchmarks/fresh/`` (gitignored), so a
+    run never rewrites the committed baselines ``check_regression.py``
+    compares it against.
+
+    Every report gains a ``telemetry`` section recording the
     process's peak RSS and the rows-per-second achieved by the timed run,
     so the scheduled regression lane can trend memory alongside the
     speedup ratios (``check_regression.py`` warns — never fails — on
@@ -132,7 +145,8 @@ def bench_report_writer():
         if seconds and seconds > 0:
             telemetry["rows_per_sec"] = round(rows / seconds, 1)
         report["telemetry"] = telemetry
-        path.write_text(json.dumps(report, indent=2) + "\n")
+        FRESH_DIR.mkdir(exist_ok=True)
+        (FRESH_DIR / path.name).write_text(json.dumps(report, indent=2) + "\n")
         return report
 
     return write

@@ -30,7 +30,10 @@ studied at campaign scale:
   :mod:`repro.core.shard` uses for sharded campaigns, optionally fanned out
   across worker processes), merged with the honest store by zero-copy
   segment adoption into a per-cell poisoned store, and scored with the
-  binomial detector before and after reputation filtering.
+  binomial detector before and after reputation filtering.  Adoption also
+  hands each cell the honest corpus's client identity codes
+  (:meth:`~repro.core.store.MeasurementStore.client_codes`), encoded once
+  for the whole grid, so a cell's filter encodes only its forged rows.
 """
 
 from __future__ import annotations
@@ -337,18 +340,21 @@ class ReputationFilter:
     def apply_store(
         self, collection: "MeasurementStore | CollectionServer"
     ) -> StoreReputationReport:
-        """Filter a columnar store (or a collection server) in place.
+        """Judge every row of a columnar store (or a collection server).
 
         Runs the same group-by verdict straight over the store's
-        dictionary-code columns — no :class:`Measurement` is ever built, so
-        this is the natural path for spilled or multi-worker merged corpora.
+        dictionary-code columns and its cached
+        :meth:`~repro.core.store.MeasurementStore.client_codes` — no
+        :class:`Measurement` is ever built, so this is the natural path for
+        spilled or multi-worker merged corpora.  The store is left as it
+        is: the verdict is a keep mask plus drop tallies.
         """
         store = collection.store if isinstance(collection, CollectionServer) else collection
         if len(store) == 0:
             return StoreReputationReport(store, np.zeros(0, dtype=bool))
         domain = store.column("domain").astype(np.int64)
         country = store.column("country").astype(np.int64)
-        _, ip = np.unique(store.column("client_ip"), return_inverse=True)
+        ip = store.client_codes()
         failed = store.column("outcome") == OUTCOME_FAILURE
         n_countries = int(country.max()) + 1
         pair = domain * n_countries + country

@@ -12,7 +12,8 @@ instead:
   ISP, browser family, origin) are dictionary-encoded as small integer codes
   with store-level value tables, so filters compare integers and group-bys
   are ``bincount`` reductions.  High-cardinality strings (measurement id,
-  client IP) stay as numpy unicode arrays.
+  client IP) stay as numpy unicode arrays; client IPs also get integer
+  identity codes on demand (:meth:`MeasurementStore.client_codes`).
 * **Vectorized queries.**  :meth:`MeasurementStore.select` evaluates all
   filter criteria as boolean masks and returns a :class:`Selection` (mask +
   column views); :meth:`MeasurementStore.query` hands any keyed reduction —
@@ -96,6 +97,112 @@ class DictColumn(NamedTuple):
 
 def _column_length(column) -> int:
     return len(column.indices) if isinstance(column, DictColumn) else len(column)
+
+
+class ColumnAlignmentError(ValueError):
+    """An ingested column does not line up with the chunk's rows.
+
+    Raised by :meth:`MeasurementStore.append_columns` when a column's length
+    (a :class:`DictColumn`'s ``indices`` length) differs from the row count,
+    or a :class:`DictColumn` index falls outside ``[0, len(values))``.
+    ``column`` names the offending argument.
+    """
+
+    def __init__(self, column: str, problem: str) -> None:
+        super().__init__(f"column {column!r}: {problem}")
+        self.column = column
+
+
+def _check_alignment(n: int, columns: dict) -> None:
+    """Raise :class:`ColumnAlignmentError` unless every column has ``n`` valid rows.
+
+    Index arrays shared between columns (``client_ip`` and ``country_code``
+    share one) are reduced once, so a chunk costs a few reductions.
+    """
+    extremes: dict[int, tuple[int, int]] = {}
+    for name, column in columns.items():
+        if column is None:
+            continue
+        length = _column_length(column)
+        if length != n:
+            raise ColumnAlignmentError(
+                name, f"{length} rows where measurement_id has {n}"
+            )
+        if not isinstance(column, DictColumn) or not n:
+            continue
+        bounds = extremes.get(id(column.indices))
+        if bounds is None:
+            indices = np.asarray(column.indices)
+            bounds = extremes[id(column.indices)] = (int(indices.min()), int(indices.max()))
+        if bounds[0] < 0 or bounds[1] >= len(column.values):
+            raise ColumnAlignmentError(
+                name,
+                f"indices span [{bounds[0]}, {bounds[1]}] outside its "
+                f"{len(column.values)}-entry values table",
+            )
+
+
+def _ascii_bytes(strings: np.ndarray) -> np.ndarray:
+    """``strings`` at one byte per character if all are ASCII, else unchanged.
+
+    A quarter of a unicode array's size, in the same sort order.
+    """
+    width = strings.dtype.itemsize // 4
+    if not width:
+        return strings
+    points = strings.view(np.uint32).reshape(len(strings), width)
+    if points.max(initial=0) > 127:
+        return strings
+    return points.astype(np.uint8).view(f"S{width}").ravel()
+
+
+class _ClientCodes:
+    """A store's client identity codes (see :meth:`MeasurementStore.client_codes`).
+
+    ``codes[row]`` numbers the row's ``client_ip``; ``values[code]`` is the
+    address behind a code, and ``order`` sorts ``values`` so new addresses
+    are looked up by ``searchsorted`` without a second copy of the table.
+    ``values`` holds bytes while every address seen is ASCII, as IP
+    addresses are, and strings from the first one that is not.
+    Growth rebinds the arrays instead of writing into them, which is what
+    lets an adopting store start from its source's arrays as they stand.
+    """
+
+    __slots__ = ("codes", "values", "order")
+
+    def __init__(self, codes: np.ndarray | None = None, values: np.ndarray | None = None,
+                 order: np.ndarray | None = None) -> None:
+        self.codes = np.empty(0, dtype=np.int32) if codes is None else codes
+        self.values = np.empty(0, dtype=np.bytes_) if values is None else values
+        self.order = np.empty(0, dtype=np.int32) if order is None else order
+
+    def encode(self, addresses: np.ndarray) -> np.ndarray:
+        """Codes for ``addresses``; addresses never seen before get the next codes.
+
+        ``addresses`` are bytes when :func:`_ascii_bytes` could pack them.
+        """
+        if addresses.dtype.kind != self.values.dtype.kind:
+            # Bytes on one side, strings (a non-ASCII address) on the
+            # other: compare as strings from now on.
+            self.values = self.values.astype(np.str_)
+            addresses = addresses.astype(np.str_)
+        distinct, inverse = np.unique(addresses, return_inverse=True)
+        known = len(self.values)
+        if not known:  # the first batch numbers its addresses in sorted order
+            self.values, self.order = distinct, np.arange(len(distinct), dtype=np.int32)
+            return inverse.astype(np.int32)
+        slots = np.searchsorted(self.values, distinct, sorter=self.order)
+        # A slot past the end, or holding another address, means "not seen".
+        candidates = self.order[np.minimum(slots, known - 1)]
+        fresh = self.values[candidates] != distinct
+        codes = candidates.astype(np.int32)
+        added = int(np.count_nonzero(fresh))
+        if added:
+            new = np.arange(known, known + added, dtype=np.int32)
+            codes[fresh] = new
+            self.values = np.concatenate([self.values, distinct[fresh]])
+            self.order = np.insert(self.order, slots[fresh], new)
+        return codes[inverse]
 
 
 class GroupedCounts:
@@ -454,6 +561,12 @@ class MeasurementStore:
         # these survive version bumps and track how far into the
         # sealed-segment list they have folded (repro.core.query).
         self._query_states: dict[tuple, object] = {}
+        # Client identity codes, encoded on demand up to a row watermark
+        # (``len(codes)``).  ``_clients_source`` is ``(store, rows)`` when
+        # this store began by adopting ``store``'s first ``rows`` rows,
+        # whose codes it takes instead of encoding them.
+        self._clients = _ClientCodes()
+        self._clients_source: tuple["MeasurementStore", int] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -524,9 +637,20 @@ class MeasurementStore:
         ``probe_time_ms`` entries may be ``None`` (stored as NaN) and
         ``origin_domain`` entries may be ``None`` (stored as code -1).  This
         is the zero-object ingestion path: no per-row :class:`Measurement`
-        is ever constructed.
+        is ever constructed.  ``measurement_id`` sets the row count; any
+        other column of a different length, or a :class:`DictColumn` index
+        outside its table, raises :class:`ColumnAlignmentError` before
+        anything is stored.
         """
         n = _column_length(measurement_id)
+        _check_alignment(n, {
+            "measurement_id": measurement_id, "task_type": task_type,
+            "target_url": target_url, "target_domain": target_domain,
+            "outcome": outcome, "elapsed_ms": elapsed_ms, "client_ip": client_ip,
+            "country_code": country_code, "isp": isp, "browser_family": browser_family,
+            "origin_domain": origin_domain, "day": day, "probe_time_ms": probe_time_ms,
+            "is_automated": is_automated,
+        })
         if n == 0:
             return 0
         chunk = {
@@ -618,12 +742,16 @@ class MeasurementStore:
         self._length += n
         self._version += 1
         get_registry().counter("store.rows_ingested").add(n)
-        threshold = self.segment_rows
-        if self.max_rows_in_memory is not None:
-            threshold = min(threshold, self.max_rows_in_memory)
-        if self._pending_rows >= threshold:
+        if self._pending_rows >= self._seal_threshold:
             self._seal_pending()
             self._maybe_spill()
+
+    @property
+    def _seal_threshold(self) -> int:
+        """Pending rows that trigger a seal: the most a store buffers in memory."""
+        if self.max_rows_in_memory is None:
+            return self.segment_rows
+        return min(self.segment_rows, self.max_rows_in_memory)
 
     def _seal_pending(self) -> None:
         if not self._pending:
@@ -768,6 +896,8 @@ class MeasurementStore:
         arrays are immutable by convention, so sharing is safe.  This is
         what lets an adversarial sweep build one poisoned store per grid
         cell on top of a shared honest corpus in O(segments), not O(rows).
+        Adopting into an empty store also links its :meth:`client_codes`
+        to ``other``'s, so the shared rows are encoded only once.
         Returns the number of rows adopted.
         """
         if other is self:
@@ -813,6 +943,9 @@ class MeasurementStore:
         # weakref.finalize) must not fire while adopted paths are still
         # referenced here.
         self._adopted_sources.append(other)
+        if not self._length and adopted:
+            # Our rows now begin with all of other's: take its client codes.
+            self._clients_source = (other, adopted)
         self._length += adopted
         self._version += 1
         registry = get_registry()
@@ -855,6 +988,55 @@ class MeasurementStore:
             ):
                 self._column_cache[name] = cached
         return cached
+
+    def client_codes(self) -> np.ndarray:
+        """Per-row client identity codes: rows share a code iff they share ``client_ip``.
+
+        Encoded on first use, not at ingest, and cached like the query
+        kernel's fold-once watermark: later calls encode only the rows
+        appended since, and a code never changes once assigned.  A store
+        that began by adopting another (:meth:`adopt_segments_from` into an
+        empty store) takes the codes of those rows from its source —
+        computing them there first if needed, so every store adopting the
+        same source shares one encoding.  What stays resident is the codes
+        (int32 per row) and one table of distinct addresses at a byte per
+        character, with an int32 sort order; ``column("client_ip")`` still
+        returns the strings.
+        """
+        if self._clients_source is not None:
+            source, rows = self._clients_source
+            self._clients_source = None
+            codes = source.client_codes()[:rows]
+            self._clients = _ClientCodes(codes, source._clients.values, source._clients.order)
+            get_registry().counter("store.client_codes_reused").add(rows)
+        clients = self._clients
+        start = len(clients.codes)
+        if start == self._length:
+            return clients.codes
+        # A resident store encodes in one batch.  A spilled one encodes a
+        # batch whenever the segments read reach its seal threshold, so it
+        # holds about one segment of its address strings at a time.
+        limit = self._length
+        if any(seg.spilled for seg in self._segments):
+            limit = self._seal_threshold
+        readers = [(seg.length, seg.column) for seg in self._segments]
+        readers += [(len(chunk["day"]), chunk.__getitem__) for chunk in self._pending]
+        codes = [clients.codes]
+        batch: list[np.ndarray] = []
+        batched = offset = 0
+        for length, read in readers:
+            if offset + length > start:  # segments wholly encoded are never read
+                batch.append(_ascii_bytes(read("client_ip")[max(start - offset, 0):]))
+                batched += len(batch[-1])
+                if batched >= limit:
+                    codes.append(clients.encode(np.concatenate(batch)))
+                    batch, batched = [], 0
+            offset += length
+        if batch:
+            codes.append(clients.encode(np.concatenate(batch)))
+        clients.codes = np.concatenate(codes)
+        get_registry().counter("store.client_codes_encoded").add(self._length - start)
+        return clients.codes
 
     # ------------------------------------------------------------------
     # Query API

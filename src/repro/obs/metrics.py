@@ -17,6 +17,8 @@ Metric names in use across the tree (dotted, lowercase):
 ``store.fold_advances``        fold-once query watermark advances
 ``store.segments_folded``      segments folded into incremental count state
 ``store.query_folds``          segment/pending chunks the query kernel folded
+``store.client_codes_encoded``  rows whose client identity code was computed
+``store.client_codes_reused``   rows whose codes an adopter took from its source
 ``runner.blocks_planned``      visit blocks planned from scratch
 ``runner.blocks_replayed``     visit blocks replayed from the plan cache
 ``cusum.cells_scanned``        (cell, day) positions the CUSUM scan visited

@@ -24,7 +24,13 @@ from repro.core.inference import (
     binomial_cdf_cells,
 )
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.store import DayGroupedCounts, GroupedCounts, MeasurementStore
+from repro.core.store import (
+    ColumnAlignmentError,
+    DayGroupedCounts,
+    DictColumn,
+    GroupedCounts,
+    MeasurementStore,
+)
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.population.geoip import GeoIPDatabase
 from repro.population.world import World, WorldConfig
@@ -598,6 +604,88 @@ class TestDerivedCaches:
         server.ingest_measurements(self.make_corpus(1))
         assert server.measurements is not first
         assert len(server.measurements) == 21
+
+
+class TestIngestAlignment:
+    """``append_columns`` refuses columns that do not line up with the rows."""
+
+    def columns(self, n, **overrides):
+        columns = dict(
+            measurement_id=[f"m{i}" for i in range(n)],
+            task_type=[TaskType.IMAGE] * n,
+            target_url=[URL.parse("http://facebook.com/favicon.ico")] * n,
+            target_domain=["facebook.com"] * n,
+            outcome=[TaskOutcome.SUCCESS] * n,
+            elapsed_ms=[10.0] * n,
+            client_ip=[f"10.0.0.{i}" for i in range(n)],
+            country_code=["US"] * n,
+            isp=["isp"] * n,
+            browser_family=["chrome"] * n,
+            origin_domain=[None] * n,
+            day=[0] * n,
+        )
+        columns.update(overrides)
+        return columns
+
+    def test_rejects_an_extra_value_and_stores_nothing(self):
+        store = MeasurementStore()
+        ips = [f"10.0.0.{i}" for i in range(6)]
+        with pytest.raises(ColumnAlignmentError) as info:
+            store.append_columns(**self.columns(5, client_ip=ips))
+        assert info.value.column == "client_ip"
+        assert "client_ip" in str(info.value)
+        assert isinstance(info.value, ValueError)
+        assert len(store) == 0
+
+    def test_rejects_a_short_column_in_a_later_chunk(self):
+        store = MeasurementStore()
+        assert store.append_columns(**self.columns(5)) == 5
+        ips = [f"10.0.1.{i}" for i in range(4)]
+        with pytest.raises(ColumnAlignmentError) as info:
+            store.append_columns(**self.columns(5, client_ip=ips))
+        assert info.value.column == "client_ip"
+        assert len(store) == 5
+        assert store.column("client_ip").tolist() == [f"10.0.0.{i}" for i in range(5)]
+
+    @pytest.mark.parametrize("name,value", [
+        ("elapsed_ms", np.zeros(4)),
+        ("day", [0] * 6),
+        ("probe_time_ms", [None] * 4),
+        ("is_automated", np.zeros(6, dtype=bool)),
+    ])
+    def test_names_any_misaligned_column(self, name, value):
+        with pytest.raises(ColumnAlignmentError) as info:
+            MeasurementStore().append_columns(**self.columns(5, **{name: value}))
+        assert info.value.column == name
+
+    @pytest.mark.parametrize("indices", [
+        [0, 1, 0, 1],        # one index short of the rows
+        [0, 1, 0, 1, -1],    # negative: would wrap to the last value
+        [0, 1, 0, 1, 2],     # past the two-entry table
+    ])
+    def test_rejects_bad_dict_column_indices(self, indices):
+        isp = DictColumn(("isp-a", "isp-b"), np.asarray(indices))
+        with pytest.raises(ColumnAlignmentError) as info:
+            MeasurementStore().append_columns(**self.columns(5, isp=isp))
+        assert info.value.column == "isp"
+
+    def test_accepts_shared_dict_column_indices(self):
+        visits = np.array([0, 0, 1, 2, 2])
+        store = MeasurementStore()
+        store.append_columns(**self.columns(
+            5,
+            client_ip=DictColumn(("10.0.0.1", "10.0.0.2", "10.0.0.3"), visits),
+            country_code=DictColumn(("US", "DE", "PK"), visits),
+        ))
+        assert store.column("client_ip").tolist() == [
+            "10.0.0.1", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.3"
+        ]
+
+    def test_empty_chunk_is_still_checked(self):
+        store = MeasurementStore()
+        assert store.append_columns(**self.columns(0)) == 0
+        with pytest.raises(ColumnAlignmentError):
+            store.append_columns(**self.columns(0, client_ip=["10.0.0.1"]))
 
 
 class TestGeoIPBatchLookup:
