@@ -12,7 +12,7 @@ Referer stripped, obscuring which origin delivered them).
 Internally the server keeps the corpus in a columnar
 :class:`~repro.core.store.MeasurementStore` (struct of arrays, optional disk
 spill) rather than a Python list of records; :class:`Measurement` survives as
-the row view the store materializes on demand, and the legacy query surface
+the row view the store materializes on demand, and the query surface
 (``measurements``, :meth:`filtered`, :meth:`success_counts`, the distinct
 counters) is implemented on top of the store's vectorized queries.
 """
@@ -25,7 +25,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from repro.browser.engine import Browser
 from repro.core.query import distinct_ip_count, grouped_success_counts
 from repro.core.store import DictColumn, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskResult, TaskType
@@ -187,23 +186,6 @@ class CollectionServer:
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        result: TaskResult,
-        client: Client,
-        browser: Browser,
-        origin_domain: str | None,
-        day: int = 0,
-        strip_referer: bool = False,
-    ) -> Measurement | None:
-        """Accept a submission if the client can reach the collection server."""
-        outcome, from_cache, _ = browser.fetch(self.submit_url, use_cache=False)
-        reachable = from_cache or (outcome is not None and outcome.succeeded_with_content)
-        if not reachable:
-            self.unreachable_submissions += 1
-            return None
-        return self.record(result, client, origin_domain, day, strip_referer)
-
     def record(
         self,
         result: TaskResult,
@@ -298,19 +280,6 @@ class CollectionServer:
             columns.client_ip.indices,
         )
         return replace(columns, country_code=resolved).append_to(self.store)
-
-    def submit_batch(
-        self, records: Iterable[SubmissionRecord | tuple], unreachable: int = 0
-    ) -> list[Measurement]:
-        """Legacy bulk-ingest shim: columnar ingestion plus row materialization.
-
-        Kept for callers that want the stored :class:`Measurement` rows back;
-        the campaign runner uses :meth:`ingest_records`, which skips the row
-        construction entirely.
-        """
-        start = len(self.store)
-        added = self.ingest_records(records, unreachable)
-        return self.store.rows(range(start, start + added)) if added else []
 
     def ingest_measurements(self, measurements: Iterable[Measurement]) -> int:
         """Append already-built rows (forged submissions, replayed corpora)."""

@@ -37,8 +37,8 @@ sequence of **epochs** over simulated days:
 **Always-on monitoring.**  With ``LongitudinalConfig.checkpoint_dir`` set,
 the run becomes an incremental, killable monitor loop.  Per epoch the engine
 seals the store's pending rows and folds only the *new* segments into the
-persistent day-bucketed aggregate (``MeasurementStore.success_counts`` keeps
-a fold watermark), advances a resumable
+persistent day-bucketed aggregate (the query kernel keeps a fold
+watermark), advances a resumable
 :class:`~repro.core.inference.CusumState` over only the new day columns, and
 checkpoints that state to ``checkpoint_dir/cusum-state.json`` — so per-epoch
 cost stays flat as history grows (``benchmarks/test_bench_monitor.py``,
@@ -74,6 +74,7 @@ from repro.core.inference import (
     CusumState,
     TimingCusumDetector,
 )
+from repro.core.pipeline import CAMPAIGN_MODES
 from repro.core.query import (
     TimingDaySeries,
     dense_day_series,
@@ -304,6 +305,10 @@ class LongitudinalEngine:
         self.deployment = deployment
         self.timeline = timeline
         self.config = config or LongitudinalConfig()
+        # Checked here, not by run_campaign: a checkpointed run executes
+        # every epoch through mode="sharded" whatever config.mode says.
+        if self.config.mode not in CAMPAIGN_MODES:
+            raise ValueError(f"unknown campaign mode {self.config.mode!r}")
         if self.config.days_per_epoch < 1:
             raise ValueError("days_per_epoch must be positive")
         if self.config.visits_per_epoch < 1:

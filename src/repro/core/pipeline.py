@@ -28,9 +28,12 @@ from repro.core.task_generation import (
     TaskGenerationLimits,
     TaskGenerationPipeline,
 )
-from repro.core.tasks import MeasurementTask, TaskType, execute_task
+from repro.core.tasks import MeasurementTask, TaskType
 from repro.population.world import World
 from repro.web.url import URL
+
+#: The execution modes :meth:`EncoreDeployment.run_campaign` accepts.
+CAMPAIGN_MODES = ("batch", "serial", "sharded")
 
 
 @dataclass
@@ -63,8 +66,8 @@ class CampaignConfig:
     country_code: str | None = None
     #: Default execution mode for :meth:`EncoreDeployment.run_campaign`:
     #: ``"batch"`` (vectorized), ``"serial"`` (scalar reference with identical
-    #: results), ``"sharded"`` (the batch path fanned out over worker
-    #: processes), or ``"legacy"`` (the original per-visit browser loop).
+    #: results), or ``"sharded"`` (the batch path fanned out over worker
+    #: processes).
     mode: str = "batch"
     #: Visits per runner batch (progress/checkpoint granularity).
     batch_size: int | None = None
@@ -104,9 +107,9 @@ class CampaignResult:
     coordination: CoordinationServer
     visits_simulated: int
     task_executions: int
+    #: Which execution path produced this result ("batch"/"serial"/"sharded").
+    mode: str
     feasibility: FeasibilityReport | None = None
-    #: Which execution path produced this result ("batch"/"serial"/"legacy").
-    mode: str = "legacy"
 
     @property
     def measurements(self) -> list[Measurement]:
@@ -321,32 +324,6 @@ class EncoreDeployment:
         self._visit_base += visits
         return base
 
-    def simulate_visit(self, day: int | None = None, country_code: str | None = None) -> int:
-        """Simulate one origin-site visit; returns the number of submissions."""
-        client = self.world.sample_client(country_code or self.config.country_code)
-        origin = self.origins[int(self._rng.integers(0, len(self.origins)))]
-        browser = self.world.make_browser(client)
-        day = (
-            day
-            if day is not None
-            else int(self.config.day_offset + self._rng.integers(0, self.config.days))
-        )
-        decision = self.coordination.deliver(client, browser)
-        submissions = 0
-        for task in decision.tasks:
-            result = execute_task(task, browser)
-            measurement = self.collection.submit(
-                result,
-                client,
-                browser,
-                origin_domain=origin.domain,
-                day=day,
-                strip_referer=origin.strips_referer,
-            )
-            if measurement is not None:
-                submissions += 1
-        return submissions
-
     def run_campaign(
         self,
         visits: int | None = None,
@@ -361,11 +338,11 @@ class EncoreDeployment:
     ) -> CampaignResult:
         """Simulate a full campaign of origin-site visits.
 
-        Delegates to :class:`~repro.core.runner.CampaignRunner`: ``"batch"``
-        (the default) is the vectorized fast path, ``"serial"`` the scalar
-        reference implementation that produces identical measurements for a
-        fixed seed, and ``"legacy"`` the original one-browser-per-visit loop
-        retained as a full-fidelity baseline.  ``progress`` is invoked with a
+        ``mode`` is one of :data:`CAMPAIGN_MODES`.  ``"batch"`` (the
+        default) and ``"serial"`` delegate to
+        :class:`~repro.core.runner.CampaignRunner`: the vectorized fast path
+        and the scalar reference implementation that produces identical
+        measurements for a fixed seed.  ``progress`` is invoked with a
         :class:`~repro.core.runner.BatchProgress` after every batch;
         ``resume_from_batch`` skips already-completed batches.
 
@@ -381,6 +358,8 @@ class EncoreDeployment:
         from repro.core.runner import CampaignRunner
 
         mode = mode if mode is not None else self.config.mode
+        if mode not in CAMPAIGN_MODES:
+            raise ValueError(f"unknown campaign mode {mode!r}")
         visits = visits if visits is not None else self.config.visits
         if mode == "sharded":
             if resume_from_batch or batch_size is not None:
@@ -404,37 +383,6 @@ class EncoreDeployment:
             raise ValueError(
                 "num_shards, worker_spill_dir, and shard_executor only apply "
                 "to mode='sharded'"
-            )
-        if mode == "legacy":
-            if (
-                progress is not None
-                or resume_from_batch
-                or batch_size is not None
-                or tracer is not None
-            ):
-                raise ValueError(
-                    "mode='legacy' runs visit-by-visit and supports none of "
-                    "progress, batch_size, resume_from_batch, or tracer"
-                )
-            # Count the campaign even though the legacy loop draws from the
-            # deployment/world RNGs directly: it advances shared state (GeoIP
-            # counters, scheduler counts), so the runner's resume-staleness
-            # guard must see it.  Claiming the visit range keeps a later
-            # batch campaign's identity numbering clear of the legacy
-            # allocator's dense per-country counters.
-            self.next_campaign_epoch()
-            self.claim_visit_range(visits)
-            executions = 0
-            for _ in range(visits):
-                executions += self.simulate_visit()
-            return CampaignResult(
-                config=self.config,
-                collection=self.collection,
-                coordination=self.coordination,
-                visits_simulated=visits,
-                task_executions=executions,
-                feasibility=self.feasibility,
-                mode="legacy",
             )
         runner = CampaignRunner(
             self,

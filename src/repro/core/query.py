@@ -1,10 +1,9 @@
 """One group-by kernel behind every store reduction.
 
-`MeasurementStore` had accreted bespoke segment-streaming reductions —
-``success_counts`` (and its ``by_day=True`` variant), ``masked_success_counts``,
-``success_day_series``, ``distinct_ips`` — each hand-rolling the same
-bincount-over-segments pattern.  This module is the one engine they all sit
-on now, and the door to dimensions and aggregates none of them could express:
+Every reduction over a :class:`MeasurementStore` — per-(domain,
+country[, day]) success counts, masked counts, the dense day series, the
+distinct-client count, timing quantiles — is one call into this module's
+engine:
 
 * **Composable keys.**  Any subset of the dictionary-encoded / small-domain
   columns — ``domain``, ``country``, ``day``, ``isp``, ``family``, ``task`` —
@@ -27,11 +26,12 @@ on now, and the door to dimensions and aggregates none of them could express:
   This is the PR 6 contract, now owned by the kernel and shared by every
   foldable query with the same signature.
 
-The legacy reductions are thin wrappers over :meth:`MeasurementStore.query`
-(kept as deprecation shims on the store), pinned row-identical to their
-pre-refactor outputs by equivalence tests; ``repro-lint``'s
-``segment-streaming`` rule keeps new hand-rolled segment loops from growing
-back outside this module.
+The wrappers at the end of this module (:func:`grouped_success_counts`,
+:func:`masked_grouped_success_counts`, :func:`dense_day_series`,
+:func:`distinct_ip_count`, :func:`timing_day_series`) are the reduction API,
+each pinned to the one scalar reference :func:`run_query_reference` by
+equivalence tests; ``repro-lint``'s ``segment-streaming`` rule keeps new
+hand-rolled segment loops from growing back outside this module.
 
 Telemetry follows the observer-effect ban: the kernel bumps write-only
 counters (``store.query_folds`` and the PR 6 ``store.fold_advances`` /
@@ -54,6 +54,7 @@ from repro.core.store import (
     DayGroupedCounts,
     DenseDayCounts,
     GroupedCounts,
+    pair_day_matrices,
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_TRACER
@@ -199,8 +200,7 @@ class DistinctCount(Aggregate):
 
     Streamed with per-segment deduplication: each segment contributes only
     its unique (group, value) pairs, so distinct-counting a spilled store's
-    ``client_ip`` never concatenates the full string column — the invariant
-    the legacy ``distinct_ips`` kept.
+    ``client_ip`` never concatenates the full string column.
     """
 
     def __init__(self, column: str) -> None:
@@ -225,8 +225,8 @@ class DistinctCount(Aggregate):
 class QueryResult:
     """Per-group aggregate values, one row per non-empty group.
 
-    Groups are sorted by their decoded key tuple in declared key order (the
-    same ``(domain, country[, day])`` order the legacy reductions used).
+    Groups are sorted by their decoded key tuple in declared key order (for
+    the success wrappers, ``(domain, country[, day])``).
     ``keys[name]`` are the decoded key arrays, ``values[i]`` lines up with
     ``aggregates[i]`` (a ``(groups, len(qs))`` matrix for
     :class:`Quantiles`, a 1-D array otherwise), and ``extents[name]`` is the
@@ -989,7 +989,7 @@ def _group_quantiles(values, group_index, group_counts, qs) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Legacy-shaped conveniences (what the store shims and in-repo callers use)
+# Wrappers: the kernel in the shapes the detectors and reports consume
 # ----------------------------------------------------------------------
 _COUNT_AGGS = (Count(), SuccessCount())
 
@@ -999,9 +999,9 @@ def grouped_success_counts(
 ) -> "GroupedCounts | DayGroupedCounts":
     """Per-(domain, country[, day]) totals/successes via the query kernel.
 
-    The engine behind the deprecated ``MeasurementStore.success_counts``,
-    row-identical to it: same exclusions (inconclusive always, automated by
-    default), same cell order, same fold-once incremental watermark.
+    Inconclusive rows are always excluded, automated ones by default, and
+    cells are sorted by ``(domain, country[, day])``.  Rides the fold-once
+    incremental watermark; cached per store version.
     """
     cache_key = ("success_counts", exclude_automated, by_day)
     cached = store._derived(cache_key)
@@ -1026,8 +1026,8 @@ def masked_grouped_success_counts(
 ) -> "GroupedCounts | DayGroupedCounts":
     """``grouped_success_counts`` restricted to the rows where ``mask`` holds.
 
-    The engine behind the deprecated ``masked_success_counts``; not cached
-    because masks vary call to call.
+    What the reputation filter's store verdict re-runs detection over; not
+    cached because masks vary call to call.
     """
     mask = np.asarray(mask, dtype=bool)
     if len(mask) != len(store):
@@ -1045,7 +1045,7 @@ def masked_grouped_success_counts(
 
 
 def _empty_grouped(store, by_day):
-    """The legacy empty-store result, bit-for-bit (or None when non-empty)."""
+    """The empty-store result (or None when non-empty)."""
     if len(store) != 0 and store._country_values:
         return None
     empty_str = np.empty(0, dtype=np.str_)
@@ -1075,11 +1075,10 @@ def dense_day_series(
 ) -> DenseDayCounts:
     """Dense (pair, day) success matrices for the always-on monitor loop.
 
-    The engine behind the deprecated ``success_day_series``: rides the same
-    fold-once accumulator (and watermark) as the by-day grouped counts, but
-    skips the ragged cell materialization, so per-epoch cost stays flat as
-    the day axis grows.  The matrices are fancy-indexed copies, never views
-    of the live accumulator.
+    Rides the same fold-once accumulator (and watermark) as the by-day
+    grouped counts, but skips the ragged cell materialization, so per-epoch
+    cost stays flat as the day axis grows.  The matrices are fancy-indexed
+    copies, never views of the live accumulator.
     """
     if len(store) == 0 or not store._country_values:
         empty_str = np.empty(0, dtype=np.str_)
@@ -1112,9 +1111,9 @@ def dense_day_series(
 def distinct_ip_count(store: "MeasurementStore") -> int:
     """Distinct client addresses via the query kernel.
 
-    The engine behind the deprecated ``distinct_ips``: counts over *all*
-    rows (no outcome or automation exclusions), streaming per-segment
-    uniques so a spilled store never concatenates the full string column.
+    Counts over *all* rows (no outcome or automation exclusions),
+    streaming per-segment uniques so a spilled store never concatenates the
+    full string column.
     """
     cached = store._derived("distinct_ips")
     if cached is not None:
@@ -1149,34 +1148,12 @@ def timing_day_series(
         exclude_automated=exclude_automated,
     )
     n_days = result.extents["day"]
-    if not len(result):
-        empty_str = np.empty(0, dtype=np.str_)
-        series = TimingDaySeries(
-            empty_str, empty_str,
-            np.zeros((0, n_days), dtype=np.int64),
-            np.full((0, n_days), np.nan),
-            n_days, float(quantile),
-        )
-        return store._derive(cache_key, series)
-    domains = result.key("domain")
-    countries = result.key("country")
-    days = result.key("day")
-    # Cells arrive sorted by (domain, country, day); pair boundaries are
-    # where either name changes — the same densification as
-    # ``DayGroupedCounts.cell_series``.
-    new_pair = np.r_[
-        True,
-        (domains[1:] != domains[:-1]) | (countries[1:] != countries[:-1]),
-    ]
-    pair_of_cell = np.cumsum(new_pair) - 1
-    starts = np.flatnonzero(new_pair)
-    n_pairs = len(starts)
-    counts = np.zeros((n_pairs, n_days), dtype=np.int64)
-    values = np.full((n_pairs, n_days), np.nan)
-    counts[pair_of_cell, days] = result.value("count")
-    values[pair_of_cell, days] = result.value(1)[:, 0]
     series = TimingDaySeries(
-        domains[starts], countries[starts], counts, values, n_days, float(quantile)
+        *pair_day_matrices(
+            result.key("domain"), result.key("country"), result.key("day"), n_days,
+            (result.value("count"), np.int64(0)), (result.value(1)[:, 0], np.nan),
+        ),
+        n_days, float(quantile),
     )
     return store._derive(cache_key, series)
 

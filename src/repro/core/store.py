@@ -18,9 +18,8 @@ instead:
   filter criteria as boolean masks and returns a :class:`Selection` (mask +
   column views); :meth:`MeasurementStore.query` hands any keyed reduction —
   per-(domain, country[, day]) counts, timing quantiles, distinct clients —
-  to the one group-by kernel in :mod:`repro.core.query`.  The legacy
-  bespoke reductions (``success_counts`` and friends) survive as deprecated
-  thin wrappers over it, pinned row-identical by equivalence tests.
+  to the one group-by kernel in :mod:`repro.core.query`, whose wrappers
+  (``grouped_success_counts`` and friends) are the reduction API.
 * **Bounded memory.**  With ``max_rows_in_memory=`` set, sealed column
   segments spill to ``.npz`` files under ``spill_dir`` (a temporary
   directory if none is given).  Queries transparently concatenate spilled
@@ -36,7 +35,6 @@ instead:
 from __future__ import annotations
 
 import tempfile
-import warnings
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -322,25 +320,36 @@ class DayGroupedCounts:
         a pair has no measurements on a day — the layout the vectorized
         CUSUM detector scans day-column by day-column.
         """
-        if len(self) == 0:
-            empty = np.empty(0, dtype=np.str_)
-            return empty, empty, np.zeros((0, self.n_days), dtype=np.int64), np.zeros(
-                (0, self.n_days), dtype=np.int64
-            )
-        # Cells are already sorted by (domain, country, day), so pair
-        # boundaries are where either name changes.
-        new_pair = np.r_[
-            True, (self.domains[1:] != self.domains[:-1])
-            | (self.countries[1:] != self.countries[:-1])
-        ]
-        pair_of_cell = np.cumsum(new_pair) - 1
-        starts = np.flatnonzero(new_pair)
-        n_pairs = len(starts)
-        totals = np.zeros((n_pairs, self.n_days), dtype=np.int64)
-        successes = np.zeros((n_pairs, self.n_days), dtype=np.int64)
-        totals[pair_of_cell, self.days] = self.totals
-        successes[pair_of_cell, self.days] = self.successes
-        return self.domains[starts], self.countries[starts], totals, successes
+        return pair_day_matrices(
+            self.domains, self.countries, self.days, self.n_days,
+            (self.totals, np.int64(0)), (self.successes, np.int64(0)),
+        )
+
+
+def pair_day_matrices(domains, countries, days, n_days, *columns):
+    """Scatter sorted (domain, country, day) cells into per-pair day matrices.
+
+    The cells must be sorted by ``(domain, country, day)``.  Each entry of
+    ``columns`` is ``(values, fill)``: one value per cell, and the value of
+    pair-days without a cell, whose dtype the matrix takes.  Returns the
+    ``C`` distinct pairs' domains and countries, in cell order, then one
+    ``(C, n_days)`` matrix per column.  Values are placed, never combined.
+    """
+    if len(days) == 0:
+        empty = np.empty(0, dtype=np.str_)
+        return (empty, empty, *(np.full((0, n_days), fill) for _, fill in columns))
+    # Pair boundaries are where either name changes.
+    new_pair = np.r_[
+        True, (domains[1:] != domains[:-1]) | (countries[1:] != countries[:-1])
+    ]
+    pair_of_cell = np.cumsum(new_pair) - 1
+    starts = np.flatnonzero(new_pair)
+    matrices = []
+    for values, fill in columns:
+        matrix = np.full((len(starts), n_days), fill)
+        matrix[pair_of_cell, days] = values
+        matrices.append(matrix)
+    return (domains[starts], countries[starts], *matrices)
 
 
 class DenseDayCounts:
@@ -796,7 +805,7 @@ class MeasurementStore:
         """Seal the pending row buffer into an immutable segment now.
 
         Sealed segments are folded into the persistent aggregates behind
-        :meth:`success_counts` exactly once; pending rows are re-folded on
+        :meth:`query` exactly once; pending rows are re-folded on
         every call (they are still mutable).  Callers that aggregate after
         every small append — the longitudinal monitor after each epoch —
         seal first so per-call work stays proportional to the new rows, not
@@ -1135,7 +1144,7 @@ class MeasurementStore:
         accumulator (each sealed segment folded exactly once over the
         store's lifetime), so an always-on monitor's per-call cost tracks
         the new rows.  See ``docs/query_api.md`` for the model and the
-        migration table from the deprecated bespoke reductions.
+        kernel's wrappers.
         """
         from repro.core import query as _query
 
@@ -1149,148 +1158,6 @@ class MeasurementStore:
             shape=shape,
             tracer=_query.NULL_TRACER if tracer is None else tracer,
         )
-
-    def success_counts(
-        self, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Deprecated: per-(domain, country[, day]) totals and successes.
-
-        A thin wrapper over :meth:`query` (keys ``(domain, country[, day])``,
-        aggregates ``(Count(), SuccessCount())``), kept for callers of the
-        pre-kernel API and pinned row-identical to it by equivalence tests.
-        Use :meth:`query` or :func:`repro.core.query.grouped_success_counts`.
-        """
-        warnings.warn(
-            "MeasurementStore.success_counts() is deprecated; use "
-            "store.query() or repro.core.query.grouped_success_counts()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import grouped_success_counts
-
-        return grouped_success_counts(self, exclude_automated, by_day=by_day)
-
-    def success_counts_reference(
-        self, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Per-row reference for the grouped success reduction.
-
-        The readable dict-update walk over materialized rows that the
-        equivalence tests pin the query kernel against.
-        """
-        counts: dict[tuple, tuple[int, int]] = {}
-        for m in self.rows():
-            if m.outcome is TaskOutcome.INCONCLUSIVE:
-                continue
-            if exclude_automated and m.is_automated:
-                continue
-            if by_day:
-                key = (m.target_domain, m.country_code, m.day)
-            else:
-                key = (m.target_domain, m.country_code)
-            n, s = counts.get(key, (0, 0))
-            counts[key] = (n + 1, s + (m.outcome is TaskOutcome.SUCCESS))
-        if by_day:
-            return DayGroupedCounts.from_dict(counts)
-        return GroupedCounts.from_dict(counts)
-
-    def success_day_series(self, exclude_automated: bool = True) -> DenseDayCounts:
-        """Deprecated: dense (pair, day) success matrices for the monitor loop.
-
-        A thin wrapper over :meth:`query` with ``shape="dense"`` — same
-        fold-once accumulator and watermark as the by-day grouped counts,
-        no ragged cell materialization, so per-epoch monitor cost stays
-        flat.  Use :func:`repro.core.query.dense_day_series`.
-        """
-        warnings.warn(
-            "MeasurementStore.success_day_series() is deprecated; use "
-            "repro.core.query.dense_day_series()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import dense_day_series
-
-        return dense_day_series(self, exclude_automated)
-
-    def success_day_series_reference(
-        self, exclude_automated: bool = True
-    ) -> DenseDayCounts:
-        """Per-row reference for the dense day series (densified reference cells)."""
-        ref = self.success_counts_reference(exclude_automated, by_day=True)
-        domains, countries, totals, successes = ref.cell_series()
-        return DenseDayCounts(domains, countries, totals, successes, ref.n_days)
-
-    def masked_success_counts(
-        self, mask: np.ndarray, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Deprecated: :meth:`success_counts` restricted to ``mask`` rows.
-
-        A thin wrapper over :meth:`query` with a row mask — what the
-        reputation filter's store verdict uses to re-run detection over only
-        the surviving rows of a poisoned store.  Use :meth:`query` or
-        :func:`repro.core.query.masked_grouped_success_counts`.
-        """
-        warnings.warn(
-            "MeasurementStore.masked_success_counts() is deprecated; use "
-            "store.query(mask=...) or "
-            "repro.core.query.masked_grouped_success_counts()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import masked_grouped_success_counts
-
-        return masked_grouped_success_counts(
-            self, mask, exclude_automated, by_day=by_day
-        )
-
-    def masked_success_counts_reference(
-        self, mask: np.ndarray, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Per-row reference for the masked grouped reduction."""
-        mask = np.asarray(mask, dtype=bool)
-        if len(mask) != len(self):
-            raise ValueError(
-                f"mask has {len(mask)} entries for a store of {len(self)} rows"
-            )
-        counts: dict[tuple, tuple[int, int]] = {}
-        for m, keep in zip(self.rows(), mask.tolist()):
-            if not keep or m.outcome is TaskOutcome.INCONCLUSIVE:
-                continue
-            if exclude_automated and m.is_automated:
-                continue
-            if by_day:
-                key = (m.target_domain, m.country_code, m.day)
-            else:
-                key = (m.target_domain, m.country_code)
-            n, s = counts.get(key, (0, 0))
-            counts[key] = (n + 1, s + (m.outcome is TaskOutcome.SUCCESS))
-        if by_day:
-            return DayGroupedCounts.from_dict(counts)
-        return GroupedCounts.from_dict(counts)
-
-    def distinct_ips(self) -> int:
-        """Deprecated: distinct client addresses over all rows.
-
-        A thin wrapper over :meth:`query` with a
-        :class:`~repro.core.query.DistinctCount` aggregate (per-segment
-        deduplication keeps a spilled store from concatenating the full
-        string column).  Use :meth:`query` or
-        :func:`repro.core.query.distinct_ip_count`.
-        """
-        warnings.warn(
-            "MeasurementStore.distinct_ips() is deprecated; use "
-            "store.query() with DistinctCount('client_ip') or "
-            "repro.core.query.distinct_ip_count()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import distinct_ip_count
-
-        return distinct_ip_count(self)
-
-    def distinct_ips_reference(self) -> int:
-        """Per-row reference for the distinct-client count (no exclusions)."""
-        return len({m.client_ip for m in self.rows()})
 
     def distinct_countries(self) -> int:
         cached = self._derived("distinct_countries")

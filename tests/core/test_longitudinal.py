@@ -407,6 +407,20 @@ class TestLongitudinalRun:
         with pytest.raises(ValueError):
             LongitudinalEngine(deployment, timeline, LongitudinalConfig(epochs=0))
 
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    @pytest.mark.parametrize("mode", ["bogus", "legacy"])
+    def test_unknown_mode_rejected_before_any_epoch(self, tmp_path, mode, checkpointed):
+        """Regression: a checkpointed run used to run an unknown mode as batch."""
+        deployment = longitudinal_deployment(seed=59)
+        timeline = PolicyTimeline().onset(1, "DE", "facebook.com")
+        config = LongitudinalConfig(
+            epochs=3, visits_per_epoch=200, mode=mode,
+            checkpoint_dir=str(tmp_path) if checkpointed else None,
+        )
+        with pytest.raises(ValueError, match=f"unknown campaign mode '{mode}'"):
+            deployment.run_longitudinal(timeline, config)
+        assert len(deployment.collection) == 0
+
 
 class TestCheckpointedMonitor:
     """The always-on monitor loop: epoch resume + CUSUM checkpointing."""

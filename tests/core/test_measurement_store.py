@@ -2,10 +2,10 @@
 
 The store replaced the collection server's ``list[Measurement]`` with
 struct-of-arrays storage; these tests pin the redesign's compatibility
-contract: every query (``select``/``filtered``, ``success_counts``, the
-distinct counters, detection) must agree with the seed row-list
-implementations — reproduced here as reference functions — on arbitrary
-corpora, with and without spilling segments to disk.
+contract: every query (``select``/``filtered``, the query kernel's
+wrappers, the distinct counters, detection) must agree with the seed
+row-list implementations — reproduced here as reference functions — on
+arbitrary corpora, with and without spilling segments to disk.
 """
 
 import tempfile
@@ -24,6 +24,12 @@ from repro.core.inference import (
     binomial_cdf_cells,
 )
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
+from repro.core.query import (
+    dense_day_series,
+    distinct_ip_count,
+    grouped_success_counts,
+    masked_grouped_success_counts,
+)
 from repro.core.store import (
     ColumnAlignmentError,
     DayGroupedCounts,
@@ -35,16 +41,6 @@ from repro.core.tasks import TaskOutcome, TaskType
 from repro.population.geoip import GeoIPDatabase
 from repro.population.world import World, WorldConfig
 from repro.web.url import URL
-
-# This module is the deprecated legacy reductions' equivalence pin: it
-# calls the MeasurementStore shims ON PURPOSE to keep them row-identical
-# to the seed semantics until removal.  The deprecation chatter is
-# acknowledged and silenced here — anywhere else, a shim call is a
-# straggler to migrate to the query kernel.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:MeasurementStore\.:DeprecationWarning"
-)
-
 
 # ----------------------------------------------------------------------
 # Seed reference implementations (the pre-store row-list semantics)
@@ -182,7 +178,7 @@ class TestStoreMatchesRowListSemantics:
     def test_success_counts_equal_seed(self, corpus, exclude_automated):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = store.success_counts(exclude_automated=exclude_automated)
+        grouped = grouped_success_counts(store, exclude_automated=exclude_automated)
         assert grouped.as_dict() == reference_success_counts(corpus, exclude_automated)
 
     @given(corpus=corpora)
@@ -204,7 +200,7 @@ class TestStoreMatchesRowListSemantics:
                 assert store.rows_in_memory == 0
             assert store.rows() == corpus
             assert store.select(**combo).materialize() == reference_filtered(corpus, **combo)
-            assert store.success_counts().as_dict() == reference_success_counts(corpus)
+            assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
 
     def test_spilling_many_resident_segments_at_once_keeps_rows(self, tmp_path):
         # Regression: spilling several resident segments in one call must
@@ -240,7 +236,7 @@ class TestStoreMatchesRowListSemantics:
     def test_distinct_counters_equal_seed(self, corpus):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        assert store.distinct_ips() == len({m.client_ip for m in corpus})
+        assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
         assert store.distinct_countries() == len({m.country_code for m in corpus})
         assert store.measurements_by_country() == Counter(m.country_code for m in corpus)
 
@@ -253,25 +249,27 @@ class TestStoreMatchesRowListSemantics:
             store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
             store.append_rows(corpus)
             store.spill()
-            assert store.distinct_ips() == len({m.client_ip for m in corpus})
+            assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
             # The count is cached until the next append invalidates it.
-            assert store.distinct_ips() == len({m.client_ip for m in corpus})
+            assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
 
     @given(corpus=corpora, exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_masked_success_counts_equal_seed_subset(self, corpus, exclude_automated, mask_seed):
+    def test_masked_counts_equal_seed_subset(self, corpus, exclude_automated, mask_seed):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
-        grouped = store.masked_success_counts(mask, exclude_automated=exclude_automated)
+        grouped = masked_grouped_success_counts(
+            store, mask, exclude_automated=exclude_automated
+        )
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
         assert grouped.as_dict() == reference_success_counts(kept_rows, exclude_automated)
 
-    def test_masked_success_counts_rejects_misaligned_mask(self):
+    def test_masked_counts_reject_misaligned_mask(self):
         store = MeasurementStore()
         store.append_rows(TestDerivedCaches().make_corpus(4))
         with pytest.raises(ValueError):
-            store.masked_success_counts(np.ones(3, dtype=bool))
+            masked_grouped_success_counts(store, np.ones(3, dtype=bool))
 
 
 class TestDayBucketedCounts:
@@ -282,7 +280,7 @@ class TestDayBucketedCounts:
     def test_by_day_equals_reference(self, corpus, exclude_automated):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = store.success_counts(exclude_automated=exclude_automated, by_day=True)
+        grouped = grouped_success_counts(store, exclude_automated=exclude_automated, by_day=True)
         assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
         if len(grouped):
             assert grouped.n_days > int(grouped.days.max())
@@ -296,8 +294,8 @@ class TestDayBucketedCounts:
             store.spill()
             if corpus:
                 assert store.segment_files and store.rows_in_memory == 0
-            grouped = store.success_counts(
-                exclude_automated=exclude_automated, by_day=True
+            grouped = grouped_success_counts(
+                store, exclude_automated=exclude_automated, by_day=True
             )
             assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
 
@@ -311,7 +309,7 @@ class TestDayBucketedCounts:
         store = MeasurementStore(segment_rows=10)
         store.append_rows(own)
         store.adopt_segments_from(other)
-        grouped = store.success_counts(by_day=True)
+        grouped = grouped_success_counts(store, by_day=True)
         assert grouped.as_dict() == reference_day_counts(own + other_rows)
         # A foreign manifest-style adoption (explicit path + remap) too.
         mounted = MeasurementStore()
@@ -323,7 +321,7 @@ class TestDayBucketedCounts:
                 for kind, values in other.value_tables().items()
             }
             mounted.adopt_spilled_segment(path, length, remap=remap)
-        assert mounted.success_counts(by_day=True).as_dict() == reference_day_counts(
+        assert grouped_success_counts(mounted, by_day=True).as_dict() == reference_day_counts(
             other_rows
         )
 
@@ -351,14 +349,14 @@ class TestDayBucketedCounts:
             step = max(1, len(corpus) // 5)
             for start in range(0, len(corpus), step):
                 store.append_rows(corpus[start:start + step])
-                store.success_counts(exclude_automated, by_day=by_day)
+                grouped_success_counts(store, exclude_automated, by_day=by_day)
                 if start % (2 * step) == 0:
                     store.seal_pending()
-                    store.success_counts(exclude_automated, by_day=by_day)
+                    grouped_success_counts(store, exclude_automated, by_day=by_day)
             cold = MeasurementStore()
             cold.append_rows(corpus)
-            incremental = store.success_counts(exclude_automated, by_day=by_day)
-            reference = cold.success_counts(exclude_automated, by_day=by_day)
+            incremental = grouped_success_counts(store, exclude_automated, by_day=by_day)
+            reference = grouped_success_counts(cold, exclude_automated, by_day=by_day)
             assert incremental.as_dict() == reference.as_dict()
             if by_day:
                 assert incremental.n_days == reference.n_days
@@ -368,7 +366,7 @@ class TestDayBucketedCounts:
                 # The dense monitor-loop accessor rides the same accumulator
                 # and must present the exact same cells in the same order as
                 # the ragged representation densified.
-                dense = store.success_day_series(exclude_automated)
+                dense = dense_day_series(store, exclude_automated)
                 ragged = reference.cell_series()
                 assert dense.n_days == reference.n_days
                 for mine, theirs in zip(dense.cell_series(), ragged):
@@ -377,7 +375,7 @@ class TestDayBucketedCounts:
             # sealed segment exactly once.
             if corpus:
                 store.append_rows(corpus[:1])
-                store.success_counts(exclude_automated, by_day=by_day)
+                grouped_success_counts(store, exclude_automated, by_day=by_day)
                 assert store._query_states
                 assert all(
                     state.segments_folded == len(store._segments)
@@ -400,15 +398,15 @@ class TestDayBucketedCounts:
         other.append_rows(other_rows)
         store = MeasurementStore(segment_rows=5)
         store.append_rows(own)
-        store.success_counts(by_day=True)  # prime the fold state pre-merge
-        store.success_counts()
+        grouped_success_counts(store, by_day=True)  # prime the fold state pre-merge
+        grouped_success_counts(store)
         store.adopt_segments_from(other)
-        assert store.success_counts(by_day=True).as_dict() == reference_day_counts(
+        assert grouped_success_counts(store, by_day=True).as_dict() == reference_day_counts(
             corpus
         )
-        assert store.success_counts().as_dict() == reference_success_counts(corpus)
+        assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
         store.append_rows(own)  # keep growing after the merge
-        assert store.success_counts(by_day=True).as_dict() == reference_day_counts(
+        assert grouped_success_counts(store, by_day=True).as_dict() == reference_day_counts(
             corpus + own
         )
 
@@ -418,8 +416,8 @@ class TestDayBucketedCounts:
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
-        grouped = store.masked_success_counts(
-            mask, exclude_automated=exclude_automated, by_day=True
+        grouped = masked_grouped_success_counts(
+            store, mask, exclude_automated=exclude_automated, by_day=True
         )
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
         assert grouped.as_dict() == reference_day_counts(kept_rows, exclude_automated)
@@ -429,7 +427,7 @@ class TestDayBucketedCounts:
     def test_cell_series_round_trips_the_cells(self, corpus):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = store.success_counts(by_day=True)
+        grouped = grouped_success_counts(store, by_day=True)
         domains, countries, totals, successes = grouped.cell_series()
         assert totals.shape == (len(domains), grouped.n_days)
         rebuilt = {}
@@ -471,7 +469,7 @@ class TestDayBucketedCounts:
             ]
             corpus.extend(chunk)
             store.append_rows(chunk)
-        grouped = store.success_counts(by_day=True)
+        grouped = grouped_success_counts(store, by_day=True)
         assert grouped.as_dict() == reference_day_counts(corpus)
         assert grouped.n_days == 9
 
@@ -499,8 +497,10 @@ class TestStoreAdoption:
         assert store.adopt_segments_from(other) == len(other_rows)
         assert len(store) == len(own) + len(other_rows)
         assert store.rows() == own + other_rows
-        assert store.success_counts().as_dict() == reference_success_counts(own + other_rows)
-        assert store.distinct_ips() == len({m.client_ip for m in own + other_rows})
+        assert grouped_success_counts(store).as_dict() == reference_success_counts(
+            own + other_rows
+        )
+        assert distinct_ip_count(store) == len({m.client_ip for m in own + other_rows})
         # The source store is untouched and stays independently usable.
         assert other.rows() == other_rows
 
@@ -586,13 +586,13 @@ class TestDerivedCaches:
         store.append_rows(corpus)
         by_country = store.measurements_by_country()
         assert store.measurements_by_country() is by_country          # cache hit
-        assert store.success_counts() is store.success_counts()
-        ips_before = store.distinct_ips()
+        assert grouped_success_counts(store) is grouped_success_counts(store)
+        ips_before = distinct_ip_count(store)
         extra = self.make_corpus()[0]
         extra = Measurement(**{**extra.__dict__, "client_ip": "10.9.9.9",
                                "country_code": "IR", "measurement_id": "fresh"})
         store.append_rows([extra])                                     # invalidates
-        assert store.distinct_ips() == ips_before + 1
+        assert distinct_ip_count(store) == ips_before + 1
         assert store.measurements_by_country()["IR"] == 1
         assert store.measurements_by_country() is not by_country
 

@@ -100,12 +100,6 @@ class TestCampaign:
         fraction = len(testbed) / (len(testbed) + len(targets))
         assert 0.15 < fraction < 0.45
 
-    def test_simulate_visit_returns_submission_count(self, small_world):
-        config = CampaignConfig(visits=1, include_testbed=False, seed=3)
-        deployment = EncoreDeployment(small_world, config)
-        submissions = deployment.simulate_visit(country_code="US")
-        assert submissions >= 0
-
     def test_run_campaign_visits_override(self):
         world = World(WorldConfig(seed=77, target_list_total=12, target_list_online=10,
                                   origin_site_count=2))

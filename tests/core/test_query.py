@@ -1,20 +1,20 @@
-"""The composable query kernel vs. its scalar reference twins.
+"""The composable query kernel vs. its scalar reference twin.
 
-``repro.core.query.run_query`` replaced the store's hand-rolled reductions
-with one group-by engine; these tests pin the redesign's equivalence
-contract: every (keys, aggregates, mask, exclusions) combination must agree
-with ``run_query_reference`` — a per-row Python walk — on arbitrary corpora,
-with and without spilled segments and adopted (merged) stores, and the four
-legacy surfaces (``success_counts``, ``success_day_series``,
-``masked_success_counts``, ``distinct_ips``) must stay row-identical to
-their ``*_reference`` twins on the store.  The fold-once incremental
-watermark, the ``store.query_folds`` counter, the deprecation shims, and
-the :class:`TimingCusumDetector` vectorized ≡ scalar convention are pinned
-here too.
+``repro.core.query.run_query`` is the one group-by engine behind every store
+reduction; these tests pin its equivalence contract: every (keys,
+aggregates, mask, exclusions) combination must agree with
+``run_query_reference`` — a per-row Python walk — on arbitrary corpora, with
+and without spilled segments and adopted (merged) stores, and so must each
+kernel wrapper (``grouped_success_counts``, ``masked_grouped_success_counts``,
+``dense_day_series``, ``distinct_ip_count``) on every store layout.  The
+fold-once incremental watermark, the ``store.query_folds`` counter, and the
+:class:`TimingCusumDetector` vectorized ≡ scalar convention are pinned here
+too.
 """
 
 import json
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -112,6 +112,39 @@ def build_store(corpus, **kwargs):
     return store
 
 
+def build_spilled_store(corpus, tmp):
+    store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
+    store.append_rows(corpus)
+    store.spill()
+    return store
+
+
+def build_adopted_store(corpus, split, tmp):
+    """A store that adopted another worker's spilled segments."""
+    split = min(split, len(corpus))
+    store = build_store(corpus[:split])
+    other = MeasurementStore(segment_rows=8, spill_dir=tmp)
+    other.append_rows(corpus[split:])
+    other.spill()
+    store.adopt_segments_from(other)
+    return store
+
+
+LAYOUTS = ("plain", "spilled", "adopted")
+
+
+@contextmanager
+def store_in_layout(corpus, layout, split):
+    """``corpus`` in a plain, spilled, or adopted (merged) store."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if layout == "plain":
+            yield build_store(corpus)
+        elif layout == "spilled":
+            yield build_spilled_store(corpus, tmp)
+        else:
+            yield build_adopted_store(corpus, split, tmp)
+
+
 # ----------------------------------------------------------------------
 # run_query ≡ run_query_reference
 # ----------------------------------------------------------------------
@@ -147,11 +180,7 @@ class TestRunQueryEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_spilled_store_equals_reference(self, corpus, combo):
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(
-                segment_rows=8, max_rows_in_memory=8, spill_dir=tmp
-            )
-            store.append_rows(corpus)
-            store.spill()
+            store = build_spilled_store(corpus, tmp)
             assert (
                 run_query(store, combo["keys"], FULL_AGGREGATES,
                           exclude_automated=combo["exclude_automated"],
@@ -165,14 +194,8 @@ class TestRunQueryEquivalence:
     @given(corpus=corpora, split=st.integers(0, 60), combo=query_combos)
     @settings(max_examples=30, deadline=None)
     def test_adopted_merged_store_equals_reference(self, corpus, split, combo):
-        """A store that adopted another worker's spilled segments."""
-        split = min(split, len(corpus))
         with tempfile.TemporaryDirectory() as tmp:
-            store = build_store(corpus[:split])
-            other = MeasurementStore(segment_rows=8, spill_dir=tmp)
-            other.append_rows(corpus[split:])
-            other.spill()
-            store.adopt_segments_from(other)
+            store = build_adopted_store(corpus, split, tmp)
             assert (
                 run_query(store, combo["keys"], FULL_AGGREGATES,
                           exclude_automated=combo["exclude_automated"],
@@ -251,64 +274,77 @@ def _timing_corpus(n=48, seed=5):
 
 
 # ----------------------------------------------------------------------
-# Legacy surfaces pinned to their store reference twins
+# Kernel wrappers pinned to run_query_reference, on every store layout
 # ----------------------------------------------------------------------
-class TestLegacySurfacesPinned:
-    @given(corpus=corpora, exclude_automated=st.booleans(), by_day=st.booleans())
+def success_keys(by_day):
+    return ("domain", "country", "day") if by_day else ("domain", "country")
+
+
+class TestWrappersPinned:
+    @given(corpus=corpora, layout=st.sampled_from(LAYOUTS), split=st.integers(0, 60),
+           exclude_automated=st.booleans(), by_day=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_success_counts_pinned(self, corpus, exclude_automated, by_day):
-        store = build_store(corpus)
-        assert (
-            grouped_success_counts(store, exclude_automated, by_day=by_day).as_dict()
-            == store.success_counts_reference(
-                exclude_automated, by_day=by_day
-            ).as_dict()
-        )
-
-    @given(corpus=corpora, exclude_automated=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_success_day_series_pinned(self, corpus, exclude_automated):
-        store = build_store(corpus)
-        dense = dense_day_series(store, exclude_automated)
-        reference = store.success_day_series_reference(exclude_automated)
-        assert dense.n_days == reference.n_days
-        assert np.array_equal(dense.domains, reference.domains)
-        assert np.array_equal(dense.countries, reference.countries)
-        assert np.array_equal(dense.totals, reference.totals)
-        assert np.array_equal(dense.successes, reference.successes)
-
-    @given(corpus=corpora, exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_masked_success_counts_pinned(self, corpus, exclude_automated, mask_seed):
-        store = build_store(corpus)
-        mask = np.random.default_rng(mask_seed).random(len(store)) < 0.5
-        assert (
-            masked_grouped_success_counts(store, mask, exclude_automated).as_dict()
-            == store.masked_success_counts_reference(mask, exclude_automated).as_dict()
-        )
-
-    @given(corpus=corpora)
-    @settings(max_examples=40, deadline=None)
-    def test_distinct_ips_pinned(self, corpus):
-        store = build_store(corpus)
-        assert distinct_ip_count(store) == store.distinct_ips_reference()
-
-    def test_deprecated_methods_warn_and_delegate(self):
-        store = build_store(_timing_corpus())
-        mask = np.ones(len(store), dtype=bool)
-        with pytest.warns(DeprecationWarning, match="success_counts"):
-            assert store.success_counts().as_dict() == (
-                grouped_success_counts(store).as_dict()
+    def test_grouped_success_counts_pinned(self, corpus, layout, split,
+                                           exclude_automated, by_day):
+        with store_in_layout(corpus, layout, split) as store:
+            assert (
+                grouped_success_counts(store, exclude_automated, by_day=by_day).as_dict()
+                == run_query_reference(
+                    store, success_keys(by_day), exclude_automated=exclude_automated
+                )
             )
-        with pytest.warns(DeprecationWarning, match="success_day_series"):
-            series = store.success_day_series()
-        assert np.array_equal(series.totals, dense_day_series(store).totals)
-        with pytest.warns(DeprecationWarning, match="masked_success_counts"):
-            assert store.masked_success_counts(mask).as_dict() == (
-                masked_grouped_success_counts(store, mask).as_dict()
+
+    @given(corpus=corpora, layout=st.sampled_from(LAYOUTS), split=st.integers(0, 60),
+           exclude_automated=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_day_series_pinned(self, corpus, layout, split, exclude_automated):
+        with store_in_layout(corpus, layout, split) as store:
+            dense = dense_day_series(store, exclude_automated)
+            reference = run_query_reference(
+                store, success_keys(True), exclude_automated=exclude_automated
             )
-        with pytest.warns(DeprecationWarning, match="distinct_ips"):
-            assert store.distinct_ips() == distinct_ip_count(store)
+        # Densify the by-day reference cells into per-pair day matrices.
+        pairs = sorted({(domain, country) for domain, country, _ in reference})
+        n_days = max((day + 1 for _, _, day in reference), default=0)
+        totals = np.zeros((len(pairs), n_days), dtype=np.int64)
+        successes = np.zeros((len(pairs), n_days), dtype=np.int64)
+        for (domain, country, day), (n, ok) in reference.items():
+            row = pairs.index((domain, country))
+            totals[row, day] = n
+            successes[row, day] = ok
+        assert dense.n_days == n_days
+        assert dense.domains.tolist() == [domain for domain, _ in pairs]
+        assert dense.countries.tolist() == [country for _, country in pairs]
+        assert np.array_equal(dense.totals, totals)
+        assert np.array_equal(dense.successes, successes)
+
+    @given(corpus=corpora, layout=st.sampled_from(LAYOUTS), split=st.integers(0, 60),
+           exclude_automated=st.booleans(), by_day=st.booleans(),
+           mask_seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_masked_grouped_success_counts_pinned(self, corpus, layout, split,
+                                                  exclude_automated, by_day, mask_seed):
+        with store_in_layout(corpus, layout, split) as store:
+            mask = np.random.default_rng(mask_seed).random(len(store)) < 0.5
+            assert (
+                masked_grouped_success_counts(
+                    store, mask, exclude_automated, by_day=by_day
+                ).as_dict()
+                == run_query_reference(
+                    store, success_keys(by_day), mask=mask,
+                    exclude_automated=exclude_automated,
+                )
+            )
+
+    @given(corpus=corpora, layout=st.sampled_from(LAYOUTS), split=st.integers(0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_ip_count_pinned(self, corpus, layout, split):
+        with store_in_layout(corpus, layout, split) as store:
+            reference = run_query_reference(
+                store, (), (DistinctCount("client_ip"),),
+                exclude_automated=False, exclude_inconclusive=False,
+            )
+            assert distinct_ip_count(store) == (reference[()][0] if reference else 0)
 
 
 # ----------------------------------------------------------------------

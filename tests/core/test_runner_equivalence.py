@@ -264,6 +264,9 @@ class TestCheckpointResume:
             CampaignRunner(deployment, batch_size=0)
         with pytest.raises(ValueError):
             deployment.run_campaign(batch_size=0)
+        for mode in ("legacy", "warp"):
+            with pytest.raises(ValueError, match=f"unknown campaign mode '{mode}'"):
+                deployment.run_campaign(mode=mode)
 
     def test_resume_on_stale_state_is_rejected(self):
         # Replay only matches the interrupted run from a fresh World +
@@ -273,22 +276,6 @@ class TestCheckpointResume:
         deployment.run_campaign(batch_size=200)
         with pytest.raises(ValueError, match="freshly built"):
             deployment.run_campaign(batch_size=200, resume_from_batch=1)
-
-    def test_resume_after_legacy_campaign_is_rejected(self):
-        # A legacy campaign advances shared state (GeoIP counters, scheduler
-        # RNG) without touching the batch-sampling streams; the staleness
-        # guard must still see it.
-        deployment = small_deployment("batch", visits=200)
-        deployment.run_campaign(visits=50, mode="legacy")
-        with pytest.raises(ValueError, match="freshly built"):
-            deployment.run_campaign(batch_size=100, resume_from_batch=1)
-
-    def test_legacy_mode_rejects_runner_only_arguments(self):
-        deployment = small_deployment("legacy", visits=50)
-        with pytest.raises(ValueError, match="legacy"):
-            deployment.run_campaign(progress=lambda p: None)
-        with pytest.raises(ValueError, match="legacy"):
-            deployment.run_campaign(resume_from_batch=1)
 
 
 class TestCampaignSweep:
