@@ -10,21 +10,27 @@ This module executes campaigns in vectorized batches instead:
    attribute (:meth:`ClientFactory.sample_batch`), together with per-visit
    origin sites and campaign days.
 2. **Schedule.**  :meth:`Scheduler.assign_batch` assigns tasks to the whole
-   batch, grouping clients by browser capability class so task pools are
-   filtered once per class rather than once per client.
-3. **Compile.**  Each visit becomes a short *fetch program*: one slot per
-   network fetch the visit performs (task-script delivery, task target
-   loads, iframe sub-resources and probes, result submissions).  Censors are
-   deterministic per (country, URL), so each slot's censorship verdict is
-   resolved once and cached; only packet loss, jitter, and give-up decisions
-   stay stochastic, and those are pre-drawn as a fixed-layout uniform matrix
+   batch straight off its column arrays and emits one ``(visit, task)`` row
+   per scheduled task; ``mode="serial"`` calls the scalar
+   :meth:`Scheduler.schedule` once per visitor and flattens its decisions
+   into the same rows.
+3. **Compile.**  :func:`compile_program` turns the rows into one columnar
+   *fetch program*: one slot per network fetch (task-script delivery, task
+   target loads, iframe sub-resources and probes, result submissions), laid
+   out with ``np.repeat``/``cumsum`` from per-task slot templates, plus
+   per-row and per-visit slot indices.  Censors are deterministic per
+   (country, URL), so each slot's censorship verdict is resolved once and
+   cached; only packet loss, jitter, and give-up decisions stay stochastic,
+   and those are pre-drawn as a fixed-layout uniform matrix
    (:data:`DRAWS_PER_SLOT` columns per slot).
-4. **Execute.**  ``mode="batch"`` evaluates all slots with vectorized numpy
-   passes; ``mode="serial"`` is the readable reference implementation that
-   walks the same program one visit at a time, re-deriving every censorship
-   verdict from the interceptor objects.  Both modes consume the same
-   pre-drawn randomness, so for a fixed seed they produce *identical*
-   measurements — an invariant pinned by
+4. **Execute.**  Both modes read the same program.  ``mode="batch"``
+   evaluates all slots with vectorized numpy passes and assembles rows by
+   index arithmetic over the row columns (only visits with within-visit
+   cache reuse take a scalar walk); ``mode="serial"`` is the readable
+   reference implementation that walks the program one visit at a time,
+   re-deriving every censorship verdict from the interceptor objects.  Both
+   consume the same pre-drawn randomness, so for a fixed seed they produce
+   *identical* measurements — an invariant pinned by
    ``tests/core/test_runner_equivalence.py``.
 5. **Collect.**  Results stream into the
    :class:`~repro.core.collection.CollectionServer` through its columnar
@@ -54,14 +60,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.browser.engine import CACHED_RENDER_MAX_MS, CACHED_RENDER_MIN_MS
 from repro.core.collection import ColumnarRecords, SubmissionRecord
-from repro.core.scheduler import ScheduleDecision
 from repro.core.store import DictColumn
 from repro.obs.clock import monotonic
 from repro.obs.metrics import get_registry
@@ -272,17 +276,6 @@ def compute_verdict(interceptors, url: URL, host: str, server_known: bool) -> tu
 # ----------------------------------------------------------------------
 # Fetch program
 # ----------------------------------------------------------------------
-@dataclass
-class TaskSlots:
-    """Where one scheduled task's fetches live inside the program."""
-
-    task: MeasurementTask
-    main_slot: int                 #: target fetch (or iframe page fetch)
-    submit_slot: int
-    embedded_slots: tuple[int, ...] = ()
-    probe_slot: int = -1
-
-
 #: Task-type codes stored per TARGET slot so outcomes vectorize.
 TASK_NONE, TASK_IMAGE, TASK_STYLE, TASK_SCRIPT = 0, 1, 2, 3
 
@@ -295,122 +288,136 @@ _TASK_CODE = {
 
 @dataclass
 class FetchProgram:
-    """The compiled fetch slots of one batch of visits."""
+    """The compiled fetches of one batch of visits, as columns.
 
-    visit: list[int] = field(default_factory=list)
-    kind: list[int] = field(default_factory=list)
-    url_id: list[int] = field(default_factory=list)
-    use_cache: list[bool] = field(default_factory=list)
-    task_code: list[int] = field(default_factory=list)
-    #: Visits containing within-visit URL reuse of cacheable resources (the
-    #: inline-frame mechanism); these take the scalar cache-aware path even
-    #: in batch mode.
-    cache_visits: set[int] = field(default_factory=set)
-    #: Per visit: slot ids of the delivery fetches (one per delivery URL).
-    coord_slots: list[list[int]] = field(default_factory=list)
-    #: Per visit: the scheduled tasks with their slot assignments.
-    visit_tasks: list[list[TaskSlots]] = field(default_factory=list)
+    Slots, one per network fetch in fetch order: ``visit``, ``kind``,
+    ``url_id``, ``use_cache`` and ``task_code``.  Rows, one per scheduled
+    task in visit order: ``row_visit``, ``row_task`` (an index into
+    ``tasks``), and the row's ``main_slot`` (target or inline-frame page
+    fetch), ``submit_slot`` and ``probe_slot`` (-1 unless an inline frame,
+    whose embedded fetches are the slots between its page and its probe).
+    Per visit, ``row_bounds`` and ``slot_bounds`` (length ``visits + 1``)
+    delimit its rows and slots; a visit with rows starts with its delivery
+    fetches, which end at its first row's main slot.  ``cache_visit`` marks
+    the visits with within-visit reuse of a cacheable resource (an inline
+    frame, or a cacheable target fetched twice); they take the scalar
+    cache-aware walk even in batch mode.
+    """
+
+    tasks: Sequence[MeasurementTask]
+    visit: np.ndarray
+    kind: np.ndarray
+    url_id: np.ndarray
+    use_cache: np.ndarray
+    task_code: np.ndarray
+    row_visit: np.ndarray
+    row_task: np.ndarray
+    main_slot: np.ndarray
+    submit_slot: np.ndarray
+    probe_slot: np.ndarray
+    row_bounds: np.ndarray
+    slot_bounds: np.ndarray
+    cache_visit: np.ndarray
 
     def __len__(self) -> int:
         return len(self.visit)
 
+
 def compile_program(
     urls: UrlTable,
-    decisions: Sequence[ScheduleDecision],
+    tasks: Sequence[MeasurementTask],
+    row_visit: np.ndarray,
+    row_task: np.ndarray,
+    visits: int,
     delivery_url_ids: Sequence[int],
     submit_url_id: int,
 ) -> FetchProgram:
-    """Lay out every fetch the batch performs, in visit order.
+    """Lay out every fetch the batch's ``(visit, task)`` rows perform.
 
-    A visit with no scheduled tasks contributes no slots (the task script is
-    only fetched when there is a task to deliver, matching
-    :meth:`CoordinationServer.deliver`).
+    A visit with rows fetches the task script from each delivery URL, then
+    runs its rows in order, each laid out by its task's template: the target
+    fetch, or an inline frame's page, embedded, and probe fetches, then the
+    result submission.  A visit with no rows contributes no slots (the task
+    script is only fetched when there is a task to deliver, matching
+    :meth:`CoordinationServer.deliver`).  Templates are resolved once per
+    task in order of first appearance, so URL ids register in fetch order;
+    the layout is ``np.repeat``/``cumsum`` arithmetic over the templates.
     """
-    program = FetchProgram()
-    cacheable = urls.cacheable
-    # Per-task slot templates: the URL ids and task code of a task never
-    # change, so resolve them once per task object instead of per visit.
-    templates: dict[int, tuple] = {}
-    slot_visit = program.visit
-    slot_kind = program.kind
-    slot_url = program.url_id
-    slot_use_cache = program.use_cache
-    slot_task_code = program.task_code
-    cache_visits = program.cache_visits
-    coord_slots = program.coord_slots
-    visit_tasks = program.visit_tasks
-    for visit, decision in enumerate(decisions):
-        coords: list[int] = []
-        entries: list[TaskSlots] = []
-        coord_slots.append(coords)
-        visit_tasks.append(entries)
-        if not decision.tasks:
-            continue
-        multi_task = len(decision.tasks) > 1
-        seen: set[int] = set()
-        for url_id in delivery_url_ids:
-            coords.append(len(slot_visit))
-            slot_visit.append(visit)
-            slot_kind.append(KIND_COORD)
-            slot_url.append(url_id)
-            slot_use_cache.append(False)
-            slot_task_code.append(TASK_NONE)
-        for task in decision.tasks:
-            template = templates.get(id(task))
-            if template is None:
-                target_id = urls.url_id(task.target_url)
-                if task.task_type is TaskType.INLINE_FRAME:
-                    embedded_ids = tuple(
-                        urls.url_id(u) for u in urls.embedded[target_id]
-                    )
-                    probe_id = urls.url_id(task.probe_image_url)
-                    kinds = (
-                        [KIND_PAGE]
-                        + [KIND_EMBEDDED] * len(embedded_ids)
-                        + [KIND_PROBE, KIND_SUBMIT]
-                    )
-                    url_ids = [target_id, *embedded_ids, probe_id, submit_url_id]
-                    uses_cache = [True] * (len(embedded_ids) + 2) + [False]
-                    codes = [TASK_NONE] * len(kinds)
-                    offsets = (0, tuple(range(1, 1 + len(embedded_ids))),
-                               1 + len(embedded_ids), 2 + len(embedded_ids))
-                    template = (target_id, True, kinds, url_ids, uses_cache, codes, offsets)
-                else:
-                    kinds = [KIND_TARGET, KIND_SUBMIT]
-                    url_ids = [target_id, submit_url_id]
-                    uses_cache = [True, False]
-                    codes = [_TASK_CODE[task.task_type], TASK_NONE]
-                    offsets = (0, (), -1, 1)
-                    template = (target_id, False, kinds, url_ids, uses_cache, codes, offsets)
-                templates[id(task)] = template
-            target_id, is_iframe, kinds, url_ids, uses_cache, codes, offsets = template
-            base = len(slot_visit)
-            slot_visit.extend(repeat(visit, len(kinds)))
-            slot_kind.extend(kinds)
-            slot_url.extend(url_ids)
-            slot_use_cache.extend(uses_cache)
-            slot_task_code.extend(codes)
-            if is_iframe:
-                # Inline-frame visits always take the cache-aware path: the
-                # probe's verdict hinges on what the page render cached.
-                cache_visits.add(visit)
-            elif multi_task and cacheable[target_id]:
-                # Only multi-task visits can fetch the same target URL twice.
-                if target_id in seen:
-                    cache_visits.add(visit)
-                else:
-                    seen.add(target_id)
-            main_off, embedded_offs, probe_off, submit_off = offsets
-            entries.append(
-                TaskSlots(
-                    task=task,
-                    main_slot=base + main_off,
-                    submit_slot=base + submit_off,
-                    embedded_slots=tuple(base + o for o in embedded_offs),
-                    probe_slot=base + probe_off if probe_off >= 0 else -1,
-                )
-            )
-    return program
+    # Template 0 is the delivery fetches; template 1 + k is task k's slots.
+    kinds = [KIND_COORD] * len(delivery_url_ids)
+    url_ids = list(delivery_url_ids)
+    uses_cache = [False] * len(kinds)
+    codes = [TASK_NONE] * len(kinds)
+    used, first = np.unique(row_task, return_index=True)
+    order = used[np.argsort(first)]
+    starts = [0]
+    repeat_keys = []
+    for task in [tasks[k] for k in order.tolist()]:
+        starts.append(len(kinds))
+        target_id = urls.url_id(task.target_url)
+        if task.task_type is TaskType.INLINE_FRAME:
+            embedded = [urls.url_id(u) for u in urls.embedded[target_id]]
+            kinds += [KIND_PAGE, *[KIND_EMBEDDED] * len(embedded), KIND_PROBE, KIND_SUBMIT]
+            url_ids += [target_id, *embedded, urls.url_id(task.probe_image_url), submit_url_id]
+            uses_cache += [True] * (len(embedded) + 2) + [False]
+            codes += [TASK_NONE] * (len(embedded) + 3)
+            repeat_keys.append(-1)
+        else:
+            kinds += [KIND_TARGET, KIND_SUBMIT]
+            url_ids += [target_id, submit_url_id]
+            uses_cache += [True, False]
+            codes += [_TASK_CODE[task.task_type], TASK_NONE]
+            repeat_keys.append(target_id if urls.cacheable[target_id] else -1)
+    templates = np.concatenate(([0], order + 1))
+    bounds = np.asarray(starts + [len(kinds)], dtype=np.int64)
+    t_start = np.zeros(len(tasks) + 1, dtype=np.int64)
+    t_len = np.zeros(len(tasks) + 1, dtype=np.int64)
+    t_key = np.full(len(tasks) + 1, -1, dtype=np.int64)
+    t_start[templates], t_len[templates] = bounds[:-1], np.diff(bounds)
+    t_key[order + 1] = repeat_keys
+    kind_t = np.asarray(kinds, dtype=np.int8)
+
+    # Segments in fetch order: each visit with rows contributes the delivery
+    # template, then one template per row.
+    row_bounds = np.searchsorted(row_visit, np.arange(visits + 1))
+    rows_per_visit = np.diff(row_bounds)
+    has_rows = rows_per_visit > 0
+    row_segment = np.arange(len(row_visit)) + np.cumsum(has_rows)[row_visit]
+    segment = np.zeros(len(row_visit) + int(np.count_nonzero(has_rows)), dtype=np.int64)
+    segment[row_segment] = row_task + 1
+    seg_len = t_len[segment]
+    seg_start = np.cumsum(seg_len) - seg_len
+    source = np.repeat(t_start[segment] - seg_start, seg_len) + np.arange(int(seg_len.sum()))
+    slot_visit = np.repeat(np.repeat(np.arange(visits), rows_per_visit + has_rows), seg_len)
+    main_slot = seg_start[row_segment]
+    submit_slot = main_slot + t_len[row_task + 1] - 1
+    iframe = kind_t[t_start[row_task + 1]] == KIND_PAGE
+
+    # Inline frames always take the cache-aware walk (the probe's verdict
+    # hinges on what the page render cached), and so does a visit that
+    # fetches one cacheable target twice.
+    cache_visit = np.zeros(visits, dtype=bool)
+    cache_visit[row_visit[iframe]] = True
+    key = t_key[row_task + 1]
+    keyed = key >= 0
+    pairs, repeats = np.unique(row_visit[keyed] * len(urls) + key[keyed], return_counts=True)
+    cache_visit[pairs[repeats > 1] // len(urls)] = True
+    return FetchProgram(
+        tasks=tasks,
+        visit=slot_visit,
+        kind=kind_t[source],
+        url_id=np.asarray(url_ids, dtype=np.int64)[source],
+        use_cache=np.asarray(uses_cache, dtype=bool)[source],
+        task_code=np.asarray(codes, dtype=np.int8)[source],
+        row_visit=row_visit,
+        row_task=row_task,
+        main_slot=main_slot,
+        submit_slot=submit_slot,
+        probe_slot=np.where(iframe, submit_slot - 1, -1),
+        row_bounds=row_bounds,
+        slot_bounds=np.searchsorted(slot_visit, np.arange(visits + 1)),
+        cache_visit=cache_visit,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +478,6 @@ class BatchPlan:
     clients: list
     origin_indices: np.ndarray
     days: np.ndarray
-    decisions: list[ScheduleDecision]
     program: FetchProgram
     draws: SlotDraws
 
@@ -518,12 +524,8 @@ class _BlockPlan:
     clients: list | None
     origin_indices: np.ndarray
     days: np.ndarray
-    decisions: list[ScheduleDecision]
     program: FetchProgram
     uniforms: np.ndarray
-    #: ``slot_bounds[v]`` is the first program slot of visit ``v`` (length
-    #: ``count + 1``), so a visit range maps to a contiguous slot range.
-    slot_bounds: np.ndarray
 
 
 @dataclass
@@ -623,13 +625,20 @@ class CampaignRunner:
         ``World`` + deployment with the same seeds so that the campaign
         epoch matches the interrupted run; resuming on a deployment that has
         already run a campaign is rejected rather than silently producing a
-        different one.
+        different one; so is a ``resume_from_batch`` outside
+        ``[0, batch count]``.
         """
         from repro.core.pipeline import CampaignResult  # local: avoids a cycle
 
         deployment = self.deployment
         config = deployment.config
         visits = visits if visits is not None else config.visits
+        batch_count = (visits + self.batch_size - 1) // self.batch_size
+        if not 0 <= resume_from_batch <= batch_count:
+            raise ValueError(
+                f"resume_from_batch must lie in [0, {batch_count}] for {visits} visits "
+                f"in batches of {self.batch_size}, got {resume_from_batch}"
+            )
         if resume_from_batch:
             stale = (
                 deployment.campaigns_run != 0
@@ -657,7 +666,6 @@ class CampaignRunner:
                 self._plan_block(ctx, block_index)
             get_registry().counter("runner.blocks_replayed").add(skipped_blocks)
 
-        batch_count = (visits + self.batch_size - 1) // self.batch_size
         executions = 0
         started = monotonic()
         # Progress and telemetry share one code path: the runner emits
@@ -782,17 +790,24 @@ class CampaignRunner:
         scoped = deployment.scheduler.scoped(
             np.random.default_rng([seed, 131, epoch, block_index])
         )
+        tasks = scoped.all_tasks
         if self.mode == "serial":
+            # The scalar reference: one schedule() call per visitor object.
             clients = batch.clients()
             decisions = [scoped.schedule(client) for client in clients]
+            index = {id(task): i for i, task in enumerate(tasks)}
+            row_visit = [v for v, d in enumerate(decisions) for _ in d.tasks]
+            row_task = [index[id(t)] for d in decisions for t in d.tasks]
         else:
-            # Batch mode schedules straight off the column arrays; per-visit
-            # Client objects are never materialized.
+            # Batch mode schedules straight off the column arrays into rows;
+            # per-visit Client objects are never materialized.
             clients = None
-            decisions = scoped.assign_batch(batch)
+            row_visit, row_task, _ = scoped.assign_batch(batch)
         ctx.count_assignments(scoped.assignment_counts)
         program = compile_program(
-            ctx.urls, decisions, ctx.delivery_url_ids, ctx.submit_url_id
+            ctx.urls, tasks, np.asarray(row_visit, dtype=np.int64),
+            np.asarray(row_task, dtype=np.int64), count,
+            ctx.delivery_url_ids, ctx.submit_url_id,
         )
         uniforms = np.random.default_rng(
             [seed, 211, epoch, block_index]
@@ -805,12 +820,8 @@ class CampaignRunner:
             clients=clients,
             origin_indices=origin_indices,
             days=days,
-            decisions=decisions,
             program=program,
             uniforms=uniforms,
-            slot_bounds=np.searchsorted(
-                np.asarray(program.visit, dtype=np.int64), np.arange(count + 1)
-            ),
         )
         return block
 
@@ -819,28 +830,28 @@ class CampaignRunner:
 
         A full-block slice reuses the block's compiled program and draws; a
         partial slice (a batch boundary that cuts through the block)
-        recompiles the sub-range's program — the slot layout of a visit
-        depends only on its own decision, so the sub-program is exactly the
-        corresponding slot range of the block program, and the pre-drawn
+        recompiles the program of the block's row slice — the slot layout of
+        a visit depends only on its own rows, so the sub-program is exactly
+        the corresponding slot range of the block program, and the pre-drawn
         uniform rows are sliced to match.
         """
         l0, l1 = lo - block.start, hi - block.start
         if l0 == 0 and l1 == block.count:
             batch = block.client_batch
             clients = block.clients
-            decisions = block.decisions
             program = block.program
             uniforms = block.uniforms
         else:
             batch = block.client_batch.slice(l0, l1)
             clients = block.clients[l0:l1] if block.clients is not None else None
-            decisions = block.decisions[l0:l1]
+            whole = block.program
+            r0, r1 = whole.row_bounds[l0], whole.row_bounds[l1]
             program = compile_program(
-                ctx.urls, decisions, ctx.delivery_url_ids, ctx.submit_url_id
+                ctx.urls, whole.tasks, whole.row_visit[r0:r1] - l0,
+                whole.row_task[r0:r1], l1 - l0, ctx.delivery_url_ids, ctx.submit_url_id,
             )
-            s0, s1 = int(block.slot_bounds[l0]), int(block.slot_bounds[l1])
-            uniforms = block.uniforms[s0:s1]
-        visit_idx = np.asarray(program.visit, dtype=np.int64)
+            uniforms = block.uniforms[whole.slot_bounds[l0]:whole.slot_bounds[l1]]
+        visit_idx = program.visit
         draws = derive_slot_draws(
             uniforms,
             batch.rtt_ms[visit_idx],
@@ -854,7 +865,6 @@ class CampaignRunner:
             clients=clients,
             origin_indices=block.origin_indices[l0:l1],
             days=block.days[l0:l1],
-            decisions=decisions,
             program=program,
             draws=draws,
         )
@@ -1053,20 +1063,23 @@ class SerialExecutor:
         attempted = 0
         failed = 0
         supports_probe = CACHED_PROBE_THRESHOLD_MS
-        for visit, decision in enumerate(plan.decisions):
-            tasks = program.visit_tasks[visit]
-            if not tasks:
+        url_ids, use_cache = program.url_id.tolist(), program.use_cache.tolist()
+        row_bounds, slot_bounds = program.row_bounds.tolist(), program.slot_bounds.tolist()
+        main_slots, probe_slots, submit_slots = (
+            program.main_slot.tolist(), program.probe_slot.tolist(), program.submit_slot.tolist()
+        )
+        for visit, client in enumerate(plan.clients):
+            rows = range(row_bounds[visit], row_bounds[visit + 1])
+            if not rows:
                 continue
             attempted += 1
-            client = plan.clients[visit]
             interceptors = world.interceptors_for(client)
             cached_urls: set[int] = set()
 
             def run_slot(slot: int) -> _SlotResult:
-                url_id = program.url_id[slot]
+                url_id = url_ids[slot]
                 result = self._fetch(
-                    slot, url_id, interceptors, draws, cached_urls,
-                    program.use_cache[slot],
+                    slot, url_id, interceptors, draws, cached_urls, use_cache[slot]
                 )
                 if (
                     not result.from_cache
@@ -1078,7 +1091,7 @@ class SerialExecutor:
                 return result
 
             delivered = False
-            for slot in program.coord_slots[visit]:
+            for slot in range(slot_bounds[visit], main_slots[rows[0]]):
                 coord = run_slot(slot)
                 if coord.ok and not coord.is_block:
                     delivered = True
@@ -1089,22 +1102,22 @@ class SerialExecutor:
             origin = origins[plan.origin_indices[visit]]
             day = int(plan.days[visit])
             browser_profile = client.browser
-            for entry in tasks:
-                task = entry.task
+            for row in rows:
+                task = program.tasks[program.row_task[row]]
+                main_slot, probe_slot = main_slots[row], probe_slots[row]
                 probe_time: float | None = None
                 if task.task_type is TaskType.INLINE_FRAME:
-                    page = run_slot(entry.main_slot)
+                    page = run_slot(main_slot)
                     page_ok = page.from_cache or (
-                        page.ok and not page.is_block
-                        and urls.is_page[program.url_id[entry.main_slot]]
+                        page.ok and not page.is_block and urls.is_page[url_ids[main_slot]]
                     )
                     page_elapsed = page.elapsed
                     if page_ok and not page.from_cache:
-                        for embedded_slot in entry.embedded_slots:
+                        for embedded_slot in range(main_slot + 1, probe_slot):
                             embedded = run_slot(embedded_slot)
                             page_elapsed = page_elapsed + embedded.elapsed
-                    probe = run_slot(entry.probe_slot)
-                    probe_type = urls.content_type[program.url_id[entry.probe_slot]]
+                    probe = run_slot(probe_slot)
+                    probe_type = urls.content_type[url_ids[probe_slot]]
                     probe_renders = (
                         probe.ok and not probe.is_block
                         and probe_type is not None and probe_type.name == "IMAGE"
@@ -1123,13 +1136,12 @@ class SerialExecutor:
                         outcome_code = OUT_FAILURE
                     elapsed_total = float(page_elapsed + probe.elapsed)
                 else:
-                    load = run_slot(entry.main_slot)
+                    load = run_slot(main_slot)
                     outcome_code = _scalar_task_outcome(
-                        task.task_type, load, urls, program.url_id[entry.main_slot],
-                        browser_profile,
+                        task.task_type, load, urls, url_ids[main_slot], browser_profile
                     )
                     elapsed_total = float(load.elapsed)
-                submission = run_slot(entry.submit_slot)
+                submission = run_slot(submit_slots[row])
                 if not (submission.ok and not submission.is_block):
                     unreachable += 1
                     continue
@@ -1212,13 +1224,11 @@ class BatchExecutor:
         urls = self.urls
         batch = plan.client_batch
         n = len(program)
-        attempted = sum(1 for tasks in program.visit_tasks if tasks)
+        attempted = int(np.count_nonzero(np.diff(program.row_bounds)))
         if n == 0:
             return BatchOutcome([], 0, attempted, attempted)
 
-        visit = np.asarray(program.visit, dtype=np.int64)
-        kind = np.asarray(program.kind, dtype=np.int8)
-        url_id = np.asarray(program.url_id, dtype=np.int64)
+        visit, kind, url_id = program.visit, program.kind, program.url_id
 
         # --- Per-slot URL facts -----------------------------------------
         status_table = np.asarray(urls.status, dtype=np.int64)
@@ -1310,16 +1320,13 @@ class BatchExecutor:
         ok[pass_done] = slot_resp_ok[pass_done]
 
         # --- Delivery ----------------------------------------------------
-        n_visits = len(batch)
-        delivered = np.zeros(n_visits, dtype=bool)
-        coord = kind == KIND_COORD
-        np.logical_or.at(delivered, visit[coord], ok[coord])
-        failed = attempted - int(
-            np.count_nonzero(delivered[[i for i, t in enumerate(program.visit_tasks) if t]])
-        )
+        # Only visits with rows have delivery slots.
+        delivered = np.zeros(len(batch), dtype=bool)
+        delivered[visit[(kind == KIND_COORD) & ok]] = True
+        failed = attempted - int(np.count_nonzero(delivered))
 
         # --- Vectorized outcomes for explicit-feedback target slots -----
-        task_code = np.asarray(program.task_code, dtype=np.int8)
+        task_code = program.task_code
         reports_t, style_sup_t, script_sup_t = self._capability_arrays(batch)
         reports = reports_t[visit]
         style_sup = style_sup_t[visit]
@@ -1348,122 +1355,57 @@ class BatchExecutor:
             OUT_INCONCLUSIVE,
         )
 
-        submit_ok = ok  # a submission reaches the server iff its fetch succeeded
-
-        # --- Row assembly: columnar ---------------------------------------
+        # --- Row assembly by index ----------------------------------------
         # Rows are described by index arrays — which delivered visit, which
         # task-table entry, which slot — and everything repeated (task
         # attributes, per-visit client attributes, per-origin stripping)
         # stays in small value tables that the store expands by fancy-index.
+        # Rows of cache visits are overwritten by the scalar cache-aware walk.
+        row_bounds = program.row_bounds
+        out_rows = outcome_code[program.main_slot].astype(np.int64)
+        elapsed_rows = elapsed[program.main_slot]
+        probe_rows = np.full(len(out_rows), np.nan)
         slot_cacheable = np.asarray(urls.cacheable, dtype=bool)[url_id]
-        origins = self.deployment.origins
-        family_names = [p.family.value for p in batch.browser_profiles]
-        cache_visits = program.cache_visits
-
-        task_ids: dict[int, int] = {}
-        task_mids: list[str] = []
-        task_types: list[TaskType] = []
-        task_urls: list[URL] = []
-        task_domains: list[str] = []
-
-        def task_index(task: MeasurementTask) -> int:
-            table_index = task_ids.get(id(task))
-            if table_index is None:
-                table_index = len(task_mids)
-                task_ids[id(task)] = table_index
-                task_mids.append(task.measurement_id)
-                task_types.append(task.task_type)
-                task_urls.append(task.target_url)
-                task_domains.append(task.target_domain)
-            return table_index
-
-        delivered_visits: list[int] = []
-        visit_rows: list[int] = []      #: delivered-visit position per row
-        task_rows: list[int] = []
-        main_rows: list[int] = []       #: target slot, or -1 for cache-aware rows
-        submit_rows: list[int] = []
-        override_rows: list[int] = []   #: index into the ov_* lists, or -1
-        ov_outcome: list[int] = []
-        ov_elapsed: list[float] = []
-        ov_probe: list[float] = []
-        ov_subok: list[bool] = []
-
-        for index, entries in enumerate(program.visit_tasks):
-            if not entries or not delivered[index]:
-                continue
-            position = len(delivered_visits)
-            delivered_visits.append(index)
-            if index in cache_visits:
-                rows = self._cache_aware_rows(
-                    entries, batch, index, draws, elapsed, ok, status,
-                    has_response, is_block, url_id, slot_cacheable,
-                    image_table, page_table, submit_ok,
-                )
-                for task, code, elapsed_total, probe_time, sub_ok in rows:
-                    visit_rows.append(position)
-                    task_rows.append(task_index(task))
-                    main_rows.append(-1)
-                    submit_rows.append(-1)
-                    override_rows.append(len(ov_outcome))
-                    ov_outcome.append(code)
-                    ov_elapsed.append(elapsed_total)
-                    ov_probe.append(np.nan if probe_time is None else probe_time)
-                    ov_subok.append(sub_ok)
-            else:
-                for entry in entries:
-                    visit_rows.append(position)
-                    task_rows.append(task_index(entry.task))
-                    main_rows.append(entry.main_slot)
-                    submit_rows.append(entry.submit_slot)
-                    override_rows.append(-1)
-
-        if not visit_rows:
+        for v in np.flatnonzero(program.cache_visit & delivered).tolist():
+            r0, r1 = row_bounds[v], row_bounds[v + 1]
+            walked = self._cache_aware_rows(
+                program, range(r0, r1), batch.browser(v), draws, elapsed, ok, status,
+                has_response, is_block, slot_cacheable, image_table, page_table,
+            )
+            out_rows[r0:r1], elapsed_rows[r0:r1], probe_rows[r0:r1] = zip(*walked)
+        kept = np.flatnonzero(delivered[program.row_visit])
+        if not len(kept):
             return BatchOutcome([], 0, attempted, failed)
 
-        pos_arr = np.asarray(visit_rows, dtype=np.int64)
-        task_arr = np.asarray(task_rows, dtype=np.int64)
-        main_arr = np.asarray(main_rows, dtype=np.int64)
-        submit_arr = np.asarray(submit_rows, dtype=np.int64)
-        over_arr = np.asarray(override_rows, dtype=np.int64)
-        normal = over_arr < 0
-
-        n_rows = len(pos_arr)
-        out_rows = np.empty(n_rows, dtype=np.int64)
-        elapsed_rows = np.empty(n_rows, dtype=np.float64)
-        probe_rows = np.full(n_rows, np.nan)
-        sub_rows = np.zeros(n_rows, dtype=bool)
-        out_rows[normal] = outcome_code[main_arr[normal]]
-        elapsed_rows[normal] = elapsed[main_arr[normal]]
-        sub_rows[normal] = submit_ok[submit_arr[normal]]
-        if ov_outcome:
-            overridden = ~normal
-            ov_idx = over_arr[overridden]
-            out_rows[overridden] = np.asarray(ov_outcome, dtype=np.int64)[ov_idx]
-            elapsed_rows[overridden] = np.asarray(ov_elapsed, dtype=np.float64)[ov_idx]
-            probe_rows[overridden] = np.asarray(ov_probe, dtype=np.float64)[ov_idx]
-            sub_rows[overridden] = np.asarray(ov_subok, dtype=bool)[ov_idx]
+        # The task table: first appearance among delivered rows.
+        task_rows = program.row_task[kept]
+        used, first = np.unique(task_rows, return_index=True)
+        order = used[np.argsort(first)]
+        table_index = np.empty(len(program.tasks), dtype=np.int64)
+        table_index[order] = np.arange(len(order))
+        table = [program.tasks[k] for k in order.tolist()]
 
         # A submission reaches the server iff its fetch succeeded; the rest
         # are tallied as unreachable, exactly like the serial walk.
-        unreachable = int(n_rows - np.count_nonzero(sub_rows))
-        pos_arr = pos_arr[sub_rows]
-        task_arr = task_arr[sub_rows]
-        out_rows = out_rows[sub_rows]
-        elapsed_rows = elapsed_rows[sub_rows]
-        probe_rows = probe_rows[sub_rows]
-
-        dv = np.asarray(delivered_visits, dtype=np.int64)
+        sent = ok[program.submit_slot[kept]]
+        unreachable = int(len(sent) - np.count_nonzero(sent))
+        kept, task_arr = kept[sent], table_index[task_rows[sent]]
+        dv = np.flatnonzero(delivered)
+        pos_arr = (np.cumsum(delivered) - 1)[program.row_visit[kept]]
+        delivered_visits = dv.tolist()
+        origins = self.deployment.origins
+        family_names = [p.family.value for p in batch.browser_profiles]
         origin_values = [
             None if origin.strips_referer else origin.domain for origin in origins
         ]
         columns = ColumnarRecords(
-            measurement_id=DictColumn(task_mids, task_arr),
-            task_type=DictColumn(task_types, task_arr),
-            target_url=DictColumn(task_urls, task_arr),
-            target_domain=DictColumn(task_domains, task_arr),
-            outcome=DictColumn(_OUTCOMES, out_rows),
-            elapsed_ms=elapsed_rows,
-            probe_time_ms=probe_rows,
+            measurement_id=DictColumn([t.measurement_id for t in table], task_arr),
+            task_type=DictColumn([t.task_type for t in table], task_arr),
+            target_url=DictColumn([t.target_url for t in table], task_arr),
+            target_domain=DictColumn([t.target_domain for t in table], task_arr),
+            outcome=DictColumn(_OUTCOMES, out_rows[kept]),
+            elapsed_ms=elapsed_rows[kept],
+            probe_time_ms=probe_rows[kept],
             client_ip=DictColumn(
                 np.asarray(batch.ip_addresses, dtype=np.str_)[dv], pos_arr
             ),
@@ -1529,24 +1471,24 @@ class BatchExecutor:
 
     # ------------------------------------------------------------------
     def _cache_aware_rows(
-        self, entries, batch, index, draws, elapsed, ok, status,
-        has_response, is_block, url_id, slot_cacheable, image_table,
-        page_table, submit_ok,
+        self, program, rows, profile, draws, elapsed, ok, status,
+        has_response, is_block, slot_cacheable, image_table, page_table,
     ):
-        """Scalar walk for visits with within-visit cache interactions.
+        """Scalar walk over one visit's rows with within-visit cache interactions.
 
         Uses the vectorized pass's per-slot results as the no-cache baseline
         and overlays browser-cache hits in fetch order, exactly as the serial
-        reference does.
+        reference does.  Returns ``(outcome code, elapsed, probe time or
+        NaN)`` per row.
         """
-        profile = batch.browser(index)
+        url_id = program.url_id
         cached: set[int] = set()
-        rows = []
+        walked = []
 
-        def slot_result(slot: int, use_cache: bool) -> _SlotResult:
+        def slot_result(slot: int) -> _SlotResult:
             result = _SlotResult()
             uid = int(url_id[slot])
-            if use_cache and uid in cached:
+            if uid in cached:
                 result.from_cache = True
                 result.elapsed = draws.cached_render_ms[slot]
                 return result
@@ -1560,25 +1502,23 @@ class BatchExecutor:
                 cached.add(uid)
             return result
 
-        urls = self.urls
-        for entry in entries:
-            task = entry.task
-            probe_time = None
+        for row in rows:
+            task = program.tasks[program.row_task[row]]
+            main_slot, probe_slot = int(program.main_slot[row]), int(program.probe_slot[row])
+            probe_time = np.nan
             if task.task_type is TaskType.INLINE_FRAME:
-                page = slot_result(entry.main_slot, True)
+                page = slot_result(main_slot)
                 page_ok = page.from_cache or (
-                    page.ok and not page.is_block
-                    and bool(page_table[url_id[entry.main_slot]])
+                    page.ok and not page.is_block and bool(page_table[url_id[main_slot]])
                 )
                 page_elapsed = page.elapsed
                 if page_ok and not page.from_cache:
-                    for embedded_slot in entry.embedded_slots:
-                        embedded = slot_result(embedded_slot, True)
+                    for embedded_slot in range(main_slot + 1, probe_slot):
+                        embedded = slot_result(embedded_slot)
                         page_elapsed = page_elapsed + embedded.elapsed
-                probe = slot_result(entry.probe_slot, True)
+                probe = slot_result(probe_slot)
                 probe_renders = (
-                    probe.ok and not probe.is_block
-                    and bool(image_table[url_id[entry.probe_slot]])
+                    probe.ok and not probe.is_block and bool(image_table[url_id[probe_slot]])
                 )
                 probe_error = (
                     not probe.from_cache
@@ -1594,15 +1534,13 @@ class BatchExecutor:
                     code = OUT_FAILURE
                 elapsed_total = float(page_elapsed + probe.elapsed)
             else:
-                load = slot_result(entry.main_slot, True)
+                load = slot_result(main_slot)
                 code = _scalar_task_outcome(
-                    task.task_type, load, urls, int(url_id[entry.main_slot]), profile
+                    task.task_type, load, self.urls, int(url_id[main_slot]), profile
                 )
                 elapsed_total = float(load.elapsed)
-            rows.append(
-                (task, code, elapsed_total, probe_time, bool(submit_ok[entry.submit_slot]))
-            )
-        return rows
+            walked.append((code, elapsed_total, probe_time))
+        return walked
 
 
 # ----------------------------------------------------------------------

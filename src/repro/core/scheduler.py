@@ -59,14 +59,9 @@ class TaskPool:
 
 @dataclass
 class ScheduleDecision:
-    """The tasks assigned to one client visit.
+    """The tasks assigned to one client visit (the scalar :meth:`Scheduler.schedule`)."""
 
-    ``client`` is ``None`` when the decision came from the array-based
-    :meth:`Scheduler.assign_batch` path, where visitors are columns of a
-    :class:`~repro.population.clients.ClientBatch` rather than objects.
-    """
-
-    client: Client | None
+    client: Client
     tasks: list[MeasurementTask] = field(default_factory=list)
     pool_name: str | None = None
 
@@ -176,137 +171,124 @@ class Scheduler:
             self.queue: list = []
             self.version = -1
 
-    def _class_candidates(self, by_class: dict, drains: dict, pool_versions: dict,
-                          key: tuple, browser_profile):
-        """Cached (candidate pools, runnable lists, cumulative weights) per class."""
+    def _class_candidates(self, by_class: dict, drains: dict, task_index: dict,
+                          browser_profile):
+        """Cached (candidates, cumulative weights) for one capability class.
+
+        A candidate is ``(pool index, runnable (task index, measurement id)
+        pairs, drain)``; the drain is shared by every capability class with
+        the same runnable subset of the pool.
+        """
+        key = capability_key(browser_profile)
         entry = by_class.get(key)
         if entry is None:
             candidates = []
-            for pool in self.pools:
-                runnable = [t for t in pool.tasks if t.runnable_by(browser_profile)]
+            for pool_index, pool in enumerate(self.pools):
+                runnable = [
+                    (task_index[id(t)], t.measurement_id)
+                    for t in pool.tasks if t.runnable_by(browser_profile)
+                ]
                 if runnable:
-                    # Parallel (task, measurement id) pairs save an attribute
-                    # lookup on every least-assigned scan; the drain is shared
-                    # by every capability class with the same runnable subset.
-                    pairs = list(zip(runnable, [t.measurement_id for t in runnable]))
-                    drain_key = (id(pool), tuple(id(t) for t in runnable))
-                    drain = drains.get(drain_key)
-                    if drain is None:
-                        drain = self._Drain()
-                        drains[drain_key] = drain
-                    candidates.append((pool, pairs, drain))
-                    pool_versions.setdefault(id(pool), 0)
-            cumulative = self._cumulative_weights([pool for pool, _, _ in candidates])
-            entry = (candidates, cumulative)
-            by_class[key] = entry
+                    drain_key = (pool_index, tuple(index for index, _ in runnable))
+                    drain = drains.setdefault(drain_key, self._Drain())
+                    candidates.append((pool_index, runnable, drain))
+            cumulative = self._cumulative_weights([self.pools[c[0]] for c in candidates])
+            entry = by_class[key] = (candidates, cumulative)
         return entry
 
-    def _assign_one(self, decision: ScheduleDecision, candidates, cumulative,
-                    pool_versions: dict, multiple_tasks: bool) -> None:
-        """Pick a pool and its task(s) for one eligible visitor.
+    def assign_batch(self, clients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Schedule a whole batch of visiting clients, as columns.
 
-        Consumes exactly the draws :meth:`schedule` would: one uniform for
-        the pool, one per task pick (duplicates included).
-        """
-        rng_uniform = self._rng.random
-        counts = self.assignment_counts
-        index = min(bisect_right(cumulative, rng_uniform()), len(candidates) - 1)
-        pool, runnable, drain = candidates[index]
-        pool_key = id(pool)
-        decision.pool_name = pool.name
-        task_budget = self.MAX_TASKS_PER_VISIT if multiple_tasks else 1
-        seen_ids: set[str] = set()
-        for _ in range(task_budget):
-            version = pool_versions[pool_key]
-            pick_from = drain.queue
-            if drain.version != version or not pick_from:
-                # Rescan: collect the least-assigned tasks in runnable order
-                # (the same pick_from list the reference scan would build).
-                least = None
-                pick_from = []
-                for pair in runnable:
-                    count = counts[pair[1]]
-                    if least is None or count < least:
-                        least = count
-                        pick_from = [pair]
-                    elif count == least:
-                        pick_from.append(pair)
-                drain.queue = pick_from
-            pick = min(int(rng_uniform() * len(pick_from)), len(pick_from) - 1)
-            task, measurement_id = pick_from.pop(pick)
-            counts[measurement_id] += 1
-            pool_versions[pool_key] = drain.version = version + 1
-            if measurement_id in seen_ids:
-                break
-            seen_ids.add(measurement_id)
-            decision.tasks.append(task)
+        Returns ``(visit, task, pool)``: one row per scheduled task, in visit
+        order (``visit[r]`` is the row's visit, ``task[r]`` indexes
+        :attr:`all_tasks`), and each visit's index into :attr:`pools`, or -1
+        when it runs no task.  The rows, the assignment counts, and the RNG
+        position afterwards are exactly those of calling :meth:`schedule`
+        once per client in order (pinned by
+        ``tests/core/test_runner_equivalence.py``).  Eligibility is one mask
+        over the columns; each pool's runnable list is filtered once per
+        browser capability class; and the uniforms come from one bulk draw,
+        after which the stream is rewound and advanced by the draws consumed.
 
-    def assign_batch(self, clients) -> list[ScheduleDecision]:
-        """Schedule a whole batch of visiting clients.
-
-        Produces exactly the same decisions (and consumes exactly the same
-        RNG stream) as calling :meth:`schedule` once per client in order, but
-        groups clients by browser capability class so each pool's runnable
-        task list is filtered once per class instead of once per client.
-        The equivalence is pinned by ``tests/core/test_runner_equivalence.py``.
-
-        ``clients`` is either a sequence of :class:`Client` objects or a
-        :class:`~repro.population.clients.ClientBatch`, whose column arrays
-        avoid materializing per-visitor objects entirely.
+        ``clients`` is either a :class:`~repro.population.clients.ClientBatch`
+        (whose column arrays avoid per-visitor objects) or a sequence of
+        :class:`Client` objects.
         """
         from repro.population.clients import ClientBatch
 
-        by_class: dict[tuple, tuple] = {}
-        #: (id(pool), runnable-subset signature) -> _Drain
-        drains: dict[tuple, Scheduler._Drain] = {}
-        #: id(pool) -> number of picks made from that pool this call
-        pool_versions: dict[int, int] = {}
-        min_dwell = self.MIN_DWELL_FOR_ONE_TASK_S
-        multi_dwell = self.DWELL_FOR_MULTIPLE_TASKS_S
-        decisions: list[ScheduleDecision] = []
         if isinstance(clients, ClientBatch):
-            profiles = clients.browser_profiles
-            keys = [capability_key(p) for p in profiles]
-            dwell = clients.dwell_times_s.tolist()
-            automated = clients.automated.tolist()
-            browser_idx = clients.browser_indices.tolist()
-            js_enabled = [p.javascript_enabled for p in profiles]
-            for index in range(len(browser_idx)):
-                decision = ScheduleDecision(client=None)
-                decisions.append(decision)
-                profile_idx = browser_idx[index]
-                # client.can_run_task and the 3 s dwell floor, from columns.
-                if (
-                    automated[index]
-                    or not js_enabled[profile_idx]
-                    or dwell[index] < min_dwell
-                ):
-                    continue
-                candidates, cumulative = self._class_candidates(
-                    by_class, drains, pool_versions, keys[profile_idx], profiles[profile_idx]
-                )
-                if not candidates:
-                    continue
-                self._assign_one(
-                    decision, candidates, cumulative, pool_versions,
-                    dwell[index] >= multi_dwell,
-                )
-            return decisions
-        for client in clients:
-            decision = ScheduleDecision(client=client)
-            decisions.append(decision)
-            if not client.can_run_task or client.dwell_time_s < min_dwell:
-                continue
-            candidates, cumulative = self._class_candidates(
-                by_class, drains, pool_versions, capability_key(client.browser), client.browser
-            )
-            if not candidates:
-                continue
-            self._assign_one(
-                decision, candidates, cumulative, pool_versions,
-                client.dwell_time_s >= multi_dwell,
-            )
-        return decisions
+            profiles, profile_idx = clients.browser_profiles, clients.browser_indices
+            dwell, automated = clients.dwell_times_s, clients.automated
+        else:
+            profiles = [client.browser for client in clients]
+            profile_idx = np.arange(len(profiles))
+            dwell = np.array([client.dwell_time_s for client in clients], dtype=float)
+            automated = np.array([client.is_automated for client in clients], dtype=bool)
+        task_index = {id(task): index for index, task in enumerate(self.all_tasks)}
+        by_class: dict[tuple, tuple] = {}
+        #: (pool index, runnable task indices) -> _Drain
+        drains: dict[tuple, Scheduler._Drain] = {}
+        entries = [self._class_candidates(by_class, drains, task_index, p) for p in profiles]
+        # client.can_run_task, the 3 s dwell floor and a runnable pool, from columns.
+        runs = np.array(
+            [p.javascript_enabled and bool(e[0]) for p, e in zip(profiles, entries)], dtype=bool
+        )
+        eligible = np.flatnonzero(
+            runs[profile_idx] & ~automated & (dwell >= self.MIN_DWELL_FOR_ONE_TASK_S)
+        )
+        multiple = (dwell[eligible] >= self.DWELL_FOR_MULTIPLE_TASKS_S).tolist()
+        #: pool index -> number of picks made from that pool this call
+        pool_versions = [0] * len(self.pools)
+        counts = self.assignment_counts
+        state = self._rng.bit_generator.state
+        uniforms = self._rng.random(len(eligible) * (1 + self.MAX_TASKS_PER_VISIT)).tolist()
+        used = 0
+        row_visit: list[int] = []
+        row_task: list[int] = []
+        chosen: list[int] = []
+        visitors = zip(eligible.tolist(), profile_idx[eligible].tolist(), multiple)
+        for visit, profile, many in visitors:
+            # One uniform for the pool, one per task pick (duplicates
+            # included): exactly the draws schedule() consumes.
+            candidates, cumulative = entries[profile]
+            index = min(bisect_right(cumulative, uniforms[used]), len(candidates) - 1)
+            used += 1
+            pool_index, runnable, drain = candidates[index]
+            chosen.append(pool_index)
+            seen: list[str] = []
+            for _ in range(self.MAX_TASKS_PER_VISIT if many else 1):
+                version = pool_versions[pool_index]
+                pick_from = drain.queue
+                if drain.version != version or not pick_from:
+                    # Rescan: collect the least-assigned tasks in runnable order
+                    # (the same pick_from list the reference scan would build).
+                    least = None
+                    pick_from = []
+                    for pair in runnable:
+                        count = counts[pair[1]]
+                        if least is None or count < least:
+                            least = count
+                            pick_from = [pair]
+                        elif count == least:
+                            pick_from.append(pair)
+                    drain.queue = pick_from
+                pick = min(int(uniforms[used] * len(pick_from)), len(pick_from) - 1)
+                used += 1
+                picked, measurement_id = pick_from.pop(pick)
+                counts[measurement_id] += 1
+                pool_versions[pool_index] = drain.version = version + 1
+                if measurement_id in seen:
+                    break
+                seen.append(measurement_id)
+                row_visit.append(visit)
+                row_task.append(picked)
+        self._rng.bit_generator.state = state
+        self._rng.random(used)
+        pool = np.full(len(profile_idx), -1, dtype=np.int64)
+        pool[eligible] = chosen
+        return (
+            np.asarray(row_visit, dtype=np.int64), np.asarray(row_task, dtype=np.int64), pool
+        )
 
     # ------------------------------------------------------------------
     def scoped(self, rng: np.random.Generator | int | None) -> "Scheduler":

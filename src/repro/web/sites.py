@@ -132,7 +132,7 @@ class SiteGenerator:
                 # Some image-hosting domains serve only large photography.
                 small_image_fraction = float(rng.uniform(0.0, 0.05))
             else:
-                small_image_fraction = float(np.clip(rng.normal(0.72, 0.15), 0.1, 0.98))
+                small_image_fraction = float(min(max(rng.normal(0.72, 0.15), 0.1), 0.98))
         else:
             image_pool_size = 0
             small_image_fraction = 0.0
@@ -144,7 +144,7 @@ class SiteGenerator:
             # Some sites disable caching on all their images.
             cacheable_image_fraction = float(rng.uniform(0.0, 0.1))
         else:
-            cacheable_image_fraction = float(np.clip(rng.normal(0.80, 0.08), 0.3, 0.98))
+            cacheable_image_fraction = float(min(max(rng.normal(0.80, 0.08), 0.3), 0.98))
         return SiteProfile(
             domain=domain,
             category=category,
@@ -154,10 +154,10 @@ class SiteGenerator:
             small_image_fraction=small_image_fraction,
             cacheable_image_fraction=cacheable_image_fraction,
             page_count=int(rng.integers(30, 120)),
-            text_only_page_fraction=float(np.clip(rng.normal(0.13, 0.05), 0.0, 0.5)),
+            text_only_page_fraction=float(min(max(rng.normal(0.13, 0.05), 0.0), 0.5)),
             uses_nosniff=rng.random() < 0.35,
             has_stylesheets=rng.random() < 0.9,
-            side_effect_url_fraction=float(np.clip(rng.normal(0.05, 0.03), 0.0, 0.3)),
+            side_effect_url_fraction=float(min(max(rng.normal(0.05, 0.03), 0.0), 0.3)),
         )
 
     # ------------------------------------------------------------------
@@ -214,10 +214,12 @@ class SiteGenerator:
         for index in range(profile.image_pool_size):
             if rng.random() < profile.small_image_fraction:
                 # Icons, sprites, thumbnails: overwhelmingly under a few KB.
-                size = int(np.clip(rng.lognormal(mean=6.3, sigma=0.7), 120, 5 * KILOBYTE))
+                size = int(min(max(rng.lognormal(mean=6.3, sigma=0.7), 120), 5 * KILOBYTE))
             else:
                 # Photos and banners.
-                size = int(np.clip(rng.lognormal(mean=10.5, sigma=0.9), 5 * KILOBYTE, 900 * KILOBYTE))
+                size = int(
+                    min(max(rng.lognormal(mean=10.5, sigma=0.9), 5 * KILOBYTE), 900 * KILOBYTE)
+                )
             resource = Resource(
                 url=base.with_path(f"/static/img/{index}.png"),
                 content_type=ContentType.IMAGE,
@@ -325,7 +327,7 @@ class SiteGenerator:
                 hero_index = 0
                 while weight < target_weight and hero_index < 12:
                     hero_size = int(
-                        np.clip(rng.lognormal(mean=11.8, sigma=0.6), 30 * KILOBYTE, 1500 * KILOBYTE)
+                        min(max(rng.lognormal(mean=11.8, sigma=0.6), 30 * KILOBYTE), 1500 * KILOBYTE)
                     )
                     hero = Resource(
                         url=base.with_path(f"/static/img/page{index}-hero{hero_index}.jpg"),
@@ -349,7 +351,7 @@ class SiteGenerator:
                 asset_index = 0
                 while weight < target_weight and asset_index < 12:
                     asset_size = int(
-                        np.clip(rng.lognormal(mean=11.8, sigma=0.6), 30 * KILOBYTE, 1500 * KILOBYTE)
+                        min(max(rng.lognormal(mean=11.8, sigma=0.6), 30 * KILOBYTE), 1500 * KILOBYTE)
                     )
                     asset = Resource(
                         url=base.with_path(f"/static/assets/page{index}-asset{asset_index}.bin"),

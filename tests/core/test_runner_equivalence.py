@@ -10,16 +10,21 @@ resume-level equivalences it is built from.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.runner import BatchProgress, CampaignRunner, CampaignSweep
+from repro.core.runner import (
+    KIND_COORD, KIND_EMBEDDED, KIND_PAGE, KIND_PROBE, KIND_SUBMIT, KIND_TARGET,
+    TASK_IMAGE, TASK_NONE, TASK_SCRIPT, TASK_STYLE,
+    BatchProgress, CampaignRunner, CampaignSweep,
+)
 from repro.core.scheduler import Scheduler, TaskPool
 from repro.core.tasks import MeasurementTask, TaskType
 from repro.population.world import World, WorldConfig
 
 
 def small_deployment(mode, include_testbed=False, seed=11, visits=900, country=None,
-                     plan_block_visits=2048):
+                     plan_block_visits=2048, favicons_only=True):
     world = World(
         WorldConfig(seed=7, target_list_total=30, target_list_online=24, origin_site_count=4)
     )
@@ -31,6 +36,7 @@ def small_deployment(mode, include_testbed=False, seed=11, visits=900, country=N
         mode=mode,
         country_code=country,
         plan_block_visits=plan_block_visits,
+        favicons_only=favicons_only,
     )
     return EncoreDeployment(world, config)
 
@@ -88,6 +94,110 @@ class TestSerialBatchEquivalence:
         assert measurement_key(coarse) == measurement_key(fine)
 
 
+class TestGeneratedEquivalence:
+    """Generated configurations: serial ≡ batch ≡ sharded.
+
+    ``favicons_only=False`` is the monitor's configuration: full-page inline
+    frames make visits share cached resources within the visit.  Drawn
+    block and batch sizes make batches cut planning blocks anywhere.
+    """
+
+    @given(
+        seed=st.integers(0, 2**16),
+        visits=st.integers(50, 400),
+        plan_block_visits=st.integers(16, 256),
+        batch_size=st.integers(1, 400),
+        favicons_only=st.booleans(),
+        include_testbed=st.booleans(),
+        country=st.sampled_from([None, "CN", "IR", "US"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_serial_batch_sharded_agree(self, seed, visits, plan_block_visits, batch_size,
+                                        favicons_only, include_testbed, country):
+        def run(mode, **run_kw):
+            deployment = small_deployment(
+                mode, include_testbed, seed=seed, visits=visits, country=country,
+                plan_block_visits=plan_block_visits, favicons_only=favicons_only,
+            )
+            result = deployment.run_campaign(**run_kw)
+            # Task ids are uuid4 per deployment: key the report by pool position.
+            report = deployment.scheduler.replication_report()
+            return (
+                measurement_key(result),
+                deployment.collection.unreachable_submissions,
+                deployment.coordination.delivery_failure_rate,
+                [report.get(t.measurement_id, 0) for t in deployment.scheduler.all_tasks],
+            )
+
+        serial = run("serial", batch_size=batch_size)
+        assert serial == run("batch", batch_size=batch_size)
+        assert serial == run("sharded", num_shards=2, shard_executor="inline")
+
+
+class TestProgramLayout:
+    def test_block_slots_follow_visit_walk(self):
+        """A planned block's slot columns equal a visit-by-visit walk.
+
+        Both executors read the same program, so a layout change would keep
+        serial ≡ batch while moving every row; this pins the layout itself.
+        """
+        visits = 400
+        deployment = small_deployment(
+            "batch", include_testbed=True, visits=visits, favicons_only=False
+        )
+        runner = CampaignRunner(deployment)
+        ctx = runner.plan_context(visits, epoch=1)
+        program = runner._plan_block(ctx, 0).program
+        urls = ctx.urls
+        codes = {TaskType.IMAGE: TASK_IMAGE, TaskType.STYLE_SHEET: TASK_STYLE,
+                 TaskType.SCRIPT: TASK_SCRIPT}
+        slots, rows, cache_visits = [], [], []
+        for visit in range(visits):
+            tasks = [program.tasks[t] for t in program.row_task[program.row_visit == visit]]
+            if not tasks:
+                continue
+            slots += [(visit, KIND_COORD, u, False, TASK_NONE) for u in ctx.delivery_url_ids]
+            targets = []
+            for task in tasks:
+                main = len(slots)
+                target = urls.url_id(task.target_url)
+                probe = -1
+                if task.task_type is TaskType.INLINE_FRAME:
+                    slots.append((visit, KIND_PAGE, target, True, TASK_NONE))
+                    slots += [
+                        (visit, KIND_EMBEDDED, urls.url_id(u), True, TASK_NONE)
+                        for u in urls.embedded[target]
+                    ]
+                    probe = len(slots)
+                    slots.append(
+                        (visit, KIND_PROBE, urls.url_id(task.probe_image_url), True, TASK_NONE)
+                    )
+                else:
+                    slots.append((visit, KIND_TARGET, target, True, codes[task.task_type]))
+                    if urls.cacheable[target]:
+                        targets.append(target)
+                rows.append((main, len(slots), probe))
+                slots.append((visit, KIND_SUBMIT, ctx.submit_url_id, False, TASK_NONE))
+            framed = any(t.task_type is TaskType.INLINE_FRAME for t in tasks)
+            if framed or len(set(targets)) < len(targets):
+                cache_visits.append(visit)
+
+        assert list(zip(
+            program.visit.tolist(), program.kind.tolist(), program.url_id.tolist(),
+            program.use_cache.tolist(), program.task_code.tolist(),
+        )) == slots
+        assert list(zip(
+            program.main_slot.tolist(), program.submit_slot.tolist(),
+            program.probe_slot.tolist(),
+        )) == rows
+        assert np.flatnonzero(program.cache_visit).tolist() == cache_visits
+        assert program.slot_bounds.tolist() == np.searchsorted(
+            [s[0] for s in slots], np.arange(visits + 1)
+        ).tolist()
+        # The walk covered inline frames and their embedded fetches.
+        assert KIND_EMBEDDED in program.kind
+
+
 class TestShardedBatchEquivalence:
     """mode="sharded" is the batch path fanned out over workers: for a fixed
     seed the merged campaign must be identical to mode="batch" — the shard
@@ -115,6 +225,18 @@ class TestShardedBatchEquivalence:
             "sharded", visits=600, plan_block_visits=100
         ).run_campaign(num_shards=2, shard_executor="inline")
         assert measurement_key(sharded) == measurement_key(fine)
+
+
+def per_visit(scheduler, columns, visits):
+    """``assign_batch``'s columns as (measurement ids in order, pool name) per visit."""
+    visit, task, pool = columns
+    return [
+        (
+            [scheduler.all_tasks[t].measurement_id for t in task[visit == v]],
+            scheduler.pools[pool[v]].name if pool[v] >= 0 else None,
+        )
+        for v in range(visits)
+    ]
 
 
 class TestSchedulerBatchEquivalence:
@@ -146,13 +268,11 @@ class TestSchedulerBatchEquivalence:
         batched = Scheduler(pools, rng=np.random.default_rng(5))
 
         expected = [reference.schedule(c) for c in clients]
-        actual = batched.assign_batch(clients)
+        actual = per_visit(batched, batched.assign_batch(clients), len(clients))
 
         assert [
             ([t.measurement_id for t in d.tasks], d.pool_name) for d in expected
-        ] == [
-            ([t.measurement_id for t in d.tasks], d.pool_name) for d in actual
-        ]
+        ] == actual
         assert reference.assignment_counts == batched.assignment_counts
         # Both consumed the exact same RNG stream.
         assert reference._rng.random() == batched._rng.random()
@@ -167,12 +287,11 @@ class TestSchedulerBatchEquivalence:
         expected = from_objects.assign_batch(batch.clients())
         actual = from_columns.assign_batch(batch)
 
-        assert [
-            ([t.measurement_id for t in d.tasks], d.pool_name) for d in expected
-        ] == [
-            ([t.measurement_id for t in d.tasks], d.pool_name) for d in actual
-        ]
+        assert per_visit(from_objects, expected, len(batch)) == per_visit(
+            from_columns, actual, len(batch)
+        )
         assert from_objects.assignment_counts == from_columns.assignment_counts
+        assert from_objects._rng.random() == from_columns._rng.random()
 
 
 class TestClientBatchEquivalence:
@@ -267,6 +386,14 @@ class TestCheckpointResume:
         for mode in ("legacy", "warp"):
             with pytest.raises(ValueError, match=f"unknown campaign mode '{mode}'"):
                 deployment.run_campaign(mode=mode)
+        # 100 visits in batches of 50 make batches 0 and 1; resuming at 2 (the
+        # batch count) is valid and runs nothing.  Outside [0, 2] is rejected
+        # before the campaign claims its epoch or visit range.
+        for resume in (-1, 3):
+            with pytest.raises(ValueError, match=r"resume_from_batch must lie in \[0, 2\]"):
+                deployment.run_campaign(batch_size=50, resume_from_batch=resume)
+        assert len(deployment.collection) == 0
+        assert deployment.campaigns_run == 0
 
     def test_resume_on_stale_state_is_rejected(self):
         # Replay only matches the interrupted run from a fresh World +

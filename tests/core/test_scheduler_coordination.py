@@ -115,8 +115,8 @@ class TestBatchedSchedulerRegression:
         world = World(WorldConfig(seed=101, target_list_total=12, target_list_online=10))
         batch = world.clients.sample_batch(10_000)
         scheduler = self.make_scheduler(np.random.default_rng(101))
-        decisions = scheduler.assign_batch(batch)
-        assigned = [d.pool_name for d in decisions if d.pool_name]
+        _, _, pool = scheduler.assign_batch(batch)
+        assigned = [scheduler.pools[index].name for index in pool if index >= 0]
         assert len(assigned) > 4000
         testbed_share = assigned.count("testbed") / len(assigned)
         assert abs(testbed_share - self.TESTBED_FRACTION) < 0.02, testbed_share
