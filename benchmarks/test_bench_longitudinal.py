@@ -2,10 +2,11 @@
 
 The longitudinal pipeline's hot loop is turning a whole campaign corpus into
 per-(domain, country, day) success-rate series and scanning them for change
-points.  The row path walks every measurement updating per-day dicts and
-then runs the scalar per-cell CUSUM walk; the columnar path is one streamed
-``grouped_success_counts(store, by_day=True)`` bincount pass plus the
-vectorized day-column scan.  This benchmark pins the claim at ~100k
+points.  The row path walks every measurement updating per-day dicts,
+densifies them with ``DaySeries.from_dict`` and then runs the scalar
+per-cell CUSUM walk; the columnar path is one
+``grouped_success_counts(store, by_day=True)`` fold plus the vectorized
+day-column scan.  This benchmark pins the claim at ~100k
 measurements across 35 simulated days: aggregation + detection on the store
 path must be at least 5× faster while producing identical events.
 
@@ -27,7 +28,7 @@ import pytest
 
 from repro.core.inference import CusumChangePointDetector
 from repro.core.query import grouped_success_counts
-from repro.core.store import DayGroupedCounts, DictColumn, MeasurementStore
+from repro.core.store import DaySeries, DictColumn, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.web.url import URL
 
@@ -116,7 +117,7 @@ def run_row_path(rows):
         if m.succeeded:
             successes[key] = successes.get(key, 0) + 1
     counts = {key: (n, successes.get(key, 0)) for key, n in totals.items()}
-    day_counts = DayGroupedCounts.from_dict(counts, n_days=DAYS)
+    day_counts = DaySeries.from_dict(counts, n_days=DAYS)
     t1 = time.perf_counter()
     events = detector().detect_events_reference(day_counts)
     t2 = time.perf_counter()
@@ -147,7 +148,7 @@ class TestLongitudinalThroughput:
         report = {
             "rows": ROWS,
             "days": DAYS,
-            "cells": len(columnar["day_counts"]),
+            "cells": int(np.count_nonzero(columnar["day_counts"].counts)),
             "events": len(columnar["events"]),
             "row_seconds": {k: round(row[k], 4) for k in ("aggregate", "detect", "total")},
             "columnar_seconds": {

@@ -2,9 +2,9 @@
 
 A checkpointed longitudinal monitor does three things per epoch: seal the
 epoch's pending rows into a segment, fold only that new segment into the
-persistent fold state (shared by ``grouped_success_counts`` and the dense
-``dense_day_series`` accessor, behind one fold watermark), and
-advance a resumable CUSUM state over only the new day columns.  All three
+persistent fold state behind ``grouped_success_counts(store, by_day=True)``
+(one fold watermark), and advance a resumable CUSUM state over only the
+new day columns.  All three
 are O(new data), so per-epoch cost must stay flat as history grows.  The stateless alternative re-reduces the whole corpus and
 re-scans every day column each epoch — O(history) — which is what always-on
 deployment cannot afford.
@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core.inference import CusumChangePointDetector
-from repro.core.query import dense_day_series, grouped_success_counts
+from repro.core.query import grouped_success_counts
 from repro.core.store import DictColumn, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.web.url import URL
@@ -118,8 +118,8 @@ class TestMonitorIncrementality:
         self, bench_report_writer
     ):
         # The incremental monitor loop: per epoch, seal + watermark fold +
-        # dense day-series off the accumulator + resumable CUSUM over only
-        # the new day columns.  Generating and appending the epoch's rows
+        # day series off the accumulator + resumable CUSUM over only the
+        # new day columns.  Generating and appending the epoch's rows
         # is common to both paths and stays outside the timing.
         rng = np.random.default_rng(2015)
         monitor_detector = detector()
@@ -132,7 +132,7 @@ class TestMonitorIncrementality:
             store.append_columns(**epoch_columns(rng, epoch))
             t0 = time.perf_counter()
             store.seal_pending()
-            day_series = dense_day_series(store)
+            day_series = grouped_success_counts(store, by_day=True)
             monitor_detector.resume(state, day_series)
             t1 = time.perf_counter()
             epoch_seconds.append(t1 - t0)
@@ -156,7 +156,7 @@ class TestMonitorIncrementality:
             "epochs": EPOCHS,
             "rows_per_epoch": ROWS_PER_EPOCH,
             "total_rows": EPOCHS * ROWS_PER_EPOCH,
-            "cells": len(full["day_counts"]),
+            "cells": int(np.count_nonzero(full["day_counts"].counts)),
             "events": len(state.events),
             "early_epoch_seconds": round(early, 5),
             "late_epoch_seconds": round(late, 5),

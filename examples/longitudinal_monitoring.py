@@ -9,10 +9,10 @@ one epoch of measurements per simulated day.
 
 The pipeline is columnar end to end: every epoch's campaign ingests into
 one ``MeasurementStore``, ``grouped_success_counts(store, by_day=True)``
-reduces the whole corpus to ragged (domain, country, day) cells in a few
-vectorized passes, and an online CUSUM change-point detector walks the
-daily success rates and emits onset/offset events with their detection
-lag.  The final scorecard
+folds the whole corpus into a per-(domain, country) ``DaySeries`` of daily
+success counts in a few vectorized passes, and an online CUSUM
+change-point detector walks the daily success rates and emits
+onset/offset events with their detection lag.  The final scorecard
 grades the detector against the scripted ground truth.
 
 The second half turns the same run into an *always-on monitor*: with

@@ -32,7 +32,7 @@ from repro.core.task_generation import (
 from repro.core.scheduler import Scheduler, TaskPool
 from repro.core.coordination import CoordinationServer
 from repro.core.collection import CollectionServer, Measurement
-from repro.core.store import DayGroupedCounts, GroupedCounts, MeasurementStore, Selection
+from repro.core.store import DaySeries, MeasurementStore, Selection
 from repro.core.query import (
     Count,
     DenseResult,
@@ -42,8 +42,6 @@ from repro.core.query import (
     QueryResult,
     SuccessCount,
     Sum,
-    TimingDaySeries,
-    dense_day_series,
     distinct_ip_count,
     grouped_success_counts,
     masked_grouped_success_counts,
@@ -106,8 +104,7 @@ __all__ = [
     "CollectionServer",
     "Measurement",
     "MeasurementStore",
-    "DayGroupedCounts",
-    "GroupedCounts",
+    "DaySeries",
     "Selection",
     "Count",
     "DenseResult",
@@ -117,8 +114,6 @@ __all__ = [
     "QueryResult",
     "SuccessCount",
     "Sum",
-    "TimingDaySeries",
-    "dense_day_series",
     "distinct_ip_count",
     "grouped_success_counts",
     "masked_grouped_success_counts",

@@ -10,12 +10,15 @@ observed success count is improbably low at significance 0.05 — *and* the
 same test does not fail in other regions, which rules out the resource simply
 being down for everyone.
 
-The detector consumes the grouped cell arrays of
-:class:`~repro.core.store.GroupedCounts` (what the query kernel's
-``grouped_success_counts`` returns) and evaluates the binomial
-lower tail for *every* (domain, country) cell in one vectorized, SciPy-free
-pass over a ragged term matrix; the legacy ``{(domain, country): (n, s)}``
-dict is still accepted everywhere and converted on entry.
+The detector consumes the query kernel's per-(domain, country)
+:class:`~repro.core.query.QueryResult` (what ``grouped_success_counts``
+returns) and evaluates the binomial lower tail for *every* cell in one
+vectorized, SciPy-free pass over a ragged term matrix; a plain
+``{(domain, country): (n, s)}`` dict is accepted everywhere too.
+
+The two longitudinal detectors below each compute their own per-day
+statistic over a :class:`~repro.core.store.DaySeries` and hand its
+increments to one online CUSUM walk, :func:`_cusum_scan`.
 """
 
 from __future__ import annotations
@@ -29,12 +32,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.collection import Measurement
-from repro.core.store import (
-    DayGroupedCounts,
-    DenseDayCounts,
-    GroupedCounts,
-    MeasurementStore,
-)
+from repro.core.query import QueryResult, grouped_success_counts
+from repro.core.store import DaySeries, MeasurementStore
 from repro.core.tasks import TaskOutcome
 from repro.obs.metrics import get_registry
 
@@ -188,8 +187,23 @@ class DetectionReport:
         return {(d.domain, d.country_code) for d in self.detections}
 
 
-def _as_grouped(counts) -> GroupedCounts:
-    return counts if isinstance(counts, GroupedCounts) else GroupedCounts.from_dict(counts)
+def _cells(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(domains, countries, totals, successes)`` sorted by (domain, country).
+
+    ``counts`` is a success-count :class:`QueryResult` or a
+    ``{(domain, country): (n, successes)}`` mapping.
+    """
+    if isinstance(counts, QueryResult):
+        return (
+            counts.key("domain"), counts.key("country"),
+            counts.value("count"), counts.value("success_count"),
+        )
+    rows = sorted((d, c, n, s) for (d, c), (n, s) in counts.items())
+    domains, countries, totals, successes = zip(*rows) if rows else ((),) * 4
+    return (
+        np.asarray(domains, dtype=np.str_), np.asarray(countries, dtype=np.str_),
+        np.asarray(totals, dtype=np.int64), np.asarray(successes, dtype=np.int64),
+    )
 
 
 class BinomialFilteringDetector:
@@ -222,17 +236,18 @@ class BinomialFilteringDetector:
         """Per-cell success prior; the adaptive subclass overrides this."""
         return np.full(len(totals), self.success_prior)
 
-    def _scored_cells(self, grouped: GroupedCounts):
+    def _scored_cells(self, counts):
         """(domains, countries, n, successes, priors, p_values) for scored cells.
 
         Cells below ``min_measurements`` are dropped; the rest are scored
         with one vectorized binomial-tail evaluation.
         """
-        keep = grouped.totals >= self.min_measurements
-        domains = grouped.domains[keep]
-        countries = grouped.countries[keep]
-        totals = grouped.totals[keep]
-        successes = grouped.successes[keep]
+        domains, countries, totals, successes = _cells(counts)
+        keep = totals >= self.min_measurements
+        domains = domains[keep]
+        countries = countries[keep]
+        totals = totals[keep]
+        successes = successes[keep]
         priors = np.asarray(
             self._cell_priors(domains, countries, totals, successes), dtype=np.float64
         )
@@ -255,16 +270,13 @@ class BinomialFilteringDetector:
         ]
 
     def region_statistics(self, counts) -> list[RegionStatistics]:
-        """Per-region statistics from grouped cells (or the legacy dict)."""
-        domains, countries, totals, successes, _, p_values = self._scored_cells(
-            _as_grouped(counts)
-        )
+        """Per-region statistics from query cells (or a counts dict)."""
+        domains, countries, totals, successes, _, p_values = self._scored_cells(counts)
         return self._statistics_from_cells(domains, countries, totals, successes, p_values)
 
     def detect_from_counts(self, counts) -> DetectionReport:
-        """Run the test over per-region counts (grouped arrays or legacy dict)."""
-        grouped = _as_grouped(counts)
-        domains, countries, totals, successes, priors, p_values = self._scored_cells(grouped)
+        """Run the test over per-region counts (query cells or a counts dict)."""
+        domains, countries, totals, successes, priors, p_values = self._scored_cells(counts)
         stats = self._statistics_from_cells(domains, countries, totals, successes, p_values)
         report = DetectionReport(statistics=stats)
         if not stats:
@@ -305,8 +317,8 @@ class BinomialFilteringDetector:
 
         Accepts a bare :class:`~repro.core.store.MeasurementStore` too (the
         adversarial sweep scores poisoned stores directly) and prefers the
-        store's grouped-array counts (no intermediate dict); anything
-        exposing the legacy ``success_counts()`` dict still works.
+        store's query cells (no intermediate dict); anything exposing a
+        ``success_counts()`` dict still works.
         """
         store = (
             collection
@@ -314,8 +326,6 @@ class BinomialFilteringDetector:
             else getattr(collection, "store", None)
         )
         if store is not None:
-            from repro.core.query import grouped_success_counts
-
             return self.detect_from_counts(grouped_success_counts(store))
         return self.detect_from_counts(collection.success_counts())
 
@@ -450,24 +460,126 @@ class CusumState:
         return cls.from_payload(payload["state"])
 
 
+def _confidence(statistic: float, threshold: float) -> float:
+    """Threshold overshoot mapped to [0.5, 1.0]."""
+    return min(1.0, statistic / (2.0 * threshold))
+
+
+def _sorted(events: list[CensorshipEvent]) -> list[CensorshipEvent]:
+    """Events in cold-full-scan order: ``(detected_day, domain, country, kind)``."""
+    events.sort(key=lambda e: (e.detected_day, e.domain, e.country_code, e.kind))
+    return events
+
+
+def _cusum_scan(
+    domains, countries, start, active, clear_step, alarm_step, kinds, threshold,
+    cells=None,
+) -> list[CensorshipEvent]:
+    """The two-state online CUSUM over day columns ``start ..``, all cells at once.
+
+    Column ``j`` of the ``(cells, days)`` matrices is day ``start + j``:
+    ``active`` marks the cell-days that carry evidence, and ``clear_step``
+    and ``alarm_step`` hold each cell-day's increment in the clear and the
+    alarmed state.  An active day moves ``S ← max(0, S + increment)``; the
+    day ``S`` leaves zero starts an excursion (the change-point estimate),
+    and crossing ``threshold`` emits ``kinds[0]`` (clear → alarmed) or
+    ``kinds[1]`` (back), flips the state and resets ``S``.  Inactive days
+    carry ``S`` unchanged.  ``cells`` carries each pair's ``(alarmed, S,
+    excursion_day)`` across calls.  Only threshold crossings drop to
+    per-cell Python; :func:`_cusum_walk` is the one-cell scalar twin.
+    """
+    n_cells = len(domains)
+    pairs = list(zip(domains.tolist(), countries.tolist()))
+    alarmed = np.zeros(n_cells, dtype=bool)
+    stat = np.zeros(n_cells, dtype=np.float64)
+    excursion = np.zeros(n_cells, dtype=np.int64)
+    if cells:
+        for index, pair in enumerate(pairs):
+            carried = cells.get(pair)
+            if carried is not None:
+                alarmed[index], stat[index], excursion[index] = carried
+    events: list[CensorshipEvent] = []
+    for column in range(active.shape[1]):
+        on = active[:, column]
+        if not on.any():
+            continue
+        day = start + column
+        increment = np.where(alarmed, alarm_step[:, column], clear_step[:, column])
+        new_stat = np.maximum(0.0, stat + increment)
+        started = on & (stat == 0.0) & (new_stat > 0.0)
+        excursion[started] = day
+        stat = np.where(on, new_stat, stat)
+        for cell in np.flatnonzero(on & (stat >= threshold)).tolist():
+            statistic = float(stat[cell])
+            events.append(
+                CensorshipEvent(
+                    domain=str(domains[cell]),
+                    country_code=str(countries[cell]),
+                    kind=kinds[int(alarmed[cell])],
+                    change_day=int(excursion[cell]),
+                    detected_day=day,
+                    statistic=statistic,
+                    confidence=_confidence(statistic, threshold),
+                )
+            )
+            alarmed[cell] = ~alarmed[cell]
+            stat[cell] = 0.0
+    if cells is not None:
+        for index, pair in enumerate(pairs):
+            cells[pair] = (bool(alarmed[index]), float(stat[index]), int(excursion[index]))
+    return _sorted(events)
+
+
+def _cusum_walk(domain, country, steps, kinds, threshold) -> list[CensorshipEvent]:
+    """One cell's CUSUM walk from the clear state: :func:`_cusum_scan`'s scalar twin.
+
+    ``steps`` yields ``(day, clear_step, alarm_step)`` for the cell's
+    active days in day order.
+    """
+    alarmed = False
+    stat = 0.0
+    excursion = 0
+    events: list[CensorshipEvent] = []
+    for day, clear_step, alarm_step in steps:
+        new_stat = max(0.0, stat + (alarm_step if alarmed else clear_step))
+        if stat == 0.0 and new_stat > 0.0:
+            excursion = day
+        stat = new_stat
+        if stat >= threshold:
+            events.append(
+                CensorshipEvent(
+                    domain=domain,
+                    country_code=country,
+                    kind=kinds[alarmed],
+                    change_day=excursion,
+                    detected_day=day,
+                    statistic=float(stat),
+                    confidence=_confidence(float(stat), threshold),
+                )
+            )
+            alarmed = not alarmed
+            stat = 0.0
+    return events
+
+
 class CusumChangePointDetector:
     """Online CUSUM over per-day filtered success rates (longitudinal §7.2).
 
-    For every (domain, country) cell of a :class:`DayGroupedCounts`, the
-    detector walks the day axis with a two-state machine.  While *clear*, it
-    accumulates the one-sided CUSUM statistic ``S ← max(0, S + (healthy_rate
-    − drift − rate_d))`` — evidence the daily success rate fell below the
-    healthy baseline — and emits an **onset** when ``S`` crosses
-    ``threshold``; while *censored*, it accumulates ``S ← max(0, S + (rate_d
-    − censored_rate − drift))`` and emits an **offset** on recovery.  Days
-    with fewer than ``min_daily_measurements`` filtered measurements carry
-    the statistic unchanged (an empty day is no evidence either way).
+    For every (domain, country) pair of a :class:`DaySeries` of success
+    counts, the detector walks the day axis with the two-state machine of
+    :func:`_cusum_scan`.  While *clear*, the increment is ``healthy_rate −
+    drift − rate_d`` — evidence the daily success rate fell below the
+    healthy baseline — and crossing ``threshold`` emits an **onset**; while
+    *censored*, it is ``rate_d − censored_rate − drift`` and the crossing
+    emits an **offset** on recovery.  Days with fewer than
+    ``min_daily_measurements`` filtered measurements carry the statistic
+    unchanged (an empty day is no evidence either way).
 
     :meth:`detect_events` scans all cells at once, one numpy pass per day
-    column; :meth:`detect_events_reference` is the readable per-cell scalar
-    walk.  Both consume the same values in the same order, so their events
-    are identical — statistics and confidences bit-for-bit — an equivalence
-    the tests pin.
+    column; :meth:`detect_events_reference` computes each cell's rates in
+    scalar Python and walks them with :func:`_cusum_walk`.  Both produce
+    the same increments in the same order, so their events are identical —
+    statistics and confidences bit-for-bit — an equivalence the tests pin.
 
     The scan is resumable: :meth:`initial_state` builds a
     :class:`CusumState`, :meth:`resume` advances it over only the day
@@ -478,6 +590,8 @@ class CusumChangePointDetector:
     cold full scan — the property that lets an always-on monitor fold in
     one epoch per wakeup and survive being killed between epochs.
     """
+
+    KINDS = ("onset", "offset")
 
     def __init__(
         self,
@@ -502,15 +616,6 @@ class CusumChangePointDetector:
         self.min_daily_measurements = min_daily_measurements
 
     # ------------------------------------------------------------------
-    def _confidence(self, statistic: float) -> float:
-        """Threshold overshoot mapped to [0.5, 1.0]."""
-        return min(1.0, statistic / (2.0 * self.threshold))
-
-    @staticmethod
-    def _sorted(events: list[CensorshipEvent]) -> list[CensorshipEvent]:
-        events.sort(key=lambda e: (e.detected_day, e.domain, e.country_code, e.kind))
-        return events
-
     def config_key(self) -> tuple:
         """Hashable identity of this detector's tuning.
 
@@ -558,134 +663,73 @@ class CusumChangePointDetector:
 
     def detect_events(
         self,
-        day_counts: DayGroupedCounts,
+        day_counts: DaySeries,
         baselines: dict[str, float] | None = None,
     ) -> list[CensorshipEvent]:
-        """Scan every (domain, country) cell's day series, vectorized.
+        """Scan every (domain, country) pair's day series, vectorized.
 
         A cold full scan: equivalent to :meth:`resume` from a fresh
         :meth:`initial_state`, which is exactly how it is implemented.
         """
         return self.resume(self.initial_state(baselines), day_counts)
 
-    def resume(
-        self, state: CusumState, day_counts: "DayGroupedCounts | DenseDayCounts"
-    ) -> list[CensorshipEvent]:
+    def resume(self, state: CusumState, day_counts: DaySeries) -> list[CensorshipEvent]:
         """Advance ``state`` over the day columns it has not consumed yet.
 
         ``day_counts`` is the cumulative corpus (its day axis keeps growing
-        as epochs append) — either ragged :class:`DayGroupedCounts` or the
-        monitor loop's dense ``repro.core.query.dense_day_series()``
-        result; anything with ``n_days`` and ``cell_series()`` works, and
-        both representations yield bit-identical events.  Only columns
-        ``state.days_processed .. day_counts.n_days - 1`` are scanned, so
-        per-call cost is proportional to the *new* days, not history.  The
-        recursion is sequential in days but independent across cells: all
-        cells advance by whole-array operations per day column, and only
-        the (rare) threshold crossings drop to per-cell Python to emit
-        events.  Returns the newly emitted events (also appended to
-        ``state.events``, which stays in cold-full-scan order because
+        as epochs append); anything with ``n_days`` and ``cell_series()``
+        works.  Only columns ``state.days_processed .. day_counts.n_days -
+        1`` are scanned, so per-call cost is proportional to the *new*
+        days, not history.  Returns the newly emitted events (also appended
+        to ``state.events``, which stays in cold-full-scan order because
         resumed events can only be detected on later days).
         """
         domains, countries, totals, successes = day_counts.cell_series()
         n_cells, n_days = totals.shape
         start = state.days_processed
-        events: list[CensorshipEvent] = []
         if n_cells == 0 or start >= n_days:
             state.days_processed = max(state.days_processed, day_counts.n_days)
-            return events
+            return []
         get_registry().counter("cusum.cells_scanned").add(n_cells * (n_days - start))
-        pairs = list(zip(domains.tolist(), countries.tolist()))
-        censored = np.zeros(n_cells, dtype=bool)
-        stat = np.zeros(n_cells, dtype=np.float64)
-        excursion = np.zeros(n_cells, dtype=np.int64)
-        for index, pair in enumerate(pairs):
-            carried = state.cells.get(pair)
-            if carried is not None:
-                censored[index], stat[index], excursion[index] = carried
+        n = totals[:, start:]
+        active = n >= self.min_daily_measurements
+        rate = np.divide(successes[:, start:], n, out=np.zeros(n.shape), where=active)
         clear_target = np.array(
             [self._healthy_rate_for(country, state.baselines) - self.drift
              for country in countries.tolist()],
             dtype=np.float64,
         )
-        censored_target = self.censored_rate + self.drift
-        for day in range(start, n_days):
-            n = totals[:, day]
-            active = n >= self.min_daily_measurements
-            if not active.any():
-                continue
-            rate = np.zeros(n_cells, dtype=np.float64)
-            rate[active] = successes[active, day] / n[active]
-            increment = np.where(censored, rate - censored_target, clear_target - rate)
-            new_stat = np.maximum(0.0, stat + increment)
-            started = active & (stat == 0.0) & (new_stat > 0.0)
-            excursion[started] = day
-            stat = np.where(active, new_stat, stat)
-            for cell in np.flatnonzero(active & (stat >= self.threshold)).tolist():
-                statistic = float(stat[cell])
-                events.append(
-                    CensorshipEvent(
-                        domain=str(domains[cell]),
-                        country_code=str(countries[cell]),
-                        kind="offset" if censored[cell] else "onset",
-                        change_day=int(excursion[cell]),
-                        detected_day=day,
-                        statistic=statistic,
-                        confidence=self._confidence(statistic),
-                    )
-                )
-                censored[cell] = ~censored[cell]
-                stat[cell] = 0.0
-        for index, pair in enumerate(pairs):
-            state.cells[pair] = (
-                bool(censored[index]), float(stat[index]), int(excursion[index])
-            )
+        events = _cusum_scan(
+            domains, countries, start, active,
+            clear_target[:, None] - rate, rate - (self.censored_rate + self.drift),
+            self.KINDS, self.threshold, state.cells,
+        )
         state.days_processed = n_days
-        self._sorted(events)
         state.events.extend(events)
         return events
 
     def detect_events_reference(
         self,
-        day_counts: DayGroupedCounts,
+        day_counts: DaySeries,
         baselines: dict[str, float] | None = None,
     ) -> list[CensorshipEvent]:
-        """The scalar per-cell reference walk; events identical to the fast path."""
+        """The scalar per-cell reference; events identical to the fast path."""
         domains, countries, totals, successes = day_counts.cell_series()
-        events: list[CensorshipEvent] = []
         censored_target = self.censored_rate + self.drift
+        events: list[CensorshipEvent] = []
         for cell in range(totals.shape[0]):
-            clear_target = (
-                self._healthy_rate_for(str(countries[cell]), baselines) - self.drift
-            )
-            censored = False
-            stat = 0.0
-            excursion = 0
+            country = str(countries[cell])
+            clear_target = self._healthy_rate_for(country, baselines) - self.drift
+            steps = []
             for day in range(totals.shape[1]):
                 n = totals[cell, day]
-                if n < self.min_daily_measurements:
-                    continue
-                rate = successes[cell, day] / n
-                increment = (rate - censored_target) if censored else (clear_target - rate)
-                new_stat = max(0.0, stat + increment)
-                if stat == 0.0 and new_stat > 0.0:
-                    excursion = day
-                stat = new_stat
-                if stat >= self.threshold:
-                    events.append(
-                        CensorshipEvent(
-                            domain=str(domains[cell]),
-                            country_code=str(countries[cell]),
-                            kind="offset" if censored else "onset",
-                            change_day=excursion,
-                            detected_day=day,
-                            statistic=float(stat),
-                            confidence=self._confidence(float(stat)),
-                        )
-                    )
-                    censored = not censored
-                    stat = 0.0
-        return self._sorted(events)
+                if n >= self.min_daily_measurements:
+                    rate = successes[cell, day] / n
+                    steps.append((day, clear_target - rate, rate - censored_target))
+            events += _cusum_walk(
+                str(domains[cell]), country, steps, self.KINDS, self.threshold
+            )
+        return _sorted(events)
 
 
 class TimingCusumDetector:
@@ -696,33 +740,34 @@ class TimingCusumDetector:
     filtering; ``THROTTLE_FACTOR`` stretches the transfer time), so
     :class:`CusumChangePointDetector` scanning success rates stays silent.
     This detector scans the timing side of the same corpus: a
-    :class:`~repro.core.query.TimingDaySeries` of per-(domain, country)
-    daily ``elapsed_ms`` quantiles, produced by the query kernel
+    :class:`DaySeries` of per-(domain, country) daily ``elapsed_ms``
+    quantiles, produced by the query kernel
     (:func:`repro.core.query.timing_day_series`).
 
     Each cell seeds its own healthy baseline — the median of its qualifying
     daily quantiles over the first ``baseline_days`` days — because absolute
     timings vary per (domain, country) with object size and link quality,
-    unlike success rates which share a global healthy level.  The walk then
-    mirrors the success-rate machine over the *ratio* ``r_d = q_d /
-    baseline``: while *clear* it accumulates ``S ← max(0, S + (r_d − 1 −
-    drift))`` — evidence the day ran slower than baseline — and emits a
-    ``"throttle-onset"`` when ``S`` crosses ``threshold``; while *throttled*
-    it accumulates ``S ← max(0, S + (slowdown − drift − r_d))`` and emits a
-    ``"throttle-offset"`` on recovery.  Days with fewer than
-    ``min_daily_measurements`` measurements (including the NaN no-data days)
-    carry the statistic unchanged, and a cell with no qualifying baseline
-    day never alarms — no baseline, no evidence.  The scan starts *after*
-    the baseline window: those days are the presumed-healthy training
-    period, so their noise can neither accumulate evidence nor pollute a
-    change-point estimate.
+    unlike success rates which share a global healthy level.  Its statistic
+    is the *ratio* ``r_d = q_d / baseline``, walked by the same two-state
+    machine as the success rate (:func:`_cusum_scan`): while *clear* the
+    increment is ``r_d − 1 − drift`` — evidence the day ran slower than
+    baseline — and crossing ``threshold`` emits a ``"throttle-onset"``;
+    while *throttled* it is ``slowdown − drift − r_d`` and the crossing
+    emits a ``"throttle-offset"`` on recovery.  Days with fewer than
+    ``min_daily_measurements`` measurements (including the NaN no-data
+    days) carry the statistic unchanged, and a cell with no qualifying
+    baseline day never alarms — no baseline, no evidence.  The scan starts
+    *after* the baseline window: those days are the presumed-healthy
+    training period, so their noise can neither accumulate evidence nor
+    pollute a change-point estimate.
 
     :meth:`detect_events` is the vectorized scan (one numpy pass per day
-    column); :meth:`detect_events_reference` is the readable per-cell scalar
-    walk; both consume the same values in the same order, so their events
-    are identical bit-for-bit — the same equivalence convention the
-    success-rate detector pins.
+    column); :meth:`detect_events_reference` computes each cell's baseline
+    and ratios in scalar Python and walks them with :func:`_cusum_walk`;
+    their events are identical bit-for-bit, which the tests pin.
     """
+
+    KINDS = ("throttle-onset", "throttle-offset")
 
     def __init__(
         self,
@@ -751,15 +796,6 @@ class TimingCusumDetector:
         self.baseline_days = baseline_days
 
     # ------------------------------------------------------------------
-    def _confidence(self, statistic: float) -> float:
-        """Threshold overshoot mapped to [0.5, 1.0]."""
-        return min(1.0, statistic / (2.0 * self.threshold))
-
-    @staticmethod
-    def _sorted(events: list[CensorshipEvent]) -> list[CensorshipEvent]:
-        events.sort(key=lambda e: (e.detected_day, e.domain, e.country_code, e.kind))
-        return events
-
     def config_key(self) -> tuple:
         """Hashable identity of this detector's tuning (caches key on it)."""
         return (
@@ -786,63 +822,38 @@ class TimingCusumDetector:
             baselines[has_baseline] = np.nanmedian(window[has_baseline], axis=1)
         return baselines
 
-    def detect_events(self, timing_series) -> list[CensorshipEvent]:
-        """Scan every (domain, country) cell's daily quantile series, vectorized.
+    def detect_events(self, timing_series: DaySeries) -> list[CensorshipEvent]:
+        """Scan every (domain, country) pair's daily quantile series, vectorized.
 
-        ``timing_series`` is a :class:`~repro.core.query.TimingDaySeries`
-        (anything with ``cell_series()`` returning ``(domains, countries,
-        counts, values)`` matrices works).  Sequential in days, whole-array
-        per day column; only threshold crossings drop to per-cell Python.
+        ``timing_series`` is a :class:`DaySeries` of quantiles (anything
+        with ``cell_series()`` returning ``(domains, countries, counts,
+        values)`` matrices works).
         """
         domains, countries, counts, values = timing_series.cell_series()
         n_cells, n_days = counts.shape
-        events: list[CensorshipEvent] = []
         if n_cells == 0 or n_days == 0:
-            return events
+            return []
         get_registry().counter("timing_cusum.cells_scanned").add(n_cells * n_days)
         baselines = self._baselines(counts, values)
-        alarmable = ~np.isnan(baselines)
-        throttled = np.zeros(n_cells, dtype=bool)
-        stat = np.zeros(n_cells, dtype=np.float64)
-        excursion = np.zeros(n_cells, dtype=np.int64)
-        clear_target = 1.0 + self.drift
-        throttled_target = self.slowdown - self.drift
-        for day in range(self.baseline_days, n_days):
-            active = alarmable & (counts[:, day] >= self.min_daily_measurements)
-            if not active.any():
-                continue
-            ratio = np.ones(n_cells, dtype=np.float64)
-            ratio[active] = values[active, day] / baselines[active]
-            increment = np.where(
-                throttled, throttled_target - ratio, ratio - clear_target
-            )
-            new_stat = np.maximum(0.0, stat + increment)
-            started = active & (stat == 0.0) & (new_stat > 0.0)
-            excursion[started] = day
-            stat = np.where(active, new_stat, stat)
-            for cell in np.flatnonzero(active & (stat >= self.threshold)).tolist():
-                statistic = float(stat[cell])
-                events.append(
-                    CensorshipEvent(
-                        domain=str(domains[cell]),
-                        country_code=str(countries[cell]),
-                        kind="throttle-offset" if throttled[cell] else "throttle-onset",
-                        change_day=int(excursion[cell]),
-                        detected_day=day,
-                        statistic=statistic,
-                        confidence=self._confidence(statistic),
-                    )
-                )
-                throttled[cell] = ~throttled[cell]
-                stat[cell] = 0.0
-        return self._sorted(events)
+        start = self.baseline_days
+        active = ~np.isnan(baselines)[:, None] & (
+            counts[:, start:] >= self.min_daily_measurements
+        )
+        ratio = np.divide(
+            values[:, start:], baselines[:, None], out=np.ones(active.shape), where=active
+        )
+        return _cusum_scan(
+            domains, countries, start, active,
+            ratio - (1.0 + self.drift), (self.slowdown - self.drift) - ratio,
+            self.KINDS, self.threshold,
+        )
 
-    def detect_events_reference(self, timing_series) -> list[CensorshipEvent]:
-        """The scalar per-cell reference walk; events identical to the fast path."""
+    def detect_events_reference(self, timing_series: DaySeries) -> list[CensorshipEvent]:
+        """The scalar per-cell reference; events identical to the fast path."""
         domains, countries, counts, values = timing_series.cell_series()
-        events: list[CensorshipEvent] = []
         clear_target = 1.0 + self.drift
         throttled_target = self.slowdown - self.drift
+        events: list[CensorshipEvent] = []
         for cell in range(counts.shape[0]):
             window = [
                 float(values[cell, day])
@@ -852,35 +863,15 @@ class TimingCusumDetector:
             if not window:
                 continue
             baseline = float(np.median(window))
-            throttled = False
-            stat = 0.0
-            excursion = 0
+            steps = []
             for day in range(self.baseline_days, counts.shape[1]):
-                if counts[cell, day] < self.min_daily_measurements:
-                    continue
-                ratio = float(values[cell, day]) / baseline
-                increment = (
-                    (throttled_target - ratio) if throttled else (ratio - clear_target)
-                )
-                new_stat = max(0.0, stat + increment)
-                if stat == 0.0 and new_stat > 0.0:
-                    excursion = day
-                stat = new_stat
-                if stat >= self.threshold:
-                    events.append(
-                        CensorshipEvent(
-                            domain=str(domains[cell]),
-                            country_code=str(countries[cell]),
-                            kind="throttle-offset" if throttled else "throttle-onset",
-                            change_day=excursion,
-                            detected_day=day,
-                            statistic=float(stat),
-                            confidence=self._confidence(float(stat)),
-                        )
-                    )
-                    throttled = not throttled
-                    stat = 0.0
-        return self._sorted(events)
+                if counts[cell, day] >= self.min_daily_measurements:
+                    ratio = float(values[cell, day]) / baseline
+                    steps.append((day, ratio - clear_target, throttled_target - ratio))
+            events += _cusum_walk(
+                str(domains[cell]), str(countries[cell]), steps, self.KINDS, self.threshold
+            )
+        return _sorted(events)
 
 
 class AdaptiveFilteringDetector(BinomialFilteringDetector):
@@ -925,11 +916,9 @@ class AdaptiveFilteringDetector(BinomialFilteringDetector):
         and network flakiness lowers it for every domain equally), discounted
         and clamped to the configured bounds.
         """
-        grouped = _as_grouped(counts)
-        keep = grouped.totals >= self.min_measurements
-        best = self._best_rates(
-            grouped.countries[keep], grouped.totals[keep], grouped.successes[keep]
-        )
+        _, countries, totals, successes = _cells(counts)
+        keep = totals >= self.min_measurements
+        best = self._best_rates(countries[keep], totals[keep], successes[keep])
         return {
             country: float(min(self.max_prior, max(self.min_prior, rate * self.discount)))
             for country, rate in best.items()

@@ -21,8 +21,9 @@ sequence of **epochs** over simulated days:
    ingest into one (possibly spilled) collection store.
 3. **Aggregate.**  The query kernel
    (:func:`repro.core.query.grouped_success_counts` ``by_day=True``)
-   reduces the whole corpus to ragged (domain, country, day) cells —
-   streamed segment-by-segment, fully vectorized, nothing concatenated.
+   reduces the whole corpus to a dense per-(domain, country)
+   :class:`~repro.core.store.DaySeries` of success counts, folding each
+   sealed segment once, fully vectorized, nothing concatenated.
 4. **Detect.**  :class:`~repro.core.inference.CusumChangePointDetector`
    scans every cell's daily success-rate series online and emits
    :class:`~repro.core.inference.CensorshipEvent` onsets/offsets with their
@@ -75,13 +76,8 @@ from repro.core.inference import (
     TimingCusumDetector,
 )
 from repro.core.pipeline import CAMPAIGN_MODES
-from repro.core.query import (
-    TimingDaySeries,
-    dense_day_series,
-    grouped_success_counts,
-    timing_day_series,
-)
-from repro.core.store import DayGroupedCounts
+from repro.core.query import grouped_success_counts, timing_day_series
+from repro.core.store import DaySeries
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_TRACER, TRACE_FILENAME, Tracer
 
@@ -206,17 +202,16 @@ class LongitudinalResult:
     def measurements(self) -> int:
         return sum(epoch.measurements_added for epoch in self.epochs)
 
-    def day_counts(self) -> DayGroupedCounts:
-        """Ragged (domain, country, day) success counts over the whole run.
+    def day_counts(self) -> DaySeries:
+        """Per-(domain, country) day series of success counts over the whole run.
 
-        Streamed straight off the (possibly spilled) store via the query
-        kernel; cached there, so repeated calls are free until the store
-        grows.
+        Folded off the (possibly spilled) store by the query kernel; cached
+        there, so repeated calls are free until the store grows.
         """
         return grouped_success_counts(self.collection.store, by_day=True)
 
-    def timing_series(self) -> TimingDaySeries:
-        """Per-(domain, country) day matrices of the configured timing quantile.
+    def timing_series(self) -> DaySeries:
+        """Per-(domain, country) day series of the configured timing quantile.
 
         The query kernel's ``Quantiles("elapsed_ms", ...)`` aggregate over
         the same grouping as :meth:`day_counts` — what the timing detector
@@ -455,13 +450,12 @@ class LongitudinalEngine:
                                 monitor.baselines = config.detector.seeded_baselines(
                                     grouped_success_counts(store)
                                 )
-                            # Dense matrices straight off the fold
-                            # accumulator: same events as the ragged
-                            # day_counts(), without the O(history) cell
-                            # materialization per epoch.
+                            # The day series comes straight off the fold
+                            # accumulator: the epoch folds only its new rows
+                            # and the CUSUM scans only the new day columns.
                             with tracer.span("detect", epoch=epoch):
                                 config.detector.resume(
-                                    monitor, dense_day_series(store)
+                                    monitor, grouped_success_counts(store, by_day=True)
                                 )
                             with tracer.span("checkpoint", epoch=epoch):
                                 monitor.save(

@@ -1,8 +1,8 @@
 """One group-by kernel behind every store reduction.
 
 Every reduction over a :class:`MeasurementStore` — per-(domain,
-country[, day]) success counts, masked counts, the dense day series, the
-distinct-client count, timing quantiles — is one call into this module's
+country) success counts, masked counts, the success and timing day
+series, the distinct-client count — is one call into this module's
 engine:
 
 * **Composable keys.**  Any subset of the dictionary-encoded / small-domain
@@ -27,11 +27,14 @@ engine:
   foldable query with the same signature.
 
 The wrappers at the end of this module (:func:`grouped_success_counts`,
-:func:`masked_grouped_success_counts`, :func:`dense_day_series`,
-:func:`distinct_ip_count`, :func:`timing_day_series`) are the reduction API,
-each pinned to the one scalar reference :func:`run_query_reference` by
-equivalence tests; ``repro-lint``'s ``segment-streaming`` rule keeps new
-hand-rolled segment loops from growing back outside this module.
+:func:`masked_grouped_success_counts`, :func:`distinct_ip_count`,
+:func:`timing_day_series`) are the reduction API.  They return the
+kernel's own :class:`QueryResult`, or a dense
+:class:`~repro.core.store.DaySeries` per (domain, country) pair for the
+CUSUM detectors, and each is pinned to the one scalar reference
+:func:`run_query_reference` by equivalence tests; ``repro-lint``'s
+``segment-streaming`` rule keeps new hand-rolled segment loops from
+growing back outside this module.
 
 Telemetry follows the observer-effect ban: the kernel bumps write-only
 counters (``store.query_folds`` and the PR 6 ``store.fold_advances`` /
@@ -51,9 +54,7 @@ from repro.core.store import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_SUCCESS,
     TASK_TYPES,
-    DayGroupedCounts,
-    DenseDayCounts,
-    GroupedCounts,
+    DaySeries,
     pair_day_matrices,
 )
 from repro.obs.metrics import get_registry
@@ -226,7 +227,7 @@ class QueryResult:
     """Per-group aggregate values, one row per non-empty group.
 
     Groups are sorted by their decoded key tuple in declared key order (for
-    the success wrappers, ``(domain, country[, day])``).
+    the success wrappers, ``(domain, country)``).
     ``keys[name]`` are the decoded key arrays, ``values[i]`` lines up with
     ``aggregates[i]`` (a ``(groups, len(qs))`` matrix for
     :class:`Quantiles`, a 1-D array otherwise), and ``extents[name]`` is the
@@ -316,43 +317,6 @@ class DenseResult:
             if spec == aggregate or spec.name == aggregate:
                 return column
         raise KeyError(f"no aggregate {aggregate!r} in this result")
-
-
-class TimingDaySeries:
-    """Dense per-(domain, country) day matrices of an ``elapsed_ms`` quantile.
-
-    The timing sibling of the success-rate day series: ``counts`` is the
-    ``(C, n_days)`` filtered measurement count per pair-day and ``values``
-    the per-day quantile (NaN where a pair-day has no measurements).  Pairs
-    carry the same sorted (domain, country) order as the success series on
-    the same corpus.  Consumed by
-    :class:`repro.core.inference.TimingCusumDetector`.
-    """
-
-    __slots__ = ("domains", "countries", "counts", "values", "n_days", "quantile")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        counts: np.ndarray,
-        values: np.ndarray,
-        n_days: int,
-        quantile: float,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.counts = counts
-        self.values = values
-        self.n_days = n_days
-        self.quantile = quantile
-
-    def __len__(self) -> int:
-        return len(self.domains)
-
-    def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(domains, countries, counts, values)`` — the detector's layout."""
-        return self.domains, self.countries, self.counts, self.values
 
 
 @dataclass(frozen=True)
@@ -996,94 +960,29 @@ _COUNT_AGGS = (Count(), SuccessCount())
 
 def grouped_success_counts(
     store: "MeasurementStore", exclude_automated: bool = True, *, by_day: bool = False
-) -> "GroupedCounts | DayGroupedCounts":
-    """Per-(domain, country[, day]) totals/successes via the query kernel.
+) -> "QueryResult | DaySeries":
+    """Per-(domain, country) totals/successes via the query kernel.
 
-    Inconclusive rows are always excluded, automated ones by default, and
-    cells are sorted by ``(domain, country[, day])``.  Rides the fold-once
-    incremental watermark; cached per store version.
+    Inconclusive rows are always excluded, automated ones by default.  The
+    cells are the kernel's own :class:`QueryResult` (keys ``domain`` and
+    ``country``, aggregates ``count`` and ``success_count``), sorted by
+    ``(domain, country)``.  With ``by_day=True`` the same counts per day
+    come back as a :class:`DaySeries` read straight off the fold-once
+    accumulator without materializing per-(pair, day) cells, so an
+    always-on monitor's per-epoch aggregation folds only the new rows.
+    Both shapes are cached per store version.
     """
-    cache_key = ("success_counts", exclude_automated, by_day)
+    if not by_day:
+        return run_query(
+            store, ("domain", "country"), _COUNT_AGGS,
+            exclude_automated=exclude_automated,
+        )
+    cache_key = ("day_series", exclude_automated)
     cached = store._derived(cache_key)
     if cached is not None:
         return cached
-    empty = _empty_grouped(store, by_day)
-    if empty is not None:
-        return store._derive(cache_key, empty)
-    keys = ("domain", "country", "day") if by_day else ("domain", "country")
-    result = run_query(
-        store, keys, _COUNT_AGGS, exclude_automated=exclude_automated
-    )
-    return store._derive(cache_key, _grouped_from_result(result, by_day))
-
-
-def masked_grouped_success_counts(
-    store: "MeasurementStore",
-    mask: np.ndarray,
-    exclude_automated: bool = True,
-    *,
-    by_day: bool = False,
-) -> "GroupedCounts | DayGroupedCounts":
-    """``grouped_success_counts`` restricted to the rows where ``mask`` holds.
-
-    What the reputation filter's store verdict re-runs detection over; not
-    cached because masks vary call to call.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if len(mask) != len(store):
-        raise ValueError(
-            f"mask has {len(mask)} entries for a store of {len(store)} rows"
-        )
-    empty = _empty_grouped(store, by_day)
-    if empty is not None:
-        return empty
-    keys = ("domain", "country", "day") if by_day else ("domain", "country")
-    result = run_query(
-        store, keys, _COUNT_AGGS, mask=mask, exclude_automated=exclude_automated
-    )
-    return _grouped_from_result(result, by_day)
-
-
-def _empty_grouped(store, by_day):
-    """The empty-store result (or None when non-empty)."""
-    if len(store) != 0 and store._country_values:
-        return None
-    empty_str = np.empty(0, dtype=np.str_)
-    empty_int = np.empty(0, dtype=np.int64)
-    if by_day:
-        return DayGroupedCounts(
-            empty_str, empty_str, empty_int, empty_int, empty_int, 0
-        )
-    return GroupedCounts(empty_str, empty_str, empty_int, empty_int)
-
-
-def _grouped_from_result(result: QueryResult, by_day: bool):
-    totals = result.value("count")
-    successes = result.value("success_count")
-    if by_day:
-        return DayGroupedCounts(
-            result.key("domain"), result.key("country"), result.key("day"),
-            totals, successes, result.extents["day"],
-        )
-    return GroupedCounts(
-        result.key("domain"), result.key("country"), totals, successes
-    )
-
-
-def dense_day_series(
-    store: "MeasurementStore", exclude_automated: bool = True
-) -> DenseDayCounts:
-    """Dense (pair, day) success matrices for the always-on monitor loop.
-
-    Rides the same fold-once accumulator (and watermark) as the by-day
-    grouped counts, but skips the ragged cell materialization, so per-epoch
-    cost stays flat as the day axis grows.  The matrices are fancy-indexed
-    copies, never views of the live accumulator.
-    """
     if len(store) == 0 or not store._country_values:
-        empty_str = np.empty(0, dtype=np.str_)
-        empty_2d = np.zeros((0, 0), dtype=np.int64)
-        return DenseDayCounts(empty_str, empty_str, empty_2d, empty_2d.copy(), 0)
+        return store._derive(cache_key, DaySeries.from_dict({}))
     dense = run_query(
         store, ("domain", "country", "day"), _COUNT_AGGS,
         exclude_automated=exclude_automated, shape="dense",
@@ -1099,12 +998,28 @@ def dense_day_series(
     domains = np.asarray(store._domain_values, dtype=np.str_)[pairs // n_countries]
     countries = np.asarray(store._country_values, dtype=np.str_)[pairs % n_countries]
     order = np.lexsort((countries, domains))
-    return DenseDayCounts(
+    # Fancy-indexed copies, never views of the live accumulator.
+    series = DaySeries(
         domains[order],
         countries[order],
         totals[pairs[order]],
         successes[pairs[order]],
         n_days,
+    )
+    return store._derive(cache_key, series)
+
+
+def masked_grouped_success_counts(
+    store: "MeasurementStore", mask: np.ndarray, exclude_automated: bool = True
+) -> QueryResult:
+    """``grouped_success_counts`` restricted to the rows where ``mask`` holds.
+
+    What the reputation filter's store verdict re-runs detection over; not
+    cached because masks vary call to call.
+    """
+    return run_query(
+        store, ("domain", "country"), _COUNT_AGGS,
+        mask=mask, exclude_automated=exclude_automated,
     )
 
 
@@ -1130,13 +1045,14 @@ def timing_day_series(
     store: "MeasurementStore",
     quantile: float = 0.9,
     exclude_automated: bool = True,
-) -> TimingDaySeries:
-    """Per-(domain, country) day matrices of an ``elapsed_ms`` quantile.
+) -> DaySeries:
+    """Per-(domain, country) day series of an ``elapsed_ms`` quantile.
 
     The new power the kernel buys: the same grouping as the success-rate
     day series, but aggregating request timing — what
     :class:`repro.core.inference.TimingCusumDetector` scans to catch
-    throttling that success rates cannot see.  Cached per store version.
+    throttling that success rates cannot see.  ``values`` holds the
+    quantile, NaN on pair-days without rows.  Cached per store version.
     """
     cache_key = ("timing_day_series", float(quantile), exclude_automated)
     cached = store._derived(cache_key)
@@ -1148,12 +1064,12 @@ def timing_day_series(
         exclude_automated=exclude_automated,
     )
     n_days = result.extents["day"]
-    series = TimingDaySeries(
+    series = DaySeries(
         *pair_day_matrices(
             result.key("domain"), result.key("country"), result.key("day"), n_days,
             (result.value("count"), np.int64(0)), (result.value(1)[:, 0], np.nan),
         ),
-        n_days, float(quantile),
+        n_days,
     )
     return store._derive(cache_key, series)
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.collection import CollectionServer, ColumnarRecords, Measurement
 from repro.core.inference import BinomialFilteringDetector
-from repro.core.query import masked_grouped_success_counts
+from repro.core.query import QueryResult, masked_grouped_success_counts
 from repro.core.shard import (
     MANIFEST_NAME,
     StoreMerger,
@@ -65,7 +65,6 @@ from repro.core.shard import (
 from repro.core.store import (
     OUTCOME_FAILURE,
     DictColumn,
-    GroupedCounts,
     MeasurementStore,
 )
 from repro.core.tasks import TaskOutcome, TaskType
@@ -240,7 +239,7 @@ class StoreReputationReport:
     def kept_measurements(self) -> list[Measurement]:
         return self.store.rows(self.kept_indices)
 
-    def success_counts(self, exclude_automated: bool = True) -> GroupedCounts:
+    def success_counts(self, exclude_automated: bool = True) -> QueryResult:
         """Per-(domain, country) totals over only the kept rows.
 
         Feed this to ``BinomialFilteringDetector.detect_from_counts`` to

@@ -140,6 +140,28 @@ def _check_alignment(n: int, columns: dict) -> None:
             )
 
 
+class ColumnValueError(ValueError):
+    """An ingested column holds a value the analysis cannot bucket or scan.
+
+    Raised by :meth:`MeasurementStore.append_columns` for a negative
+    ``day``, which would land in another pair's cell of the day-keyed
+    fold, or a non-finite ``elapsed_ms``, which would stick in the timing
+    CUSUM's statistic.  ``column`` names the offending argument.
+    """
+
+    def __init__(self, column: str, problem: str) -> None:
+        super().__init__(f"column {column!r}: {problem}")
+        self.column = column
+
+
+def _check_values(elapsed_ms: np.ndarray, day: np.ndarray) -> None:
+    """Raise :class:`ColumnValueError` for a non-finite timing or a negative day."""
+    if not np.isfinite(elapsed_ms).all():
+        raise ColumnValueError("elapsed_ms", "holds a non-finite timing")
+    if day.min() < 0:
+        raise ColumnValueError("day", f"holds the negative day {int(day.min())}")
+
+
 def _ascii_bytes(strings: np.ndarray) -> np.ndarray:
     """``strings`` at one byte per character if all are ASCII, else unchanged.
 
@@ -203,129 +225,6 @@ class _ClientCodes:
         return codes[inverse]
 
 
-class GroupedCounts:
-    """Per-(domain, country) measurement totals as parallel arrays.
-
-    The cells are sorted by ``(domain, country)`` — the order the detector
-    reports statistics in — and ``totals``/``successes`` line up with
-    ``domains``/``countries`` index-for-index.  :meth:`as_dict` recovers the
-    legacy ``{(domain, country): (n, successes)}`` mapping.
-    """
-
-    __slots__ = ("domains", "countries", "totals", "successes")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        totals: np.ndarray,
-        successes: np.ndarray,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.totals = totals
-        self.successes = successes
-
-    def __len__(self) -> int:
-        return len(self.totals)
-
-    @classmethod
-    def from_dict(cls, counts: dict) -> "GroupedCounts":
-        """Build sorted cell arrays from a legacy counts mapping."""
-        items = sorted(counts.items())
-        domains = np.asarray([d for (d, _), _ in items], dtype=np.str_)
-        countries = np.asarray([c for (_, c), _ in items], dtype=np.str_)
-        totals = np.asarray([n for _, (n, _) in items], dtype=np.int64)
-        successes = np.asarray([s for _, (_, s) in items], dtype=np.int64)
-        return cls(domains, countries, totals, successes)
-
-    def as_dict(self) -> dict[tuple[str, str], tuple[int, int]]:
-        """The legacy ``(domain, country) -> (n, successes)`` mapping."""
-        return {
-            (str(d), str(c)): (int(n), int(s))
-            for d, c, n, s in zip(self.domains, self.countries, self.totals, self.successes)
-        }
-
-
-class DayGroupedCounts:
-    """Per-(domain, country, day) measurement totals as parallel arrays.
-
-    The day-bucketed sibling of :class:`GroupedCounts` — what the
-    longitudinal pipeline consumes.  Cells are sorted by ``(domain,
-    country, day)`` and the arrays line up index-for-index; days with no
-    measurements for a pair simply have no cell.  ``n_days`` is the day-axis
-    extent (one past the largest day seen).  :meth:`cell_series` densifies
-    the ragged cells into per-(domain, country) day matrices for the
-    change-point detector.
-    """
-
-    __slots__ = ("domains", "countries", "days", "totals", "successes", "n_days")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        days: np.ndarray,
-        totals: np.ndarray,
-        successes: np.ndarray,
-        n_days: int,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.days = days
-        self.totals = totals
-        self.successes = successes
-        self.n_days = n_days
-
-    def __len__(self) -> int:
-        return len(self.totals)
-
-    @classmethod
-    def from_dict(cls, counts: dict, n_days: int | None = None) -> "DayGroupedCounts":
-        """Build sorted cell arrays from a ``{(domain, country, day): (n, s)}`` map.
-
-        ``n_days`` may widen the day axis beyond the data (trailing empty
-        days) but never truncate it — a too-small value would make
-        :meth:`cell_series` index past its matrices, so it is rejected here.
-        """
-        items = sorted(counts.items())
-        domains = np.asarray([d for (d, _, _), _ in items], dtype=np.str_)
-        countries = np.asarray([c for (_, c, _), _ in items], dtype=np.str_)
-        days = np.asarray([day for (_, _, day), _ in items], dtype=np.int64)
-        totals = np.asarray([n for _, (n, _) in items], dtype=np.int64)
-        successes = np.asarray([s for _, (_, s) in items], dtype=np.int64)
-        least = int(days.max()) + 1 if len(days) else 0
-        if n_days is None:
-            n_days = least
-        elif n_days < least:
-            raise ValueError(
-                f"n_days={n_days} cannot cover days up to {least - 1}"
-            )
-        return cls(domains, countries, days, totals, successes, n_days)
-
-    def as_dict(self) -> dict[tuple[str, str, int], tuple[int, int]]:
-        """The ``(domain, country, day) -> (n, successes)`` mapping."""
-        return {
-            (str(d), str(c), int(day)): (int(n), int(s))
-            for d, c, day, n, s in zip(
-                self.domains, self.countries, self.days, self.totals, self.successes
-            )
-        }
-
-    def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense per-pair day series: ``(domains, countries, totals, successes)``.
-
-        The first two arrays name the ``C`` distinct (domain, country) pairs
-        (in sorted order); the matrices are ``(C, n_days)`` with zeros where
-        a pair has no measurements on a day — the layout the vectorized
-        CUSUM detector scans day-column by day-column.
-        """
-        return pair_day_matrices(
-            self.domains, self.countries, self.days, self.n_days,
-            (self.totals, np.int64(0)), (self.successes, np.int64(0)),
-        )
-
-
 def pair_day_matrices(domains, countries, days, n_days, *columns):
     """Scatter sorted (domain, country, day) cells into per-pair day matrices.
 
@@ -352,41 +251,78 @@ def pair_day_matrices(domains, countries, days, n_days, *columns):
     return (domains[starts], countries[starts], *matrices)
 
 
-class DenseDayCounts:
-    """Per-pair day matrices served straight off the incremental fold state.
+class DaySeries:
+    """Per-(domain, country) day series as dense ``(pairs, n_days)`` matrices.
 
-    Duck-type compatible with the slice of :class:`DayGroupedCounts` the
-    CUSUM change-point scan consumes (``n_days`` plus :meth:`cell_series`),
-    but built without the ragged (domain, country, day) materialization —
-    no per-cell string arrays, no lexsort over every cell of history — so
-    an always-on monitor's per-epoch aggregation cost tracks the *new*
-    rows, not the length of history.  Pairs carry the same members and the
-    same sorted (domain, country) order as ``DayGroupedCounts.cell_series``
-    on the same corpus, which keeps the two paths' events bit-identical.
+    ``counts[i, d]`` is pair ``i``'s filtered measurement count on day
+    ``d``; ``values[i, d]`` is its success count there (0 where the
+    pair-day has no rows) or a timing quantile (NaN there).  Pairs are
+    sorted by (domain, country) and each has at least one measured day;
+    ``n_days`` is the day-axis extent, one past the largest day seen
+    unless widened.  Both CUSUM detectors scan this layout day column by
+    day column.
     """
 
-    __slots__ = ("domains", "countries", "totals", "successes", "n_days")
+    __slots__ = ("domains", "countries", "counts", "values", "n_days")
 
     def __init__(
         self,
         domains: np.ndarray,
         countries: np.ndarray,
-        totals: np.ndarray,
-        successes: np.ndarray,
+        counts: np.ndarray,
+        values: np.ndarray,
         n_days: int,
     ) -> None:
         self.domains = domains
         self.countries = countries
-        self.totals = totals
-        self.successes = successes
+        self.counts = counts
+        self.values = values
         self.n_days = n_days
 
     def __len__(self) -> int:
         return len(self.domains)
 
+    @classmethod
+    def from_dict(cls, counts: dict, n_days: int | None = None) -> "DaySeries":
+        """Densify a ``{(domain, country, day): (n, successes)}`` map.
+
+        ``n_days`` may widen the day axis beyond the data (trailing empty
+        days) but never truncate it; a negative day has no column and is
+        rejected too.
+        """
+        items = sorted(counts.items())
+        days = np.asarray([day for (_, _, day), _ in items], dtype=np.int64)
+        if len(days) and days.min() < 0:
+            raise ValueError(f"day {int(days.min())} is negative")
+        least = int(days.max()) + 1 if len(days) else 0
+        if n_days is None:
+            n_days = least
+        elif n_days < least:
+            raise ValueError(
+                f"n_days={n_days} cannot cover days up to {least - 1}"
+            )
+        series = pair_day_matrices(
+            np.asarray([d for (d, _, _), _ in items], dtype=np.str_),
+            np.asarray([c for (_, c, _), _ in items], dtype=np.str_),
+            days, n_days,
+            (np.asarray([n for _, (n, _) in items], dtype=np.int64), np.int64(0)),
+            (np.asarray([s for _, (_, s) in items], dtype=np.int64), np.int64(0)),
+        )
+        return cls(*series, n_days)
+
+    def as_dict(self) -> dict[tuple[str, str, int], tuple]:
+        """``(domain, country, day) -> (n, value)`` for each measured pair-day."""
+        pairs, days = np.nonzero(self.counts)
+        return {
+            (str(self.domains[pair]), str(self.countries[pair]), day): (
+                self.counts[pair, day].item(), self.values[pair, day].item()
+            )
+            for pair, day in zip(pairs.tolist(), days.tolist())
+        }
+
     def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Already dense: ``(domains, countries, totals, successes)``."""
-        return self.domains, self.countries, self.totals, self.successes
+        """``(domains, countries, counts, values)``: the detectors' layout."""
+        return self.domains, self.countries, self.counts, self.values
 
 
 class Selection:
@@ -648,8 +584,10 @@ class MeasurementStore:
         is the zero-object ingestion path: no per-row :class:`Measurement`
         is ever constructed.  ``measurement_id`` sets the row count; any
         other column of a different length, or a :class:`DictColumn` index
-        outside its table, raises :class:`ColumnAlignmentError` before
-        anything is stored.
+        outside its table, raises :class:`ColumnAlignmentError`, and a
+        negative ``day`` or non-finite ``elapsed_ms`` raises
+        :class:`ColumnValueError`, both before anything is encoded or
+        stored.
         """
         n = _column_length(measurement_id)
         _check_alignment(n, {
@@ -662,6 +600,9 @@ class MeasurementStore:
         })
         if n == 0:
             return 0
+        elapsed_ms = np.asarray(elapsed_ms, dtype=np.float64)
+        day = np.asarray(day, dtype=np.int32)
+        _check_values(elapsed_ms, day)
         chunk = {
             "measurement_id": _string_column(measurement_id),
             "task": self._encode(task_type, _TASK_CODES, None, np.int8),
@@ -670,7 +611,7 @@ class MeasurementStore:
                 target_domain, self._domain_codes, self._domain_values, np.int32
             ),
             "outcome": self._encode(outcome, _OUTCOME_CODES, None, np.int8),
-            "elapsed_ms": np.asarray(elapsed_ms, dtype=np.float64),
+            "elapsed_ms": elapsed_ms,
             "probe_time_ms": _as_optional_floats(probe_time_ms, n),
             "client_ip": _string_column(client_ip),
             "country": self._encode(
@@ -683,7 +624,7 @@ class MeasurementStore:
             "origin": self._encode(
                 origin_domain, self._origin_codes, self._origin_values, np.int32
             ),
-            "day": np.asarray(day, dtype=np.int32),
+            "day": day,
             "automated": (
                 np.zeros(n, dtype=bool)
                 if is_automated is None

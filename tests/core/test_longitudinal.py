@@ -1,7 +1,10 @@
 """Tests for the longitudinal campaign engine and its detection pipeline."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.censor.policy import PolicyTimeline
 from repro.core.inference import (
@@ -11,7 +14,7 @@ from repro.core.inference import (
 )
 from repro.core.longitudinal import LongitudinalConfig, LongitudinalEngine
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.store import DayGroupedCounts
+from repro.core.store import DaySeries
 from repro.population.world import World, WorldConfig
 
 
@@ -37,15 +40,22 @@ def longitudinal_deployment(world=None, seed=11, country_code="DE"):
 # ----------------------------------------------------------------------
 # CUSUM: vectorized ≡ scalar reference
 # ----------------------------------------------------------------------
-def random_day_counts(rng, cells=40, n_days=50, empty_fraction=0.2):
-    """A synthetic ragged (domain, country, day) table with regime shifts."""
+def random_day_counts(rng, cells=40, n_days=50, empty_fraction=0.2, shifts=None):
+    """A synthetic per-pair day series of success counts with regime shifts.
+
+    ``shifts[cell]`` is the cell's ``(change, recovery)`` day pair (censored
+    in between unless ``cell % 3 == 0``); drawn from ``rng`` when not given.
+    """
     counts = {}
     for cell in range(cells):
         # cells < 77 keeps every (domain % 7, country % 11) pair distinct.
         domain = f"domain-{cell % 7}.org"
         country = f"C{cell % 11:02d}"
-        change = rng.integers(0, n_days)
-        recovery = rng.integers(change, n_days + 10)
+        if shifts is None:
+            change = rng.integers(0, n_days)
+            recovery = rng.integers(change, n_days + 10)
+        else:
+            change, recovery = shifts[cell]
         for day in range(n_days):
             if rng.random() < empty_fraction:
                 continue
@@ -54,7 +64,42 @@ def random_day_counts(rng, cells=40, n_days=50, empty_fraction=0.2):
             p = 0.08 if censored else 0.92
             s = int(rng.binomial(n, p))
             counts[(domain, country, day)] = (n, s)
-    return DayGroupedCounts.from_dict(counts, n_days=n_days)
+    return DaySeries.from_dict(counts, n_days=n_days)
+
+
+@st.composite
+def drawn_day_counts(draw):
+    """A generated day series: shape, empty-day fraction and regime shifts."""
+    cells = draw(st.integers(1, 30))
+    n_days = draw(st.integers(1, 45))
+    shift = st.tuples(st.integers(0, n_days), st.integers(0, n_days + 10))
+    return random_day_counts(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        cells=cells,
+        n_days=n_days,
+        empty_fraction=draw(st.floats(0.0, 0.9)),
+        shifts=draw(st.lists(shift, min_size=cells, max_size=cells)),
+    )
+
+
+#: Any tuning the constructor accepts: 0 < censored < healthy < 1 and so on.
+drawn_detectors = st.builds(
+    lambda censored, gap, drift, threshold, min_daily: CusumChangePointDetector(
+        healthy_rate=censored + gap,
+        censored_rate=censored,
+        drift=drift,
+        threshold=threshold,
+        min_daily_measurements=min_daily,
+    ),
+    st.floats(0.01, 0.5),
+    st.floats(0.01, 0.45),
+    st.floats(0.0, 0.3),
+    st.floats(0.1, 3.0),
+    st.integers(1, 12),
+)
+drawn_baselines = st.none() | st.dictionaries(
+    st.sampled_from([f"C{country:02d}" for country in range(11)]), st.floats(0.05, 0.99)
+)
 
 
 class TestCusumEquivalence:
@@ -76,8 +121,16 @@ class TestCusumEquivalence:
         assert fast == reference
         assert fast  # the synthetic shifts are large; silence would be a bug
 
+    @given(day_counts=drawn_day_counts(), detector=drawn_detectors,
+           baselines=drawn_baselines)
+    @settings(max_examples=25, deadline=None)
+    def test_generated_events_match_reference(self, day_counts, detector, baselines):
+        assert detector.detect_events(day_counts, baselines) == (
+            detector.detect_events_reference(day_counts, baselines)
+        )
+
     def test_empty_counts_detect_nothing(self):
-        empty = DayGroupedCounts.from_dict({})
+        empty = DaySeries.from_dict({})
         detector = CusumChangePointDetector()
         assert detector.detect_events(empty) == []
         assert detector.detect_events_reference(empty) == []
@@ -85,7 +138,7 @@ class TestCusumEquivalence:
     def test_quiet_series_stays_silent(self):
         counts = {("a.org", "DE", day): (50, 47) for day in range(40)}
         detector = CusumChangePointDetector()
-        assert detector.detect_events(DayGroupedCounts.from_dict(counts)) == []
+        assert detector.detect_events(DaySeries.from_dict(counts)) == []
 
     def test_single_shift_reports_onset_and_recovery(self):
         counts = {}
@@ -93,7 +146,7 @@ class TestCusumEquivalence:
             rate = 0.9 if day < 12 or day >= 22 else 0.05
             counts[("a.org", "DE", day)] = (100, int(100 * rate))
         events = CusumChangePointDetector().detect_events(
-            DayGroupedCounts.from_dict(counts)
+            DaySeries.from_dict(counts)
         )
         kinds = [(e.kind, e.change_day) for e in events]
         assert kinds == [("onset", 12), ("offset", 22)]
@@ -107,10 +160,10 @@ class TestCusumEquivalence:
             rate = 0.9 if day < 15 else 0.0
             counts[("a.org", "DE", day)] = (20, int(20 * rate))
         detector = CusumChangePointDetector(min_daily_measurements=5)
-        events = detector.detect_events(DayGroupedCounts.from_dict(counts))
+        events = detector.detect_events(DaySeries.from_dict(counts))
         assert [e.kind for e in events] == ["onset"]
         assert events == detector.detect_events_reference(
-            DayGroupedCounts.from_dict(counts)
+            DaySeries.from_dict(counts)
         )
 
     def test_parameter_validation(self):
@@ -128,9 +181,9 @@ class TestCusumEquivalence:
 # Resumable CUSUM state: split scans ≡ cold scans, checkpoints round-trip
 # ----------------------------------------------------------------------
 def truncated_day_counts(full, boundary):
-    """The first ``boundary`` days of a DayGroupedCounts, as its own table."""
+    """The first ``boundary`` days of a DaySeries, as its own series."""
     kept = {k: v for k, v in full.as_dict().items() if k[2] < boundary}
-    return DayGroupedCounts.from_dict(kept, n_days=boundary)
+    return DaySeries.from_dict(kept, n_days=boundary)
 
 
 class TestCusumResume:
@@ -156,6 +209,27 @@ class TestCusumResume:
         # A further resume over the same data is a no-op.
         assert detector.resume(state, full) == []
         assert state.events == cold
+
+    @given(full=drawn_day_counts(), detector=drawn_detectors, baselines=drawn_baselines,
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_splits_match_cold_scan(self, full, detector, baselines, data):
+        """Resumes at 0-3 drawn days, each through a JSON round trip of the
+        state, emit the cold scan's events, which equal the reference's."""
+        boundaries = sorted(
+            data.draw(st.lists(st.integers(0, full.n_days), max_size=3), label="splits")
+        )
+        cold = detector.detect_events(full, baselines)
+        assert cold == detector.detect_events_reference(full, baselines)
+        state = detector.initial_state(baselines)
+        emitted = []
+        for boundary in boundaries:
+            emitted.extend(detector.resume(state, truncated_day_counts(full, boundary)))
+            state = CusumState.from_payload(json.loads(json.dumps(state.to_payload())))
+        emitted.extend(detector.resume(state, full))
+        assert emitted == cold
+        assert state.events == cold
+        assert state.days_processed == full.n_days
 
     def test_checkpoint_roundtrip_mid_series(self, tmp_path):
         rng = np.random.default_rng(5)

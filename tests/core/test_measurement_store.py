@@ -25,16 +25,16 @@ from repro.core.inference import (
 )
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.query import (
-    dense_day_series,
     distinct_ip_count,
     grouped_success_counts,
     masked_grouped_success_counts,
+    run_query,
 )
 from repro.core.store import (
     ColumnAlignmentError,
-    DayGroupedCounts,
+    ColumnValueError,
+    DaySeries,
     DictColumn,
-    GroupedCounts,
     MeasurementStore,
 )
 from repro.core.tasks import TaskOutcome, TaskType
@@ -282,8 +282,8 @@ class TestDayBucketedCounts:
         store.append_rows(corpus)
         grouped = grouped_success_counts(store, exclude_automated=exclude_automated, by_day=True)
         assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
-        if len(grouped):
-            assert grouped.n_days > int(grouped.days.max())
+        # The day axis ends at the last measured day.
+        assert grouped.n_days == max((day + 1 for *_, day in grouped.as_dict()), default=0)
 
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=30, deadline=None)
@@ -359,17 +359,14 @@ class TestDayBucketedCounts:
             reference = grouped_success_counts(cold, exclude_automated, by_day=by_day)
             assert incremental.as_dict() == reference.as_dict()
             if by_day:
-                assert incremental.n_days == reference.n_days
-                assert incremental.as_dict() == reference_day_counts(
-                    corpus, exclude_automated
+                # The same pairs, in the same order, with the same day
+                # matrices as the row-list reference densified.
+                expected = DaySeries.from_dict(
+                    reference_day_counts(corpus, exclude_automated),
+                    n_days=reference.n_days,
                 )
-                # The dense monitor-loop accessor rides the same accumulator
-                # and must present the exact same cells in the same order as
-                # the ragged representation densified.
-                dense = dense_day_series(store, exclude_automated)
-                ragged = reference.cell_series()
-                assert dense.n_days == reference.n_days
-                for mine, theirs in zip(dense.cell_series(), ragged):
+                assert incremental.n_days == reference.n_days
+                for mine, theirs in zip(incremental.cell_series(), expected.cell_series()):
                     assert np.array_equal(mine, theirs)
             # After any cache-missing query, the fold watermark covers every
             # sealed segment exactly once.
@@ -416,8 +413,9 @@ class TestDayBucketedCounts:
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
-        grouped = masked_grouped_success_counts(
-            store, mask, exclude_automated=exclude_automated, by_day=True
+        grouped = run_query(
+            store, ("domain", "country", "day"), mask=mask,
+            exclude_automated=exclude_automated,
         )
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
         assert grouped.as_dict() == reference_day_counts(kept_rows, exclude_automated)
@@ -437,23 +435,32 @@ class TestDayBucketedCounts:
                     rebuilt[(domain, country, day)] = (
                         int(totals[index, day]), int(successes[index, day])
                     )
-        assert rebuilt == grouped.as_dict()
+        assert rebuilt == reference_day_counts(corpus)
 
     def test_from_dict_round_trip(self):
         counts = {("a.org", "DE", 3): (10, 7), ("a.org", "DE", 0): (4, 4),
                   ("b.org", "CN", 1): (8, 1)}
-        grouped = DayGroupedCounts.from_dict(counts)
+        grouped = DaySeries.from_dict(counts)
         assert grouped.as_dict() == counts
         assert grouped.n_days == 4
+        assert len(grouped) == 2
+        assert grouped.domains.tolist() == ["a.org", "b.org"]
 
     def test_from_dict_rejects_truncating_n_days(self):
         counts = {("a.org", "DE", 5): (3, 1)}
         with pytest.raises(ValueError):
-            DayGroupedCounts.from_dict(counts, n_days=3)
+            DaySeries.from_dict(counts, n_days=3)
         # Widening beyond the data is fine (trailing empty days).
-        widened = DayGroupedCounts.from_dict(counts, n_days=10)
+        widened = DaySeries.from_dict(counts, n_days=10)
         assert widened.n_days == 10
         assert widened.cell_series()[2].shape == (1, 10)
+
+    @pytest.mark.parametrize("n_days", [None, 6])
+    def test_from_dict_rejects_negative_days(self, n_days):
+        """Day -1 has no column: it used to land in the last one (or crash)."""
+        counts = {("a.org", "DE", -1): (5, 0), ("a.org", "DE", 3): (5, 5)}
+        with pytest.raises(ValueError, match="negative"):
+            DaySeries.from_dict(counts, n_days=n_days)
 
     def test_by_day_growing_day_axis_across_ordered_chunks(self):
         """Day-ordered ingestion (the longitudinal pattern) grows the
@@ -687,6 +694,24 @@ class TestIngestAlignment:
         with pytest.raises(ColumnAlignmentError):
             store.append_columns(**self.columns(0, client_ip=["10.0.0.1"]))
 
+    @pytest.mark.parametrize("name,value", [
+        ("day", [0, 0, 0, 1, -1]),
+        ("elapsed_ms", [10.0, float("nan"), 10.0, 10.0, 10.0]),
+        ("elapsed_ms", [10.0, 10.0, 10.0, float("inf"), 10.0]),
+    ])
+    def test_rejects_unusable_values_before_encoding(self, name, value):
+        """A negative day used to land in another pair's cell of the by-day
+        fold, and a NaN timing froze the vectorized timing CUSUM's statistic
+        (``np.maximum`` keeps NaN) where its scalar reference reset it."""
+        store = MeasurementStore()
+        with pytest.raises(ColumnValueError) as info:
+            store.append_columns(**self.columns(5, **{name: value}))
+        assert info.value.column == name
+        assert isinstance(info.value, ValueError)
+        assert len(store) == 0
+        assert store.version == 0
+        assert all(not table for table in store.value_tables().values())
+
 
 class TestGeoIPBatchLookup:
     @given(
@@ -764,12 +789,6 @@ class TestVectorizedDetectorMatchesSeed:
             binomial_cdf_cells([1], [-1], 0.5)
         with pytest.raises(ValueError):
             binomial_cdf_cells([1], [2], 1.5)
-
-    def test_grouped_counts_dict_round_trip(self):
-        counts = {("b.org", "US"): (10, 7), ("a.org", "CN"): (5, 1), ("a.org", "US"): (8, 8)}
-        grouped = GroupedCounts.from_dict(counts)
-        assert grouped.as_dict() == counts
-        assert [str(d) for d in grouped.domains] == ["a.org", "a.org", "b.org"]
 
 
 def small_deployment(seed=11, visits=600, **config_kwargs):

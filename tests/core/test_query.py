@@ -5,11 +5,11 @@ reduction; these tests pin its equivalence contract: every (keys,
 aggregates, mask, exclusions) combination must agree with
 ``run_query_reference`` — a per-row Python walk — on arbitrary corpora, with
 and without spilled segments and adopted (merged) stores, and so must each
-kernel wrapper (``grouped_success_counts``, ``masked_grouped_success_counts``,
-``dense_day_series``, ``distinct_ip_count``) on every store layout.  The
-fold-once incremental watermark, the ``store.query_folds`` counter, and the
-:class:`TimingCusumDetector` vectorized ≡ scalar convention are pinned here
-too.
+kernel wrapper (``grouped_success_counts`` in both shapes,
+``masked_grouped_success_counts``, ``distinct_ip_count``) on every store
+layout.  The fold-once incremental watermark, the ``store.query_folds``
+counter, and the :class:`TimingCusumDetector` vectorized ≡ scalar
+convention are pinned here too.
 """
 
 import json
@@ -31,8 +31,6 @@ from repro.core.query import (
     Query,
     SuccessCount,
     Sum,
-    TimingDaySeries,
-    dense_day_series,
     distinct_ip_count,
     grouped_success_counts,
     masked_grouped_success_counts,
@@ -40,7 +38,7 @@ from repro.core.query import (
     run_query_reference,
     timing_day_series,
 )
-from repro.core.store import MeasurementStore
+from repro.core.store import DaySeries, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Tracer
@@ -297,9 +295,10 @@ class TestWrappersPinned:
     @given(corpus=corpora, layout=st.sampled_from(LAYOUTS), split=st.integers(0, 60),
            exclude_automated=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_dense_day_series_pinned(self, corpus, layout, split, exclude_automated):
+    def test_day_series_pinned(self, corpus, layout, split, exclude_automated):
+        """``by_day=True`` equals the by-day reference cells densified."""
         with store_in_layout(corpus, layout, split) as store:
-            dense = dense_day_series(store, exclude_automated)
+            series = grouped_success_counts(store, exclude_automated, by_day=True)
             reference = run_query_reference(
                 store, success_keys(True), exclude_automated=exclude_automated
             )
@@ -312,26 +311,23 @@ class TestWrappersPinned:
             row = pairs.index((domain, country))
             totals[row, day] = n
             successes[row, day] = ok
-        assert dense.n_days == n_days
-        assert dense.domains.tolist() == [domain for domain, _ in pairs]
-        assert dense.countries.tolist() == [country for _, country in pairs]
-        assert np.array_equal(dense.totals, totals)
-        assert np.array_equal(dense.successes, successes)
+        assert series.n_days == n_days
+        assert series.domains.tolist() == [domain for domain, _ in pairs]
+        assert series.countries.tolist() == [country for _, country in pairs]
+        assert np.array_equal(series.counts, totals)
+        assert np.array_equal(series.values, successes)
 
     @given(corpus=corpora, layout=st.sampled_from(LAYOUTS), split=st.integers(0, 60),
-           exclude_automated=st.booleans(), by_day=st.booleans(),
-           mask_seed=st.integers(0, 2**16))
+           exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_masked_grouped_success_counts_pinned(self, corpus, layout, split,
-                                                  exclude_automated, by_day, mask_seed):
+                                                  exclude_automated, mask_seed):
         with store_in_layout(corpus, layout, split) as store:
             mask = np.random.default_rng(mask_seed).random(len(store)) < 0.5
             assert (
-                masked_grouped_success_counts(
-                    store, mask, exclude_automated, by_day=by_day
-                ).as_dict()
+                masked_grouped_success_counts(store, mask, exclude_automated).as_dict()
                 == run_query_reference(
-                    store, success_keys(by_day), mask=mask,
+                    store, success_keys(False), mask=mask,
                     exclude_automated=exclude_automated,
                 )
             )
@@ -410,23 +406,67 @@ class TestFoldOnceAndTelemetry:
 # ----------------------------------------------------------------------
 # Timing day series + TimingCusumDetector: vectorized ≡ scalar reference
 # ----------------------------------------------------------------------
-def random_timing_series(rng, cells=24, n_days=40, quantile=0.9):
-    """Synthetic per-pair daily quantiles with seeded throttle regimes."""
+def random_timing_series(rng, cells=24, n_days=40, empty_fraction=None, shifts=None):
+    """Synthetic per-pair daily quantiles with seeded throttle regimes.
+
+    ``shifts[cell]`` is ``(change, recovery, factor)``: the cell runs
+    ``factor`` times slower from ``change`` up to ``recovery``.  Drawn from
+    ``rng`` when not given, with every third cell left unshifted.
+    ``empty_fraction`` empties that share of the pair-days on top.
+    """
     domains = np.asarray([f"domain-{c % 5}.org" for c in range(cells)])
     countries = np.asarray([f"C{c % 7:02d}" for c in range(cells)])
     counts = rng.integers(0, 14, size=(cells, n_days))
+    if empty_fraction is not None:
+        counts[rng.random((cells, n_days)) < empty_fraction] = 0
     baselines = rng.uniform(150.0, 900.0, size=cells)
     values = baselines[:, None] * rng.uniform(0.85, 1.15, size=(cells, n_days))
     for cell in range(cells):
-        if cell % 3 == 0:
+        if shifts is not None:
+            change, recovery, factor = shifts[cell]
+        elif cell % 3 == 0:
             continue
-        change = int(rng.integers(6, n_days))
-        recovery = int(rng.integers(change, n_days + 8))
-        values[cell, change:recovery] *= float(rng.uniform(3.0, 7.0))
+        else:
+            change = int(rng.integers(6, n_days))
+            recovery = int(rng.integers(change, n_days + 8))
+            factor = float(rng.uniform(3.0, 7.0))
+        values[cell, change:recovery] *= factor
     values[counts == 0] = np.nan
-    return TimingDaySeries(
-        domains, countries, counts, values, n_days, quantile
+    return DaySeries(domains, countries, counts, values, n_days)
+
+
+@st.composite
+def drawn_timing_series(draw):
+    """A generated timing series: shape, empty-day fraction, throttle regimes."""
+    cells = draw(st.integers(1, 30))
+    n_days = draw(st.integers(1, 40))
+    shift = st.tuples(
+        st.integers(0, n_days), st.integers(0, n_days + 8), st.floats(1.0, 8.0)
     )
+    return random_timing_series(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        cells=cells,
+        n_days=n_days,
+        empty_fraction=draw(st.floats(0.0, 0.9)),
+        shifts=draw(st.lists(shift, min_size=cells, max_size=cells)),
+    )
+
+
+#: Any tuning the constructor accepts: slowdown - drift > 1 + drift and so on.
+drawn_timing_detectors = st.builds(
+    lambda drift, margin, threshold, min_daily, baseline_days: TimingCusumDetector(
+        slowdown=1.0 + 2.0 * drift + margin,
+        drift=drift,
+        threshold=threshold,
+        min_daily_measurements=min_daily,
+        baseline_days=baseline_days,
+    ),
+    st.floats(0.0, 0.5),
+    st.floats(0.05, 5.0),
+    st.floats(0.1, 4.0),
+    st.integers(1, 12),
+    st.integers(1, 8),
+)
 
 
 class TestTimingCusumEquivalence:
@@ -450,10 +490,15 @@ class TestTimingCusumEquivalence:
         assert fast == reference
         assert fast  # the seeded slowdowns are large; silence would be a bug
 
+    @given(series=drawn_timing_series(), detector=drawn_timing_detectors)
+    @settings(max_examples=25, deadline=None)
+    def test_generated_events_match_reference(self, series, detector):
+        assert detector.detect_events(series) == detector.detect_events_reference(series)
+
     def test_empty_series_detects_nothing(self):
-        empty = TimingDaySeries(
+        empty = DaySeries(
             np.empty(0, dtype=np.str_), np.empty(0, dtype=np.str_),
-            np.zeros((0, 10), dtype=np.int64), np.full((0, 10), np.nan), 10, 0.9,
+            np.zeros((0, 10), dtype=np.int64), np.full((0, 10), np.nan), 10,
         )
         detector = TimingCusumDetector()
         assert detector.detect_events(empty) == []
@@ -465,8 +510,8 @@ class TestTimingCusumEquivalence:
         counts = np.full((1, n_days), 30, dtype=np.int64)
         counts[0, :5] = 1  # below min_daily_measurements while training
         values = np.full((1, n_days), 5000.0)
-        series = TimingDaySeries(
-            np.asarray(["x.org"]), np.asarray(["DE"]), counts, values, n_days, 0.9
+        series = DaySeries(
+            np.asarray(["x.org"]), np.asarray(["DE"]), counts, values, n_days
         )
         detector = TimingCusumDetector(min_daily_measurements=5, baseline_days=5)
         assert detector.detect_events(series) == []
@@ -489,24 +534,15 @@ class TestTimingCusumEquivalence:
     @given(corpus=corpora, quantile=st.sampled_from((0.5, 0.9)))
     @settings(max_examples=30, deadline=None)
     def test_timing_day_series_matches_query_cells(self, corpus, quantile):
-        """The dense pair-day matrices re-ragged equal the cell query."""
+        """The day series' measured pair-days equal the cell query."""
         store = build_store(corpus)
         series = timing_day_series(store, quantile=quantile)
         expected = run_query_reference(
             store, ("domain", "country", "day"),
             (Count(), Quantiles("elapsed_ms", (quantile,))),
         )
-        ragged = {}
-        for pair in range(len(series)):
-            for day in range(series.n_days):
-                if series.counts[pair, day]:
-                    ragged[
-                        (str(series.domains[pair]), str(series.countries[pair]), day)
-                    ] = (
-                        int(series.counts[pair, day]),
-                        (float(series.values[pair, day]),),
-                    )
-        assert ragged == expected
+        cells = {key: (n, (value,)) for key, (n, value) in series.as_dict().items()}
+        assert cells == expected
         # NaN exactly where a pair-day has no filtered measurements.
         assert np.array_equal(np.isnan(series.values), series.counts == 0)
 
