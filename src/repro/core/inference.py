@@ -274,6 +274,23 @@ class BinomialFilteringDetector:
         domains, countries, totals, successes, _, p_values = self._scored_cells(counts)
         return self._statistics_from_cells(domains, countries, totals, successes, p_values)
 
+    def _decide(self, domains, totals, successes, priors, p_values):
+        """(detected mask, corroborating regions per cell) for scored cells.
+
+        The decision step every detection path shares: a cell is detected
+        when its test fails and another region of its domain corroborates.
+        """
+        failing = p_values <= self.significance
+        # A corroborating region must not merely "not fail the test" (a
+        # handful of measurements never fails it); it must actually show the
+        # resource loading at or above the modelled success rate.
+        passing = ~failing & (successes / totals >= priors)
+        _, domain_of = np.unique(domains, return_inverse=True)
+        corroborating = np.bincount(domain_of, weights=passing).astype(np.int64)[domain_of]
+        # With nothing corroborating, the resource looks broken everywhere
+        # (likely a site outage, not regional filtering).
+        return failing & (corroborating > 0), corroborating
+
     def detect_from_counts(self, counts) -> DetectionReport:
         """Run the test over per-region counts (query cells or a counts dict)."""
         domains, countries, totals, successes, priors, p_values = self._scored_cells(counts)
@@ -281,34 +298,18 @@ class BinomialFilteringDetector:
         report = DetectionReport(statistics=stats)
         if not stats:
             return report
-        failing = p_values <= self.significance
-        # A corroborating region must not merely "not fail the test" (a
-        # handful of measurements never fails it); it must actually show the
-        # resource loading at or above the modelled success rate.
-        rates = successes / totals
-        passing = ~failing & (rates >= priors)
-        corroborating: dict[str, int] = {}
-        for stat, is_passing in zip(stats, passing.tolist()):
-            if is_passing:
-                corroborating[stat.domain] = corroborating.get(stat.domain, 0) + 1
-        for stat, is_failing in zip(stats, failing.tolist()):
-            if not is_failing:
-                continue
-            passing_regions = corroborating.get(stat.domain, 0)
-            if not passing_regions:
-                # Either nothing corroborates, so the resource looks broken
-                # everywhere (likely a site outage, not regional filtering).
-                continue
-            report.detections.append(
-                FilteringDetection(
-                    domain=stat.domain,
-                    country_code=stat.country_code,
-                    measurements=stat.measurements,
-                    successes=stat.successes,
-                    p_value=stat.p_value,
-                    corroborating_regions=passing_regions,
-                )
+        detected, corroborating = self._decide(domains, totals, successes, priors, p_values)
+        report.detections = [
+            FilteringDetection(
+                domain=stats[cell].domain,
+                country_code=stats[cell].country_code,
+                measurements=stats[cell].measurements,
+                successes=stats[cell].successes,
+                p_value=stats[cell].p_value,
+                corroborating_regions=int(corroborating[cell]),
             )
+            for cell in np.flatnonzero(detected).tolist()
+        ]
         return report
 
     # ------------------------------------------------------------------

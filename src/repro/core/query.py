@@ -1023,6 +1023,47 @@ def masked_grouped_success_counts(
     )
 
 
+def pair_success_table(
+    part: dict[str, np.ndarray], shape: tuple[int, int], mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``(domain code, country code)`` totals and successes of some rows.
+
+    ``grouped_success_counts``'s reduction over ``part`` — the rows'
+    ``domain``, ``country``, ``outcome`` and ``automated`` columns — instead
+    of over a store: automated and inconclusive rows are excluded, and
+    ``mask`` restricts the rows further.  ``shape`` is the store's
+    ``(len(domain_values), len(country_values))``.  Tables of rows from
+    one store add and subtract, which is how an adversarial sweep splices
+    a cell's changed rows into its honest baseline; :func:`pair_cells`
+    reads a table back as the cells ``grouped_success_counts`` returns.
+    """
+    valid = _valid_rows(part, mask, True, True, len(part["domain"]))
+    flat = part["domain"][valid].astype(np.int64) * shape[1] + part["country"][valid]
+    size = shape[0] * shape[1]
+    totals = np.bincount(flat, minlength=size)
+    successes = np.bincount(
+        flat[part["outcome"][valid] == OUTCOME_SUCCESS], minlength=size
+    )
+    return totals.reshape(shape), successes.reshape(shape)
+
+
+def pair_cells(
+    store: "MeasurementStore", totals: np.ndarray, min_count: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat indices, domains, countries)`` of a pair table's cells.
+
+    The cells of ``totals`` (shaped like :func:`pair_success_table`'s)
+    holding at least ``min_count`` rows, decoded through ``store``'s value
+    tables and sorted by ``(domain, country)`` exactly as the kernel sorts
+    a :class:`QueryResult`.
+    """
+    flat = np.flatnonzero(totals.ravel() >= min_count)
+    domains = _decode_axis(store, "domain", flat // totals.shape[1])
+    countries = _decode_axis(store, "country", flat % totals.shape[1])
+    order = np.lexsort((countries, domains))
+    return flat[order], domains[order], countries[order]
+
+
 def distinct_ip_count(store: "MeasurementStore") -> int:
     """Distinct client addresses via the query kernel.
 

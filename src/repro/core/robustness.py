@@ -28,12 +28,17 @@ studied at campaign scale:
   the store path: each grid cell's forged corpus is sealed into ``.npz``
   segments plus a JSON manifest (the same seal/manifest/adopt machinery
   :mod:`repro.core.shard` uses for sharded campaigns, optionally fanned out
-  across worker processes), merged with the honest store by zero-copy
-  segment adoption into a per-cell poisoned store, and scored with the
-  binomial detector before and after reputation filtering.  Adoption also
-  hands each cell the honest corpus's client identity codes
+  across worker processes) and merged with the honest store by zero-copy
+  segment adoption into a per-cell poisoned store.  The honest corpus is
+  judged and scored once per sweep.  A cell reads only its forged rows
+  back and re-judges only what they can change: the (domain, country)
+  pairs they land in and the countries whose disagreement threshold they
+  move.  That slice's verdict and cell counts are spliced into the honest
+  baseline, which the binomial detector then scores before and after
+  reputation filtering.  Adoption also hands each cell the honest corpus's
+  client identity codes
   (:meth:`~repro.core.store.MeasurementStore.client_codes`), encoded once
-  for the whole grid, so a cell's filter encodes only its forged rows.
+  for the whole grid, so a cell encodes only its forged rows.
 """
 
 from __future__ import annotations
@@ -50,8 +55,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.collection import CollectionServer, ColumnarRecords, Measurement
-from repro.core.inference import BinomialFilteringDetector
-from repro.core.query import QueryResult, masked_grouped_success_counts
+from repro.core.inference import BinomialFilteringDetector, binomial_cdf_cells
+from repro.core.query import (
+    QueryResult,
+    masked_grouped_success_counts,
+    pair_cells,
+    pair_success_table,
+)
 from repro.core.shard import (
     MANIFEST_NAME,
     StoreMerger,
@@ -201,6 +211,16 @@ class PoisoningAttacker:
         return collection.ingest_columns(self.forge_columns(campaign))
 
 
+def _country_tallies(
+    country: np.ndarray, failed: np.ndarray, n_countries: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-country-code submission and failure tallies of coded rows."""
+    return (
+        np.bincount(country, minlength=n_countries),
+        np.bincount(country[failed], minlength=n_countries),
+    )
+
+
 @dataclass
 class ReputationReport:
     """What the filter kept, what it dropped, and why."""
@@ -328,7 +348,7 @@ class ReputationFilter:
         pair = domain.astype(np.int64) * len(countries) + country
         keep, dropped_rate, dropped_rep = self._columnar_verdict(
             pair, ip, failed, len(countries),
-            self._threshold_table(country, failed, len(countries)),
+            self._threshold_table(*_country_tallies(country, failed, len(countries))),
         )
         return ReputationReport(
             kept=[m for m, kept in zip(measurements, keep.tolist()) if kept],
@@ -359,7 +379,7 @@ class ReputationFilter:
         pair = domain * n_countries + country
         keep, dropped_rate, dropped_rep = self._columnar_verdict(
             pair, ip, failed, n_countries,
-            self._threshold_table(country, failed, n_countries),
+            self._threshold_table(*_country_tallies(country, failed, n_countries)),
         )
         return StoreReputationReport(
             store=store,
@@ -368,15 +388,9 @@ class ReputationFilter:
             dropped_low_reputation=dropped_rep,
         )
 
-    def _threshold_table(
-        self, country: np.ndarray, failed: np.ndarray, n_countries: int
-    ) -> np.ndarray:
-        """Per-country-code disagreement thresholds for this corpus."""
-        rows = np.bincount(country, minlength=n_countries)
-        fails = np.bincount(country[failed], minlength=n_countries)
-        return np.asarray(
-            self._country_thresholds(rows, fails), dtype=np.float64
-        )
+    def _threshold_table(self, rows: np.ndarray, fails: np.ndarray) -> np.ndarray:
+        """Per-country-code disagreement thresholds for a corpus's tallies."""
+        return np.asarray(self._country_thresholds(rows, fails), dtype=np.float64)
 
     def _columnar_verdict(
         self, pair: np.ndarray, ip: np.ndarray, failed: np.ndarray,
@@ -724,8 +738,17 @@ class AdversarySweep:
     the honest store's segments are shared zero-copy, the forged segments
     merged through a :class:`~repro.core.shard.StoreMerger` — and scores the
     cell: what the binomial detector flags on the raw poisoned store, and
-    what it still flags after :meth:`ReputationFilter.apply_store`.  No
-    :class:`Measurement` row is ever materialized.
+    what it still flags after :meth:`ReputationFilter.apply_store`.  Both
+    answers equal those of the full ``detect`` / ``apply_store`` /
+    ``detect_from_counts`` path on the poisoned store, but a cell pays only
+    for its forged rows and the slice of honest rows they can change: the
+    honest verdict and cell tables are computed once per :meth:`run`, and
+    each cell re-judges the honest rows of the pairs its forged rows land
+    in and of the countries whose disagreement threshold they move, then
+    re-scores the cells whose counts or priors changed.  No
+    :class:`Measurement` row is ever materialized, and budgets with
+    negative ``submissions`` or fewer than one identity are rejected before
+    anything is forged.
 
     ``fabricate_blocking=False`` runs the *masking* direction of §8: each
     budget floods success reports over a real detection (point
@@ -776,6 +799,11 @@ class AdversarySweep:
         """Score every ``(submissions, identities)`` budget against ``collection``."""
         store = collection.store if isinstance(collection, CollectionServer) else collection
         budgets = [(int(submissions), int(identities)) for submissions, identities in budgets]
+        for budget in budgets:
+            if budget[0] < 0 or budget[1] < 1:
+                raise ValueError(
+                    f"sweep budget {budget} needs submissions >= 0 and identities >= 1"
+                )
         temporary = self.spill_dir is None
         root = (
             Path(tempfile.mkdtemp(prefix="adversary-sweep-")) if temporary else self.spill_dir
@@ -792,6 +820,8 @@ class AdversarySweep:
                     with self.tracer.span("forge", cells=len(payloads)):
                         self._forge_pending(manifests, payloads)
                     get_registry().counter("sweep.cells_forged").add(len(payloads))
+                with self.tracer.span("baseline", rows=len(store)):
+                    baseline = _HonestBaseline(store, self.detector, self.reputation)
                 cells = []
                 for index, (submissions, identities) in enumerate(budgets):
                     with self.tracer.span(
@@ -803,7 +833,7 @@ class AdversarySweep:
                     ):
                         cells.append(
                             self._score_cell(
-                                store, manifests[index], submissions, identities,
+                                baseline, manifests[index], submissions, identities,
                                 (target_domain, country_code),
                             )
                         )
@@ -883,30 +913,252 @@ class AdversarySweep:
 
     def _score_cell(
         self,
-        honest: MeasurementStore,
+        baseline: "_HonestBaseline",
         manifest: dict,
         submissions: int,
         identities: int,
         target_pair: tuple[str, str],
     ) -> SweepCell:
-        """Merge one cell's poisoned store and run both detection passes."""
+        """Merge one cell's poisoned store and splice its verdicts into the baseline."""
         poisoned = MeasurementStore()
-        poisoned.adopt_segments_from(honest)
+        poisoned.adopt_segments_from(baseline.store)
         StoreMerger(poisoned).merge([manifest])
-        naive = self.detector.detect(poisoned).detected_pairs()
-        verdict = self.reputation.apply_store(poisoned)
-        defended = self.detector.detect_from_counts(
-            verdict.success_counts()
-        ).detected_pairs()
+        naive, defended, dropped_rate_limited, dropped_low_reputation = baseline.judge(poisoned)
         return SweepCell(
             submissions=submissions,
             identities=identities,
             forged=int(manifest["counters"]["stored"]),
             poisoned_rows=len(poisoned),
-            naive_pairs=frozenset(naive),
-            defended_pairs=frozenset(defended),
-            dropped_rate_limited=verdict.dropped_rate_limited,
-            dropped_low_reputation=verdict.dropped_low_reputation,
+            naive_pairs=naive,
+            defended_pairs=defended,
+            dropped_rate_limited=dropped_rate_limited,
+            dropped_low_reputation=dropped_low_reputation,
             target_pair=target_pair,
             fabricate_blocking=self.fabricate_blocking,
         )
+
+
+#: The columns a cell's verdict and cell tables read, besides client codes.
+_CELL_COLUMNS = ("domain", "country", "outcome", "automated")
+
+
+def _grown(table: np.ndarray, shape: tuple[int, ...], fill=0) -> np.ndarray:
+    """``table`` padded with ``fill`` out to ``shape``.
+
+    A poisoned store's value tables are the honest store's plus whatever
+    new values its forged rows bring, so honest codes index it unchanged.
+    """
+    if table.shape == shape:
+        return table
+    grown = np.full(shape, fill, dtype=table.dtype)
+    grown[tuple(slice(0, length) for length in table.shape)] = table
+    return grown
+
+
+@dataclass(frozen=True)
+class _Scores:
+    """One detection pass over a dense (domain code, country code) table.
+
+    ``priors`` and ``p_values`` are NaN where the detector scored no cell.
+    """
+
+    totals: np.ndarray
+    successes: np.ndarray
+    priors: np.ndarray
+    p_values: np.ndarray
+    detected: frozenset[tuple[str, str]]
+
+
+def _score(
+    detector: BinomialFilteringDetector,
+    store: MeasurementStore,
+    totals: np.ndarray,
+    successes: np.ndarray,
+    known: _Scores | None = None,
+) -> _Scores:
+    """Score a pair table as ``detect_from_counts`` scores the same cells.
+
+    ``_cell_priors`` sees the whole table, so a prior that depends on other
+    cells stays exact; only cells whose (n, s, prior) differ from
+    ``known``'s get their binomial tail evaluated again.
+    """
+    shape = totals.shape
+    flat, domains, countries = pair_cells(store, totals, detector.min_measurements)
+    n = totals.ravel()[flat]
+    s = successes.ravel()[flat]
+    priors = np.asarray(detector._cell_priors(domains, countries, n, s), dtype=np.float64)
+    p_values = np.empty(len(flat))
+    fresh = np.ones(len(flat), dtype=bool)
+    if known is not None:
+        fresh = ~(
+            (_grown(known.totals, shape).ravel()[flat] == n)
+            & (_grown(known.successes, shape).ravel()[flat] == s)
+            & (_grown(known.priors, shape, np.nan).ravel()[flat] == priors)
+        )
+        p_values[~fresh] = _grown(known.p_values, shape, np.nan).ravel()[flat[~fresh]]
+    p_values[fresh] = binomial_cdf_cells(s[fresh], n[fresh], priors[fresh])
+    detected, _ = detector._decide(domains, n, s, priors, p_values)
+    dense_priors = np.full(totals.size, np.nan)
+    dense_priors[flat] = priors
+    dense_p_values = np.full(totals.size, np.nan)
+    dense_p_values[flat] = p_values
+    return _Scores(
+        totals,
+        successes,
+        dense_priors.reshape(shape),
+        dense_p_values.reshape(shape),
+        frozenset(zip(domains[detected].tolist(), countries[detected].tolist())),
+    )
+
+
+class _HonestBaseline:
+    """The honest corpus, judged and scored once per :meth:`AdversarySweep.run`.
+
+    A cell's poisoned store is the honest rows followed by its forged rows.
+    The reputation verdict decides each (domain, country) pair from that
+    pair's rows alone, in store order, under its country's disagreement
+    threshold.  So forged rows can change the verdict only of the pairs
+    they land in and of the countries whose threshold they move, and the
+    naive cell table only in the pairs they land in.  :meth:`judge`
+    re-judges that slice with ``_columnar_verdict`` and splices the slice's
+    drop tallies and the cell counts of its kept rows into this baseline.
+    """
+
+    def __init__(
+        self,
+        store: MeasurementStore,
+        detector: BinomialFilteringDetector,
+        reputation: ReputationFilter,
+    ) -> None:
+        self.store = store
+        self.detector = detector
+        self.reputation = reputation
+        self.rows = len(store)
+        verdict = reputation.apply_store(store)
+        self.keep = verdict.keep_mask
+        self.dropped = np.array(
+            [verdict.dropped_rate_limited, verdict.dropped_low_reputation], dtype=np.int64
+        )
+        self.columns = {name: store.column(name) for name in _CELL_COLUMNS}
+        self.ip = store.client_codes()
+        self.failed = self.columns["outcome"] == OUTCOME_FAILURE
+        self.country = self.columns["country"].astype(np.int64)
+        # The thresholds apply_store gave: one per country code up to the
+        # largest in the rows.
+        self.n_countries = int(self.country.max()) + 1 if self.rows else 0
+        self.tallies = _country_tallies(self.country, self.failed, self.n_countries)
+        self.thresholds = (
+            reputation._threshold_table(*self.tallies) if self.rows else np.zeros(0)
+        )
+        self.shape = (len(store.domain_values), len(store.country_values))
+        self.pair = self.columns["domain"].astype(np.int64) * self.shape[1] + self.country
+        self.naive = _score(detector, store, *pair_success_table(self.columns, self.shape))
+        self.defended = _score(
+            detector, store, *pair_success_table(self.columns, self.shape, self.keep)
+        )
+        #: (touched pairs, moved countries) -> the honest corpus outside them.
+        self._outside: dict[tuple[bytes, bytes], tuple] = {}
+
+    def _outside_slice(self, pairs: np.ndarray, countries: np.ndarray) -> tuple:
+        """The honest rows of ``pairs`` and ``countries``, and the baseline without them.
+
+        Returns ``(rows, dropped, totals, successes)``: the slice's honest
+        rows in store order, then the drop tallies and defended cell table
+        of every honest row outside it.  Cells of one sweep mostly touch
+        the same slice, so each distinct one is judged once.
+        """
+        key = (pairs.tobytes(), countries.tobytes())
+        outside = self._outside.get(key)
+        if outside is None:
+            rows = np.flatnonzero(np.isin(self.pair, pairs) | np.isin(self.country, countries))
+            dropped = self.dropped
+            if len(rows):
+                _, rate, reputation = self.reputation._columnar_verdict(
+                    self.pair[rows], self.ip[rows], self.failed[rows],
+                    self.shape[1], self.thresholds,
+                )
+                dropped = dropped - (rate, reputation)
+            kept, kept_successes = pair_success_table(
+                {name: column[rows] for name, column in self.columns.items()},
+                self.shape, self.keep[rows],
+            )
+            outside = self._outside[key] = (
+                rows, dropped,
+                self.defended.totals - kept, self.defended.successes - kept_successes,
+            )
+        return outside
+
+    def judge(self, poisoned: MeasurementStore) -> tuple[frozenset, frozenset, int, int]:
+        """``(naive pairs, defended pairs, rate-limited drops, reputation drops)``.
+
+        What ``detect``, ``apply_store`` and ``detect_from_counts`` give on
+        ``poisoned``, an empty store that adopted this baseline's store (so
+        honest rows keep their codes) and then gained the forged rows; only
+        the forged rows are read from it.
+        """
+        forged = poisoned.columns_from(_CELL_COLUMNS, self.rows)
+        forged_ip = poisoned.client_codes()[self.rows:]
+        forged_failed = forged["outcome"] == OUTCOME_FAILURE
+        forged_domain = forged["domain"].astype(np.int64)
+        forged_country = forged["country"].astype(np.int64)
+        shape = (len(poisoned.domain_values), len(poisoned.country_values))
+
+        # The thresholds apply_store would give the poisoned store, and the
+        # honest countries whose threshold the forged rows move.
+        n_countries = max(self.n_countries, int(forged_country.max(initial=-1)) + 1)
+        tallies = [
+            _grown(honest, (n_countries,)) + forged_tally
+            for honest, forged_tally in zip(
+                self.tallies, _country_tallies(forged_country, forged_failed, n_countries)
+            )
+        ]
+        thresholds = (
+            self.reputation._threshold_table(*tallies) if n_countries else np.zeros(0)
+        )
+        moved = np.flatnonzero(thresholds[: self.n_countries] != self.thresholds)
+
+        # The pairs the forged rows land in, as honest pair codes.
+        touched_domain, touched_country = np.divmod(
+            np.unique(forged_domain * shape[1] + forged_country), shape[1]
+        )
+        honest = (touched_domain < self.shape[0]) & (touched_country < self.shape[1])
+        touched = touched_domain[honest] * self.shape[1] + touched_country[honest]
+        rows, dropped, defended_totals, defended_successes = self._outside_slice(
+            touched, moved
+        )
+
+        sliced = {
+            name: np.concatenate([self.columns[name][rows], forged[name]])
+            for name in _CELL_COLUMNS
+        }
+        pair = (
+            sliced["domain"].astype(np.int64) * shape[1]
+            + sliced["country"].astype(np.int64)
+        )
+        keep = np.zeros(0, dtype=bool)
+        if len(pair):
+            keep, rate, reputation = self.reputation._columnar_verdict(
+                pair,
+                np.concatenate([self.ip[rows], forged_ip]),
+                np.concatenate([self.failed[rows], forged_failed]),
+                shape[1],
+                thresholds,
+            )
+            dropped = dropped + (rate, reputation)
+        get_registry().counter("sweep.rows_rejudged").add(len(pair))
+
+        forged_totals, forged_successes = pair_success_table(forged, shape)
+        kept_totals, kept_successes = pair_success_table(sliced, shape, keep)
+        naive = _score(
+            self.detector, poisoned,
+            _grown(self.naive.totals, shape) + forged_totals,
+            _grown(self.naive.successes, shape) + forged_successes,
+            self.naive,
+        )
+        defended = _score(
+            self.detector, poisoned,
+            _grown(defended_totals, shape) + kept_totals,
+            _grown(defended_successes, shape) + kept_successes,
+            self.defended,
+        )
+        return naive.detected, defended.detected, int(dropped[0]), int(dropped[1])

@@ -35,6 +35,7 @@ instead:
 from __future__ import annotations
 
 import tempfile
+import zipfile
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -109,6 +110,25 @@ class ColumnAlignmentError(ValueError):
     def __init__(self, column: str, problem: str) -> None:
         super().__init__(f"column {column!r}: {problem}")
         self.column = column
+
+
+class SegmentRowsError(ValueError):
+    """A spilled segment does not hold the rows its store declared for it.
+
+    Raised when a segment ``.npz`` is read: a column whose length differs
+    from the rows the segment was mounted with (a manifest declaring too
+    many or too few), or a file that is not a readable archive at all
+    (``found`` is then ``None``).  ``path`` names the segment file.
+    """
+
+    def __init__(self, path: Path, declared: int, found: int | None) -> None:
+        found_text = "an unreadable archive" if found is None else f"{found} rows"
+        super().__init__(
+            f"segment {path}: declared {declared} rows, found {found_text}"
+        )
+        self.path = path
+        self.declared = declared
+        self.found = found
 
 
 def _check_alignment(n: int, columns: dict) -> None:
@@ -423,19 +443,26 @@ class _Segment:
         return translation[values]
 
     def column(self, name: str) -> np.ndarray:
-        if self.columns is not None:
-            return self._translated(name, self.columns[name])
-        assert self.path is not None
-        with np.load(self.path) as data:
-            return self._translated(name, data[name])
+        return self.load_columns((name,))[name]
 
     def load_columns(self, names: Sequence[str]) -> dict[str, np.ndarray]:
-        """Several columns with one file open (streamed aggregation path)."""
+        """Several columns with one file open (streamed aggregation path).
+
+        A spilled column whose length is not the segment's, or a file that
+        is no readable archive, raises :class:`SegmentRowsError`.
+        """
         if self.columns is not None:
             return {name: self._translated(name, self.columns[name]) for name in names}
         assert self.path is not None
-        with np.load(self.path) as data:
-            return {name: self._translated(name, data[name]) for name in names}
+        try:
+            with np.load(self.path) as data:
+                columns = {name: data[name] for name in names}
+        except (zipfile.BadZipFile, EOFError) as error:
+            raise SegmentRowsError(self.path, self.length, None) from error
+        for values in columns.values():
+            if len(values) != self.length:
+                raise SegmentRowsError(self.path, self.length, len(values))
+        return {name: self._translated(name, values) for name, values in columns.items()}
 
     def spill(self, path: Path) -> None:
         assert self.columns is not None
@@ -938,6 +965,35 @@ class MeasurementStore:
             ):
                 self._column_cache[name] = cached
         return cached
+
+    def columns_from(self, names: Sequence[str], start: int) -> dict[str, np.ndarray]:
+        """Rows ``start`` onward of each column in ``names``, reading only their segments.
+
+        Segments (and pending chunks) wholly before ``start`` are never
+        opened, and each one after it is opened once for all ``names`` —
+        how an adversarial sweep reads a poisoned store's forged rows
+        without re-reading the honest segments in front of them.
+        """
+        for name in names:
+            if name not in _COLUMN_DTYPES:
+                raise KeyError(f"unknown column {name!r}")
+        sources = [(seg.length, seg.load_columns) for seg in self._segments]
+        sources += [
+            (len(chunk["day"]), lambda wanted, chunk=chunk: {n: chunk[n] for n in wanted})
+            for chunk in self._pending
+        ]
+        pieces: dict[str, list[np.ndarray]] = {name: [] for name in names}
+        offset = 0
+        for length, load in sources:
+            if offset + length > start:
+                part = load(names)
+                for name in names:
+                    pieces[name].append(part[name][max(start - offset, 0):])
+            offset += length
+        return {
+            name: np.concatenate(parts) if parts else np.empty(0, dtype=_COLUMN_DTYPES[name])
+            for name, parts in pieces.items()
+        }
 
     def client_codes(self) -> np.ndarray:
         """Per-row client identity codes: rows share a code iff they share ``client_ip``.

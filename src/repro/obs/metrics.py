@@ -26,6 +26,7 @@ Metric names in use across the tree (dotted, lowercase):
 ``longitudinal.epochs_run``    epochs executed by the engine
 ``longitudinal.epochs_resumed``  epochs adopted from checkpoints instead
 ``sweep.cells_forged``         adversary grid cells forged
+``sweep.rows_rejudged``        rows adversary grid cells' reputation verdicts judged
 ``process.peak_rss_kb``        gauge: ``ru_maxrss`` of this process
 =============================  =====================================================
 """

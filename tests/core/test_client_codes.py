@@ -8,22 +8,37 @@ built by appending the same rows directly — over resident, spilled and
 shard-merged sources, identities that collide across the honest and forged
 rows, sources that grow after adoption, and chains of adoptions — and that
 the verdict kernel depends only on which rows share an identity, never on
-how identities are numbered.
+how identities are numbered.  An ``AdversarySweep`` judges each cell by
+splicing the pairs its forged rows touch into an honest baseline; its
+cells must equal the full path composed here from public APIs — adopt,
+merge, then filter and detect the whole poisoned store.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.collection import Measurement
+from repro.core.inference import AdaptiveFilteringDetector, BinomialFilteringDetector
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.robustness import ReputationFilter
-from repro.core.shard import StoreMerger, segment_row_counts, serialize_value_tables
+from repro.core.robustness import (
+    AdaptiveReputationFilter,
+    AdversarySweep,
+    ReputationFilter,
+    SweepCell,
+)
+from repro.core.shard import (
+    StoreMerger,
+    read_manifest,
+    segment_row_counts,
+    serialize_value_tables,
+)
 from repro.core.store import MeasurementStore, _ClientCodes
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.obs.metrics import get_registry
+from repro.population.geoip import GeoIPDatabase
 from repro.web.url import URL
 
 DOMAINS = ("facebook.com", "youtube.com", "twitter.com")
@@ -38,14 +53,15 @@ LAYOUTS = ("resident", "spilled", "merged")
 FILTER = ReputationFilter(max_submissions_per_client=3)
 
 
-def rows_from(addresses, max_size=40):
+def rows_from(addresses, max_size=40, domains=DOMAINS, countries=COUNTRIES, min_size=0):
     return st.lists(
         st.tuples(
-            st.sampled_from(DOMAINS),
-            st.sampled_from(COUNTRIES),
+            st.sampled_from(domains),
+            st.sampled_from(countries),
             st.sampled_from(addresses),
             st.sampled_from(list(TaskOutcome)),
         ),
+        min_size=min_size,
         max_size=max_size,
     )
 
@@ -320,3 +336,161 @@ class TestClientCodeCache:
             encoded + honest + sum(submissions for submissions, _ in budgets),
             reused + 16 * honest,
         )
+
+
+# ----------------------------------------------------------------------
+# Sweep cells against the full poisoned-store path
+# ----------------------------------------------------------------------
+#: Honest rows of the sweep tests: two domains and two countries among few
+#: clients, so most pairs have a dominant client whose verdict a moved
+#: threshold can flip.  All but the first address are among the first a
+#: fresh attacker's GeoIP allocator hands out in US or DE, so forged and
+#: honest identities collide.
+SWEEP_DOMAINS, SWEEP_COUNTRIES = DOMAINS[:2], COUNTRIES[:2]
+SWEEP_ADDRESSES = ("172.16.0.1",) + tuple(
+    GeoIPDatabase().ips_at("US", [0, 1]) + GeoIPDatabase().ips_at("DE", [0])
+)
+#: A target may name a pair, a domain or a country the honest rows lack.
+TARGET_DOMAINS = ("youtube.com", "example.org")
+TARGET_COUNTRIES = ("US", "DE", "FR")
+
+
+class GlobalThresholdFilter(ReputationFilter):
+    """Every country's threshold reads every country's tallies."""
+
+    def _country_thresholds(self, country_rows, country_fails):
+        overall = country_fails.sum() / max(int(country_rows.sum()), 1)
+        share = country_rows / max(int(country_rows.max(initial=0)), 1)
+        return np.clip(0.2 + 0.4 * overall + 0.2 * share, 0.05, 1.0)
+
+
+class PooledPriorDetector(BinomialFilteringDetector):
+    """Every cell's prior reads every scored cell."""
+
+    def _cell_priors(self, domains, countries, totals, successes):
+        pooled = successes.sum() / max(int(totals.sum()), 1)
+        return np.full(len(totals), min(0.9, max(0.3, 0.9 * pooled)))
+
+
+FILTERS = {
+    "base": lambda: ReputationFilter(max_submissions_per_client=3),
+    "adaptive": lambda: AdaptiveReputationFilter(
+        max_submissions_per_client=3, min_threshold=0.1, margin=0.05
+    ),
+    "global": lambda: GlobalThresholdFilter(max_submissions_per_client=3),
+}
+DETECTORS = {
+    "base": lambda: BinomialFilteringDetector(min_measurements=3),
+    "adaptive": lambda: AdaptiveFilteringDetector(min_measurements=3),
+    "pooled": lambda: PooledPriorDetector(min_measurements=3),
+}
+
+
+def full_path_cells(honest, sweep, root, target, budgets):
+    """Each cell as the full path scores it, from the manifests the sweep left."""
+    manifests = sorted(root.glob("cell-*/manifest.json"))
+    assert len(manifests) == len(budgets)
+    cells = []
+    for (submissions, identities), path in zip(budgets, manifests):
+        poisoned = MeasurementStore()
+        poisoned.adopt_segments_from(honest)
+        StoreMerger(poisoned).merge([read_manifest(path)])
+        verdict = sweep.reputation.apply_store(poisoned)
+        cells.append(SweepCell(
+            submissions=submissions,
+            identities=identities,
+            forged=len(poisoned) - len(honest),
+            poisoned_rows=len(poisoned),
+            naive_pairs=frozenset(sweep.detector.detect(poisoned).detected_pairs()),
+            defended_pairs=frozenset(
+                sweep.detector.detect_from_counts(verdict.success_counts()).detected_pairs()
+            ),
+            dropped_rate_limited=verdict.dropped_rate_limited,
+            dropped_low_reputation=verdict.dropped_low_reputation,
+            target_pair=target,
+            fabricate_blocking=sweep.fabricate_blocking,
+        ))
+    return cells
+
+
+def assert_sweep_matches_full_path(honest, sweep, root, target, budgets):
+    cells = sweep.run(honest, *target, budgets)
+    assert cells == full_path_cells(honest, sweep, root, target, budgets)
+    return cells
+
+
+class TestSweepMatchesFullPath:
+    @given(
+        honest=rows_from(
+            SWEEP_ADDRESSES, domains=SWEEP_DOMAINS, countries=SWEEP_COUNTRIES, min_size=4
+        ),
+        layout=st.sampled_from(LAYOUTS),
+        filter_kind=st.sampled_from(sorted(FILTERS)),
+        detector_kind=st.sampled_from(sorted(DETECTORS)),
+        fabricate=st.booleans(),
+        target=st.tuples(st.sampled_from(TARGET_DOMAINS), st.sampled_from(TARGET_COUNTRIES)),
+        budgets=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=30),
+                      st.integers(min_value=1, max_value=6)),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    # A success flood lowers US's adaptive threshold below the dominant
+    # facebook.com client's disagreement (1/3 against 0), so the pair the
+    # flood never touches loses that client.
+    @example(
+        honest=[
+            ("facebook.com", "US", address, outcome) for address, outcome in (
+                (SWEEP_ADDRESSES[1], TaskOutcome.SUCCESS),
+                (SWEEP_ADDRESSES[1], TaskOutcome.SUCCESS),
+                (SWEEP_ADDRESSES[1], TaskOutcome.FAILURE),
+                (SWEEP_ADDRESSES[0], TaskOutcome.SUCCESS),
+                (SWEEP_ADDRESSES[3], TaskOutcome.SUCCESS),
+                (SWEEP_ADDRESSES[1], TaskOutcome.SUCCESS),
+                (SWEEP_ADDRESSES[1], TaskOutcome.FAILURE),
+            )
+        ],
+        layout="resident", filter_kind="adaptive", detector_kind="base",
+        fabricate=False, target=("youtube.com", "US"), budgets=[(1, 1)], seed=0,
+    )
+    # No honest rows at all, and a cell with no forged rows either.
+    @example(
+        honest=[], layout="spilled", filter_kind="global", detector_kind="pooled",
+        fabricate=True, target=("example.org", "FR"), budgets=[(0, 1), (12, 2)], seed=1,
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_every_cell_equals_the_full_path(
+        self, honest, layout, filter_kind, detector_kind, fabricate, target, budgets, seed
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = source_store(measurements(honest, "honest"), layout, Path(tmp) / "honest")
+            sweep = AdversarySweep(
+                DETECTORS[detector_kind](), FILTERS[filter_kind](),
+                fabricate_blocking=fabricate, executor="inline",
+                spill_dir=Path(tmp) / "sweep", seed=seed,
+            )
+            assert_sweep_matches_full_path(store, sweep, Path(tmp) / "sweep", target, budgets)
+
+    def test_hook_overrides_that_read_every_country_or_cell(self, detection_result, tmp_path):
+        """Thresholds and priors that move everywhere re-judge and re-score everything."""
+        store = detection_result.collection.store
+        budgets = [(0, 1), (60, 2), (400, 8)]
+        for name, detector, reputation in (
+            ("thresholds", BinomialFilteringDetector(), GlobalThresholdFilter()),
+            ("priors", PooledPriorDetector(), ReputationFilter()),
+        ):
+            root = tmp_path / name
+            sweep = AdversarySweep(
+                detector, reputation, executor="inline", spill_dir=root, seed=3
+            )
+            rejudged = get_registry().counter("sweep.rows_rejudged").value
+            cells = assert_sweep_matches_full_path(
+                store, sweep, root, ("facebook.com", "DE"), budgets
+            )
+            rejudged = get_registry().counter("sweep.rows_rejudged").value - rejudged
+            if name == "thresholds":
+                # Forged rows move every country's threshold, so each cell
+                # with any re-judges every honest row besides its own.
+                assert rejudged == len(store) * 2 + 460
+            assert {cell.forged for cell in cells} == {0, 60, 400}

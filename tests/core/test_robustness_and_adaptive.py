@@ -1,6 +1,9 @@
 """Tests for the §8 robustness extensions and the adaptive detector."""
 
+import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from repro.core.robustness import (
     PoisoningCampaign,
     ReputationFilter,
 )
-from repro.core.store import MeasurementStore
+from repro.core.store import MeasurementStore, SegmentRowsError
 from repro.core.tasks import TaskOutcome
 from repro.population.geoip import GeoIPDatabase
 
@@ -480,3 +483,52 @@ class TestAdaptiveFilteringDetector:
         }
         assert expected <= report.detected_pairs()
         assert all(country in {"CN", "IR", "PK"} for _, country in report.detected_pairs())
+
+
+class TestSweepGuards:
+    """Bad budgets and damaged cached cells fail by name, before any scoring."""
+
+    @pytest.mark.parametrize("bad", [(-5, 4), (30, 0)])
+    def test_bad_budget_rejected_before_anything_is_made(
+        self, detection_result, tmp_path, bad
+    ):
+        root = tmp_path / "sweep"
+        root.mkdir()
+        with pytest.raises(ValueError, match=re.escape(f"sweep budget {bad}")):
+            detection_result.adversary_sweep(
+                "facebook.com", "DE", [(100, 4), bad], executor="inline",
+                spill_dir=str(root),
+            )
+        assert list(root.iterdir()) == []
+
+    @pytest.mark.parametrize("damage", ["20 rows too many", "20 rows too few", "truncated"])
+    def test_resumed_sweep_names_a_bad_cached_segment(
+        self, detection_result, tmp_path, damage
+    ):
+        root = tmp_path / "sweep"
+        budgets = [(500, 4)]
+        detection_result.adversary_sweep(
+            "facebook.com", "DE", budgets, executor="inline", spill_dir=str(root)
+        )
+        (manifest_path,) = root.glob("cell-*/manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        block = manifest["blocks"][0]
+        (segment,) = block["segments"]
+        path = Path(segment["path"])
+        if damage == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+            declared, found = 500, None
+        else:
+            shift = 20 if damage == "20 rows too many" else -20
+            segment["rows"] += shift
+            block["rows"] += shift
+            manifest_path.write_text(json.dumps(manifest))
+            declared, found = 500 + shift, 500
+        with pytest.raises(SegmentRowsError) as raised:
+            detection_result.adversary_sweep(
+                "facebook.com", "DE", budgets, executor="inline", spill_dir=str(root)
+            )
+        error = raised.value
+        assert (error.path, error.declared, error.found) == (path, declared, found)
+        assert str(path) in str(error)

@@ -28,7 +28,7 @@ from repro.core.shard import (
     write_json_atomic,
 )
 from repro.core.query import grouped_success_counts
-from repro.core.store import MeasurementStore
+from repro.core.store import MeasurementStore, SegmentRowsError
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.population.world import World, WorldConfig
 from repro.web.url import URL
@@ -495,6 +495,36 @@ class TestStoreMerger:
             grouped_success_counts(merged, exclude_automated=False).as_dict()
             == grouped_success_counts(reference, exclude_automated=False).as_dict()
         )
+
+
+    @pytest.mark.parametrize("misstated", [20, -20])
+    def test_misstated_segment_rows_name_the_segment(self, tmp_path, misstated):
+        writer = MeasurementStore(spill_dir=tmp_path)
+        writer.append_rows([self.measurement("alpha.org", "DE")] * 500)
+        manifest = self.manifest_for(writer, 0)
+        (segment,) = manifest["blocks"][0]["segments"]
+        segment["rows"] += misstated
+        merged = MeasurementStore()
+        StoreMerger(merged).merge([manifest])
+        with pytest.raises(SegmentRowsError) as raised:
+            grouped_success_counts(merged)
+        error = raised.value
+        assert (error.path, error.declared, error.found) == (
+            Path(segment["path"]), 500 + misstated, 500
+        )
+        assert segment["path"] in str(error)
+
+    def test_truncated_segment_names_the_segment(self, tmp_path):
+        writer = MeasurementStore(spill_dir=tmp_path)
+        writer.append_rows([self.measurement("alpha.org", "DE")] * 500)
+        manifest = self.manifest_for(writer, 0)
+        path = Path(manifest["blocks"][0]["segments"][0]["path"])
+        path.write_bytes(path.read_bytes()[:100])
+        merged = MeasurementStore()
+        StoreMerger(merged).merge([manifest])
+        with pytest.raises(SegmentRowsError) as raised:
+            merged.column("domain")
+        assert (raised.value.path, raised.value.declared, raised.value.found) == (path, 500, None)
 
 
 class TestCollectionServerStoreArgument:
