@@ -10,8 +10,11 @@ evenly over targets.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.reports import format_table
 from repro.core.inference import BinomialFilteringDetector
+from repro.core.query import masked_grouped_success_counts
 
 EXPECTED = {
     ("youtube.com", "PK"), ("youtube.com", "IR"), ("youtube.com", "CN"),
@@ -22,21 +25,24 @@ EXPECTED = {
 FRACTIONS = (0.02, 0.05, 0.1, 0.25, 0.5, 1.0)
 
 
-def recall_by_volume(measurements):
+def recall_by_volume(store):
+    """Detection over the first ``fraction`` of the store's rows, per fraction."""
     detector = BinomialFilteringDetector(min_measurements=10)
+    position = np.arange(len(store))
     rows = []
     for fraction in FRACTIONS:
-        prefix = measurements[: int(len(measurements) * fraction)]
-        detected = detector.detect_from_measurements(prefix).detected_pairs()
+        prefix = int(len(store) * fraction)
+        counts = masked_grouped_success_counts(store, position < prefix)
+        detected = detector.detect_from_counts(counts).detected_pairs()
         recall = len(detected & EXPECTED) / len(EXPECTED)
         spurious = len(detected - EXPECTED)
-        rows.append((fraction, len(prefix), recall, spurious))
+        rows.append((fraction, prefix, recall, spurious))
     return rows
 
 
 class TestSchedulingAblation:
     def test_volume_sweep(self, benchmark, detection_result):
-        rows = benchmark(recall_by_volume, detection_result.measurements)
+        rows = benchmark(recall_by_volume, detection_result.collection.store)
 
         print()
         print("Ablation — detection recall vs measurement volume:")

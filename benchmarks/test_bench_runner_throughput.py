@@ -43,7 +43,7 @@ def timed_campaign(mode: str) -> tuple[float, int]:
     started = time.perf_counter()
     result = deployment.run_campaign()
     elapsed = time.perf_counter() - started
-    return elapsed, len(result.measurements)
+    return elapsed, len(result.collection)
 
 
 class TestRunnerThroughput:

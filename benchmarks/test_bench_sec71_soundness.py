@@ -15,7 +15,7 @@ from repro.core.tasks import TaskOutcome, TaskType
 
 
 def soundness_rows(result, testbed):
-    report = build_soundness_report(result.measurements, testbed)
+    report = build_soundness_report(result.collection.store, testbed)
     return report, sorted(report.rows(), key=lambda r: r["task_type"])
 
 

@@ -9,6 +9,8 @@ in China and Iran, without flagging uncensored regions.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.reports import format_table
 
 EXPECTED_DETECTIONS = {
@@ -50,17 +52,17 @@ class TestSection72:
 
     def test_success_rate_contrast(self, detection_result):
         """Censoring regions show near-zero success; open regions near-perfect."""
-        collection = detection_result.collection
+        counts = detection_result.collection.success_counts()
         rows = []
         for domain, country, expect_blocked in [
             ("youtube.com", "PK", True), ("youtube.com", "US", False),
             ("facebook.com", "CN", True), ("facebook.com", "GB", False),
             ("twitter.com", "IR", True), ("twitter.com", "BR", False),
         ]:
-            measurements = collection.filtered(domain=domain, country_code=country)
-            assert measurements, (domain, country)
-            rate = sum(1 for m in measurements if m.succeeded) / len(measurements)
-            rows.append([domain, country, len(measurements), f"{rate:.2f}"])
+            assert (domain, country) in counts, (domain, country)
+            n, successes = counts[(domain, country)]
+            rate = successes / n
+            rows.append([domain, country, n, f"{rate:.2f}"])
             if expect_blocked:
                 assert rate <= 0.2
             else:
@@ -77,13 +79,16 @@ class TestSection72:
         """How few measurements suffice: rerun the test on truncated prefixes
         of the campaign and find where the known cases first appear."""
         from repro.core.inference import BinomialFilteringDetector
+        from repro.core.query import masked_grouped_success_counts
 
-        measurements = detection_result.measurements
+        store = detection_result.collection.store
+        position = np.arange(len(store))
         detector = BinomialFilteringDetector(min_measurements=10)
         first_complete = None
         for fraction in (0.1, 0.25, 0.5, 0.75, 1.0):
-            prefix = measurements[: int(len(measurements) * fraction)]
-            detected = detector.detect_from_measurements(prefix).detected_pairs()
+            prefix = position < int(len(store) * fraction)
+            counts = masked_grouped_success_counts(store, prefix)
+            detected = detector.detect_from_counts(counts).detected_pairs()
             if EXPECTED_DETECTIONS <= detected and first_complete is None:
                 first_complete = fraction
         print()

@@ -6,9 +6,9 @@ a few thousand origin-site visits, and runs the binomial filtering detector
 over the collected measurements.
 
 The collected corpus lives in a columnar ``MeasurementStore``
-(``result.collection.store``): queries like the per-detection success rates
-below are vectorized selections over its column arrays — no per-row
-``Measurement`` objects are ever materialized.
+(``result.collection.store``): the per-detection success rates below come
+from one grouped (domain, country) count over its column arrays — no
+per-row ``Measurement`` objects are ever materialized.
 
 Run with::
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro import CampaignConfig, EncoreDeployment, World, WorldConfig
 from repro.analysis.reports import format_table
+from repro.core.query import grouped_success_counts
 
 
 def main(seed: int = 1, visits: int = 5000) -> None:
@@ -50,14 +51,15 @@ def main(seed: int = 1, visits: int = 5000) -> None:
     )
 
     # The detector consumes the store's grouped (domain, country) cells; the
-    # per-detection context below comes from vectorized store selections.
+    # per-detection success rates below read the same cells.
     report = result.detect()
+    counts = grouped_success_counts(store).as_dict()
     rows = []
     for d in sorted(report.detections, key=lambda d: (d.domain, d.country_code)):
-        selection = store.select(domain=d.domain, country_code=d.country_code)
+        n, successes = counts[(d.domain, d.country_code)]
         rows.append([
             d.domain, d.country_code, d.measurements, d.successes,
-            f"{d.p_value:.2e}", f"{selection.success_rate:.2f}",
+            f"{d.p_value:.2e}", f"{successes / n:.2f}",
         ])
     print("Filtering detections (binomial test, p=0.7, alpha=0.05):")
     print(format_table(

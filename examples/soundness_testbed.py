@@ -26,10 +26,10 @@ def main(seed: int = 3, visits: int = 8000) -> None:
     deployment = EncoreDeployment.soundness_experiment(seed=seed, visits=visits)
     result = deployment.run_campaign()
     testbed_measurements = result.testbed_measurements()
-    print(f"Collected {len(result.measurements)} measurements, "
+    print(f"Collected {len(result.collection)} measurements, "
           f"{len(testbed_measurements)} against the testbed.\n")
 
-    report = build_soundness_report(result.measurements, deployment.testbed)
+    report = build_soundness_report(result.collection.store, deployment.testbed)
     rows = [
         [row["task_type"], row["measurements"], row["detection_rate"],
          row["false_positive_rate"], row["false_negative_rate"]]

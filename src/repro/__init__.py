@@ -13,8 +13,8 @@ browser model, and a global client population.
 Measurements are stored columnar: the collection server keeps the corpus in
 a struct-of-arrays :class:`~repro.core.store.MeasurementStore` (optionally
 spilling column segments to disk via ``CampaignConfig.max_rows_in_memory``),
-and the analysis queries it with vectorized selections and grouped
-reductions instead of looping over row lists.
+and the analysis queries it with row masks and grouped reductions instead
+of looping over row lists.
 
 Quick start::
 
@@ -27,9 +27,12 @@ Quick start::
         print(detection.domain, detection.country_code, detection.p_value)
 
     # Columnar queries over the collected corpus (no row materialization):
+    from repro.core.query import grouped_success_counts
+
     store = result.collection.store
-    pakistan = store.select(domain="youtube.com", country_code="PK")
-    print(pakistan.count, pakistan.success_rate)
+    counts = grouped_success_counts(store).as_dict()
+    n, ok = counts[("youtube.com", "PK")]
+    print(n, ok / n)
     for (domain, country), (n, ok) in store.query().as_dict().items():
         print(domain, country, n, ok)
 

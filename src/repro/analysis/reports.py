@@ -19,7 +19,7 @@ from repro.censor.policy import PolicyTimeline
 from repro.censor.testbed import CensorshipTestbed
 from repro.core.collection import Measurement
 from repro.core.inference import CensorshipEvent, CusumState
-from repro.core.store import TASK_TYPES, MeasurementStore
+from repro.core.store import OUTCOME_FAILURE, TASK_TYPES, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 
 
@@ -93,10 +93,11 @@ def build_soundness_report(
 ) -> SoundnessReport:
     """Compare testbed measurements against ground truth (paper §7.1).
 
-    Accepts either an iterable of :class:`Measurement` rows or a
-    :class:`~repro.core.store.MeasurementStore`, in which case the confusion
+    Pass a :class:`~repro.core.store.MeasurementStore`: the confusion
     counts come from one vectorized group-by over the store's code columns
-    (ground truth is resolved once per *distinct* testbed URL).
+    (ground truth is resolved once per *distinct* testbed URL).  An
+    iterable of :class:`Measurement` rows takes the readable per-row walk,
+    the reference the columnar path is pinned against.
     """
     if isinstance(measurements, MeasurementStore):
         return _soundness_from_store(measurements, testbed)
@@ -123,12 +124,12 @@ def build_soundness_report(
 def _soundness_from_store(store: MeasurementStore, testbed: CensorshipTestbed) -> SoundnessReport:
     """Columnar confusion counts: one bincount over (task, expected, reported)."""
     report = SoundnessReport()
-    selection = store.select(domain_suffix="encore-testbed.net")
-    if not len(selection):
+    mask = store.row_mask(domain_suffix="encore-testbed.net")
+    if not mask.any():
         return report
-    task = selection.column("task").astype(np.int64)
-    url = selection.column("url")
-    reported_filtered = selection.failed
+    task = store.column("task")[mask].astype(np.int64)
+    url = store.column("url")[mask]
+    reported_filtered = store.column("outcome")[mask] == OUTCOME_FAILURE
     expected_table = np.zeros(len(store.url_values), dtype=bool)
     for code in np.unique(url).tolist():
         expected_table[code] = testbed.expected_filtered(store.url_values[code].host)

@@ -32,7 +32,7 @@ from repro.core.task_generation import (
 from repro.core.scheduler import Scheduler, TaskPool
 from repro.core.coordination import CoordinationServer
 from repro.core.collection import CollectionServer, Measurement
-from repro.core.store import DaySeries, MeasurementStore, Selection
+from repro.core.store import DaySeries, MeasurementStore
 from repro.core.query import (
     Count,
     DenseResult,
@@ -105,7 +105,6 @@ __all__ = [
     "Measurement",
     "MeasurementStore",
     "DaySeries",
-    "Selection",
     "Count",
     "DenseResult",
     "DistinctCount",

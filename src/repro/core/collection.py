@@ -12,23 +12,22 @@ Referer stripped, obscuring which origin delivered them).
 Internally the server keeps the corpus in a columnar
 :class:`~repro.core.store.MeasurementStore` (struct of arrays, optional disk
 spill) rather than a Python list of records; :class:`Measurement` survives as
-the row view the store materializes on demand, and the query surface
-(``measurements``, :meth:`filtered`, :meth:`success_counts`, the distinct
-counters) is implemented on top of the store's vectorized queries.
+the row view :meth:`~repro.core.store.MeasurementStore.rows` materializes on
+demand.  The server's own surface — :meth:`success_counts`, the distinct
+counters and :meth:`summary` — is a handful of ``query()`` calls; anything
+else reads the store.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from repro.core.query import distinct_ip_count, grouped_success_counts
+from repro.core.query import Count, distinct_ip_count, grouped_success_counts
 from repro.core.store import DictColumn, MeasurementStore
-from repro.core.tasks import TaskOutcome, TaskResult, TaskType
-from repro.population.clients import Client
+from repro.core.tasks import TaskOutcome, TaskType
 from repro.population.geoip import GeoIPDatabase
 from repro.web.url import URL
 
@@ -180,41 +179,10 @@ class CollectionServer:
         )
         self.rejected_submissions = 0
         self.unreachable_submissions = 0
-        self._materialized: list[Measurement] | None = None
-        self._materialized_version = -1
 
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
-    def record(
-        self,
-        result: TaskResult,
-        client: Client,
-        origin_domain: str | None,
-        day: int = 0,
-        strip_referer: bool = False,
-    ) -> Measurement:
-        """Store a submission that reached the server (no network involved)."""
-        country = self.geoip.lookup(client.ip_address) or client.country_code
-        measurement = Measurement(
-            measurement_id=result.measurement_id,
-            task_type=result.task_type,
-            target_url=result.target_url,
-            target_domain=result.target_domain,
-            outcome=result.outcome,
-            elapsed_ms=result.elapsed_ms,
-            client_ip=client.ip_address,
-            country_code=country,
-            isp=client.isp,
-            browser_family=client.browser.family.value,
-            origin_domain=None if strip_referer else origin_domain,
-            day=day,
-            probe_time_ms=result.probe_time_ms,
-            is_automated=client.is_automated,
-        )
-        self.store.append_rows((measurement,))
-        return measurement
-
     def ingest_records(
         self, records: Iterable[SubmissionRecord | tuple], unreachable: int = 0
     ) -> int:
@@ -281,60 +249,20 @@ class CollectionServer:
         )
         return replace(columns, country_code=resolved).append_to(self.store)
 
-    def ingest_measurements(self, measurements: Iterable[Measurement]) -> int:
-        """Append already-built rows (forged submissions, replayed corpora)."""
-        return self.store.append_rows(measurements)
-
     # ------------------------------------------------------------------
     # Query API used by the analysis
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.store)
 
-    @property
-    def measurements(self) -> list[Measurement]:
-        """Every stored measurement, materialized as rows (cached snapshot).
-
-        The list is rebuilt only when the store has grown; do not mutate it —
-        append through :meth:`ingest_measurements` instead.
-        """
-        if self._materialized is None or self._materialized_version != self.store.version:
-            self._materialized = self.store.rows()
-            self._materialized_version = self.store.version
-        return self._materialized
-
-    def filtered(
-        self,
-        domain: str | None = None,
-        country_code: str | None = None,
-        task_type: TaskType | None = None,
-        exclude_automated: bool = True,
-        exclude_inconclusive: bool = True,
-    ) -> list[Measurement]:
-        """Measurements matching the given criteria.
-
-        Automated traffic is excluded by default, matching the paper's
-        exclusion of "erroneously contributed measurements (e.g., from Web
-        crawlers)" (§7.1).  Implemented as :meth:`MeasurementStore.select`
-        plus row materialization; callers that only need counts or rates
-        should query the selection directly.
-        """
-        return self.store.select(
-            domain=domain,
-            country_code=country_code,
-            task_type=task_type,
-            exclude_automated=exclude_automated,
-            exclude_inconclusive=exclude_inconclusive,
-        ).materialize()
-
     def distinct_ips(self) -> int:
         return distinct_ip_count(self.store)
 
     def distinct_countries(self) -> int:
-        return self.store.distinct_countries()
-
-    def measurements_by_country(self) -> Counter:
-        return self.store.measurements_by_country()
+        """Countries with at least one row (every row counts)."""
+        return len(self.store.query(
+            ("country",), (Count(),), exclude_automated=False, exclude_inconclusive=False,
+        ))
 
     def success_counts(
         self, exclude_automated: bool = True

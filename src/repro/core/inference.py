@@ -27,14 +27,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from repro.core.collection import Measurement
+from repro.core.collection import CollectionServer
 from repro.core.query import QueryResult, grouped_success_counts
 from repro.core.store import DaySeries, MeasurementStore
-from repro.core.tasks import TaskOutcome
 from repro.obs.metrics import get_registry
 
 
@@ -313,36 +311,22 @@ class BinomialFilteringDetector:
         return report
 
     # ------------------------------------------------------------------
-    def detect(self, collection) -> DetectionReport:
-        """Run the test over everything a collection server has gathered.
+    def detect(self, collection: "CollectionServer | MeasurementStore") -> DetectionReport:
+        """Run the test over every row of a collection server or a store.
 
-        Accepts a bare :class:`~repro.core.store.MeasurementStore` too (the
-        adversarial sweep scores poisoned stores directly) and prefers the
-        store's query cells (no intermediate dict); anything exposing a
-        ``success_counts()`` dict still works.
+        A :class:`~repro.core.collection.CollectionServer` is scored through
+        its store, and a bare :class:`~repro.core.store.MeasurementStore`
+        (the adversarial sweep scores poisoned stores directly) as is.
+        Anything else raises :class:`TypeError`: a reputation verdict's kept
+        rows are scored with ``detect_from_counts(verdict.success_counts())``.
         """
-        store = (
-            collection
-            if isinstance(collection, MeasurementStore)
-            else getattr(collection, "store", None)
-        )
-        if store is not None:
-            return self.detect_from_counts(grouped_success_counts(store))
-        return self.detect_from_counts(collection.success_counts())
-
-    def detect_from_measurements(self, measurements: Iterable[Measurement]) -> DetectionReport:
-        """Run the test over an explicit list of measurements."""
-        totals: dict[tuple[str, str], int] = {}
-        successes: dict[tuple[str, str], int] = {}
-        for m in measurements:
-            if m.is_automated or m.outcome is TaskOutcome.INCONCLUSIVE:
-                continue
-            key = (m.target_domain, m.country_code)
-            totals[key] = totals.get(key, 0) + 1
-            if m.succeeded:
-                successes[key] = successes.get(key, 0) + 1
-        counts = {key: (totals[key], successes.get(key, 0)) for key in totals}
-        return self.detect_from_counts(counts)
+        store = collection.store if isinstance(collection, CollectionServer) else collection
+        if not isinstance(store, MeasurementStore):
+            raise TypeError(
+                "detect() takes a CollectionServer or a MeasurementStore, "
+                f"not {type(collection).__name__}"
+            )
+        return self.detect_from_counts(grouped_success_counts(store))
 
 
 # ----------------------------------------------------------------------

@@ -111,11 +111,6 @@ class CampaignResult:
     mode: str
     feasibility: FeasibilityReport | None = None
 
-    @property
-    def measurements(self) -> list[Measurement]:
-        """Every collected measurement, materialized from the columnar store."""
-        return self.collection.measurements
-
     def detect(
         self,
         success_prior: float = 0.7,
@@ -167,18 +162,15 @@ class CampaignResult:
         )
         return sweep.run(self.collection, target_domain, country_code, budgets)
 
-    def _testbed_selection(self):
-        return self.collection.store.select(
+    def testbed_measurements(self) -> list[Measurement]:
+        """Every row measuring the §7.1 testbed, automated and inconclusive too."""
+        store = self.collection.store
+        mask = store.row_mask(
             domain_suffix="encore-testbed.net",
             exclude_automated=False,
             exclude_inconclusive=False,
         )
-
-    def testbed_measurements(self) -> list[Measurement]:
-        return self._testbed_selection().materialize()
-
-    def target_measurements(self) -> list[Measurement]:
-        return self._testbed_selection().invert().materialize()
+        return store.rows(np.flatnonzero(mask))
 
 
 class EncoreDeployment:

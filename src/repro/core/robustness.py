@@ -223,7 +223,7 @@ def _country_tallies(
 
 @dataclass
 class ReputationReport:
-    """What the filter kept, what it dropped, and why."""
+    """What :meth:`ReputationFilter.apply_reference` kept and dropped, and why."""
 
     kept: list[Measurement] = field(default_factory=list)
     dropped_rate_limited: int = 0
@@ -254,17 +254,14 @@ class StoreReputationReport:
 
     @property
     def kept_indices(self) -> np.ndarray:
+        """Kept row indices, the argument ``MeasurementStore.rows`` materializes."""
         return np.flatnonzero(self.keep_mask)
-
-    def kept_measurements(self) -> list[Measurement]:
-        return self.store.rows(self.kept_indices)
 
     def success_counts(self, exclude_automated: bool = True) -> QueryResult:
         """Per-(domain, country) totals over only the kept rows.
 
         Feed this to ``BinomialFilteringDetector.detect_from_counts`` to
-        re-run detection on the filtered corpus — the store-path equivalent
-        of detecting over ``report.kept`` — without materializing a row.
+        re-run detection on the filtered corpus without materializing a row.
         """
         return masked_grouped_success_counts(
             self.store, self.keep_mask, exclude_automated=exclude_automated
@@ -322,40 +319,6 @@ class ReputationFilter:
         return np.full(len(country_rows), self.disagreement_threshold)
 
     # ------------------------------------------------------------------
-    def apply(self, measurements: list[Measurement]) -> ReputationReport:
-        """Filter ``measurements`` and report what was kept and dropped.
-
-        Implemented as columnar group-bys over (domain, country, client)
-        keys — identical verdicts to the readable per-row
-        :meth:`apply_reference` walk (an equivalence the tests pin), at
-        array speed.
-        """
-        if not measurements:
-            return ReputationReport()
-        _, domain = np.unique(
-            np.asarray([m.target_domain for m in measurements], dtype=np.str_),
-            return_inverse=True,
-        )
-        countries, country = np.unique(
-            np.asarray([m.country_code for m in measurements], dtype=np.str_),
-            return_inverse=True,
-        )
-        _, ip = np.unique(
-            np.asarray([m.client_ip for m in measurements], dtype=np.str_),
-            return_inverse=True,
-        )
-        failed = np.asarray([m.failed for m in measurements], dtype=bool)
-        pair = domain.astype(np.int64) * len(countries) + country
-        keep, dropped_rate, dropped_rep = self._columnar_verdict(
-            pair, ip, failed, len(countries),
-            self._threshold_table(*_country_tallies(country, failed, len(countries))),
-        )
-        return ReputationReport(
-            kept=[m for m, kept in zip(measurements, keep.tolist()) if kept],
-            dropped_rate_limited=dropped_rate,
-            dropped_low_reputation=dropped_rep,
-        )
-
     def apply_store(
         self, collection: "MeasurementStore | CollectionServer"
     ) -> StoreReputationReport:
@@ -477,12 +440,12 @@ class ReputationFilter:
 
     # ------------------------------------------------------------------
     def apply_reference(self, measurements: list[Measurement]) -> ReputationReport:
-        """The readable per-row reference implementation of :meth:`apply`.
+        """The readable per-row reference implementation of :meth:`apply_store`.
 
         Kept verbatim from the original filter (the 0.5 constant became the
         per-country threshold lookup when the adaptive hook landed): the
-        equivalence tests pin that the columnar verdict matches this walk
-        row for row.
+        equivalence tests pin that the columnar verdict keeps exactly the
+        rows this walk keeps, in order, with the same drop tallies.
         """
         report = ReputationReport()
         thresholds = self.country_thresholds(measurements)
@@ -569,10 +532,6 @@ class ReputationFilter:
                 fails[i] += 1
         thresholds = np.asarray(self._country_thresholds(rows, fails), dtype=np.float64)
         return dict(zip(codes, thresholds.tolist()))
-
-    def filtered_measurements(self, measurements: list[Measurement]) -> list[Measurement]:
-        """Just the measurements that survive filtering."""
-        return self.apply(measurements).kept
 
 
 class AdaptiveReputationFilter(ReputationFilter):

@@ -50,16 +50,12 @@ visit position.  Campaign content is therefore invariant to batch size
 (batches are just progress/ingestion groupings sliced out of blocks), resume
 needs no replay, and any process can plan any block independently — the
 foundation of the :mod:`repro.core.shard` multi-process execution path.
-
-:class:`CampaignSweep` runs many campaign configurations (seeds × pinned
-countries × testbed fractions) against one shared ``World``, which is how
-parameter sweeps stay cheap enough to explore.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -1541,89 +1537,3 @@ class BatchExecutor:
                 elapsed_total = float(load.elapsed)
             walked.append((code, elapsed_total, probe_time))
         return walked
-
-
-# ----------------------------------------------------------------------
-# Campaign sweeps
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepRecord:
-    """Summary of one campaign configuration inside a sweep."""
-
-    seed: int
-    country_code: str | None
-    testbed_fraction: float
-    visits: int
-    measurements: int
-    countries: int
-    unreachable_submissions: int
-    detected_pairs: frozenset
-    duration_s: float
-
-    @property
-    def visits_per_second(self) -> float:
-        return self.visits / self.duration_s if self.duration_s > 0 else float("inf")
-
-
-class CampaignSweep:
-    """Runs many campaign configurations against one shared :class:`World`.
-
-    Building a world (sites, censors, population) dominates small-campaign
-    runtime, so sweeping seeds × pinned countries × testbed fractions reuses
-    a single world and restores its global interceptor list between
-    deployments (each deployment attaches its own testbed censors).
-    """
-
-    def __init__(self, world=None, base_config=None, mode: str = "batch") -> None:
-        from repro.core.pipeline import CampaignConfig
-        from repro.population.world import World
-
-        self.world = world or World()
-        self.base_config = base_config or CampaignConfig()
-        self.mode = mode
-
-    def run(
-        self,
-        seeds: Iterable[int] = (0,),
-        countries: Iterable[str | None] = (None,),
-        testbed_fractions: Iterable[float | None] = (None,),
-        visits: int | None = None,
-    ) -> list[SweepRecord]:
-        from repro.core.pipeline import EncoreDeployment
-
-        records = []
-        for seed in seeds:
-            for country in countries:
-                for fraction in testbed_fractions:
-                    config = replace(
-                        self.base_config,
-                        seed=seed,
-                        country_code=country,
-                        testbed_fraction=(
-                            fraction if fraction is not None
-                            else self.base_config.testbed_fraction
-                        ),
-                        visits=visits if visits is not None else self.base_config.visits,
-                    )
-                    interceptors_before = list(self.world.global_interceptors)
-                    started = monotonic()
-                    try:
-                        deployment = EncoreDeployment(self.world, config)
-                        result = deployment.run_campaign(mode=self.mode)
-                    finally:
-                        self.world.global_interceptors[:] = interceptors_before
-                    report = result.detect()
-                    records.append(
-                        SweepRecord(
-                            seed=seed,
-                            country_code=country,
-                            testbed_fraction=config.testbed_fraction,
-                            visits=result.visits_simulated,
-                            measurements=len(result.collection),
-                            countries=result.collection.distinct_countries(),
-                            unreachable_submissions=result.collection.unreachable_submissions,
-                            detected_pairs=frozenset(report.detected_pairs()),
-                            duration_s=monotonic() - started,
-                        )
-                    )
-        return records

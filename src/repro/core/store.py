@@ -14,9 +14,9 @@ instead:
   are ``bincount`` reductions.  High-cardinality strings (measurement id,
   client IP) stay as numpy unicode arrays; client IPs also get integer
   identity codes on demand (:meth:`MeasurementStore.client_codes`).
-* **Vectorized queries.**  :meth:`MeasurementStore.select` evaluates all
-  filter criteria as boolean masks and returns a :class:`Selection` (mask +
-  column views); :meth:`MeasurementStore.query` hands any keyed reduction —
+* **Vectorized queries.**  :meth:`MeasurementStore.row_mask` evaluates
+  filter criteria as one boolean row mask; :meth:`MeasurementStore.query`
+  hands any keyed reduction over all rows or a mask's rows —
   per-(domain, country[, day]) counts, timing quantiles, distinct clients —
   to the one group-by kernel in :mod:`repro.core.query`, whose wrappers
   (``grouped_success_counts`` and friends) are the reduction API.
@@ -25,18 +25,18 @@ instead:
   directory if none is given).  Queries transparently concatenate spilled
   and resident segments — and only load the columns they touch, so the
   detection pipeline over a spilled store never reads the string columns.
-* **Row compatibility.**  :meth:`rows` materializes
-  :class:`~repro.core.collection.Measurement` dataclasses on demand,
-  field-for-field identical to what the row-list collection server stored,
-  which is what keeps ``CollectionServer.measurements`` and
-  ``CampaignResult.measurements`` working unchanged.
+* **One materializer.**  :meth:`rows` builds
+  :class:`~repro.core.collection.Measurement` dataclasses on demand, for
+  all rows or given indices, field-for-field identical to what the
+  row-list collection server stored.  The scalar references,
+  ``CampaignResult.testbed_measurements`` and the tests read rows through
+  it; the analyses stay on masks and :meth:`query`.
 """
 
 from __future__ import annotations
 
 import tempfile
 import zipfile
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -343,70 +343,6 @@ class DaySeries:
     def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(domains, countries, counts, values)``: the detectors' layout."""
         return self.domains, self.countries, self.counts, self.values
-
-
-class Selection:
-    """The result of :meth:`MeasurementStore.select`: a row mask over the store.
-
-    Exposes the matching rows as column views (no copies of non-selected
-    data) and materializes :class:`Measurement` rows only on request.
-    """
-
-    __slots__ = ("store", "mask", "_indices", "_count")
-
-    def __init__(self, store: "MeasurementStore", mask: np.ndarray) -> None:
-        self.store = store
-        self.mask = mask
-        self._indices: np.ndarray | None = None
-        self._count: int | None = None
-
-    def __len__(self) -> int:
-        if self._count is None:
-            self._count = int(np.count_nonzero(self.mask))
-        return self._count
-
-    @property
-    def count(self) -> int:
-        return len(self)
-
-    @property
-    def indices(self) -> np.ndarray:
-        if self._indices is None:
-            self._indices = np.flatnonzero(self.mask)
-        return self._indices
-
-    def column(self, name: str) -> np.ndarray:
-        """The selected rows of one store column."""
-        return self.store.column(name)[self.mask]
-
-    def invert(self) -> "Selection":
-        """The complementary selection (rows this one excludes)."""
-        return Selection(self.store, ~self.mask)
-
-    @property
-    def succeeded(self) -> np.ndarray:
-        return self.column("outcome") == OUTCOME_SUCCESS
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.column("outcome") == OUTCOME_FAILURE
-
-    @property
-    def elapsed_ms(self) -> np.ndarray:
-        return self.column("elapsed_ms")
-
-    @property
-    def successes(self) -> int:
-        return int(np.count_nonzero(self.succeeded))
-
-    @property
-    def success_rate(self) -> float:
-        n = len(self)
-        return self.successes / n if n else 0.0
-
-    def materialize(self) -> "list[Measurement]":
-        """The selected rows as :class:`Measurement` dataclasses, in store order."""
-        return self.store.rows(self.indices)
 
 
 class _Segment:
@@ -1047,7 +983,7 @@ class MeasurementStore:
     # ------------------------------------------------------------------
     # Query API
     # ------------------------------------------------------------------
-    def select(
+    def row_mask(
         self,
         domain: str | None = None,
         country_code: str | None = None,
@@ -1056,12 +992,13 @@ class MeasurementStore:
         domain_suffix: str | None = None,
         exclude_automated: bool = True,
         exclude_inconclusive: bool = True,
-    ) -> Selection:
-        """Rows matching the given criteria, as a mask-backed :class:`Selection`.
+    ) -> np.ndarray:
+        """A boolean mask over the store's rows matching the given criteria.
 
-        Matches the legacy ``CollectionServer.filtered`` semantics: automated
-        traffic and inconclusive outcomes are excluded by default (paper
-        §7.1), and each criterion narrows the selection.
+        Automated traffic and inconclusive outcomes are excluded by default
+        (paper §7.1), and each criterion narrows the mask.  Reduce it with
+        ``query(mask=...)``, index a :meth:`column` with it, or materialize
+        its rows with ``rows(np.flatnonzero(mask))``.
         """
         mask = np.ones(len(self), dtype=bool)
         if exclude_automated:
@@ -1089,7 +1026,7 @@ class MeasurementStore:
                 mask &= self.column("country") == code
         if task_type is not None:
             mask &= self.column("task") == _TASK_CODES[task_type]
-        return Selection(self, mask)
+        return mask
 
     def _segment_chunks(self, names: Sequence[str]):
         """Yield ``(offset, length, columns)`` segment-by-segment (pending too).
@@ -1155,34 +1092,6 @@ class MeasurementStore:
             shape=shape,
             tracer=_query.NULL_TRACER if tracer is None else tracer,
         )
-
-    def distinct_countries(self) -> int:
-        cached = self._derived("distinct_countries")
-        if cached is None:
-            present = np.bincount(
-                self.column("country"), minlength=len(self._country_values)
-            )
-            cached = self._derive("distinct_countries", int(np.count_nonzero(present)))
-        return cached
-
-    def measurements_by_country(self) -> Counter:
-        """Measurement volume per country (all rows, like the legacy Counter)."""
-        cached = self._derived("by_country")
-        if cached is None:
-            counts = np.bincount(
-                self.column("country"), minlength=len(self._country_values)
-            )
-            cached = self._derive(
-                "by_country",
-                Counter(
-                    {
-                        self._country_values[code]: int(count)
-                        for code, count in enumerate(counts.tolist())
-                        if count
-                    }
-                ),
-            )
-        return cached
 
     def _derived(self, key):
         if self._derived_cache_version != self._version:

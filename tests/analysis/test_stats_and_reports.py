@@ -86,7 +86,9 @@ class TestSoundnessReport:
         assert stats.false_positive_rate == 0.0
 
     def test_build_from_campaign(self, soundness_result, soundness_deployment):
-        report = build_soundness_report(soundness_result.measurements, soundness_deployment.testbed)
+        report = build_soundness_report(
+            soundness_result.collection.store, soundness_deployment.testbed
+        )
         assert report.total_measurements > 200
         rows = report.rows()
         assert {row["task_type"] for row in rows} <= {t.value for t in TaskType}
@@ -95,7 +97,9 @@ class TestSoundnessReport:
             assert report.for_type(task_type).false_positive_rate < 0.10
 
     def test_report_ignores_non_testbed_measurements(self, detection_result, soundness_deployment):
-        report = build_soundness_report(detection_result.measurements, soundness_deployment.testbed)
+        report = build_soundness_report(
+            detection_result.collection.store, soundness_deployment.testbed
+        )
         assert report.total_measurements == 0
 
 

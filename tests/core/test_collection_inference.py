@@ -1,10 +1,12 @@
 """Tests for the collection server and the binomial filtering detector."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.browser.profiles import BrowserProfile
-from repro.core.collection import CollectionServer
+from repro.core.collection import CollectionServer, SubmissionRecord
 from repro.core.inference import (
     BinomialFilteringDetector,
     binomial_cdf,
@@ -43,55 +45,135 @@ def make_result(domain="facebook.com", outcome=TaskOutcome.SUCCESS, measurement_
     )
 
 
+def make_record(result, client, origin_domain=None, day=0, strip_referer=False,
+                country_code=None):
+    """The :class:`SubmissionRecord` a client submits for ``result``.
+
+    ``country_code`` overrides the client's own claim, which the server only
+    falls back on when it cannot geolocate the address.
+    """
+    return SubmissionRecord(
+        measurement_id=result.measurement_id,
+        task_type=result.task_type,
+        target_url=result.target_url,
+        target_domain=result.target_domain,
+        outcome=result.outcome,
+        elapsed_ms=result.elapsed_ms,
+        probe_time_ms=result.probe_time_ms,
+        client_ip=client.ip_address,
+        country_code=country_code or client.country_code,
+        isp=client.isp,
+        browser_family=client.browser.family.value,
+        origin_domain=origin_domain,
+        day=day,
+        strip_referer=strip_referer,
+        is_automated=client.is_automated,
+    )
+
+
 class TestCollectionServer:
     def make_server(self):
         geoip = GeoIPDatabase()
         return CollectionServer("http://collector.encore-measurement.org/submit", geoip), geoip
 
-    def test_record_geolocates_from_ip(self):
+    def submit(self, server, *pairs):
+        """Ingest one record per ``(result, client)`` pair."""
+        return server.ingest_records([make_record(result, client) for result, client in pairs])
+
+    def test_ingest_geolocates_from_ip_not_the_claim(self):
         server, geoip = self.make_server()
-        measurement = server.record(make_result(), make_client("IR", geoip=geoip), "origin-00.example.edu")
-        assert measurement.country_code == "IR"
+        client = make_client("IR", geoip=geoip)
+        stored = server.ingest_records([
+            make_record(make_result(), client, "origin-00.example.edu", country_code="US")
+        ])
+        assert stored == 1
         assert len(server) == 1
+        assert server.store.rows()[0].country_code == "IR"
+
+    def test_unknown_address_keeps_the_claimed_country(self):
+        server, _ = self.make_server()
+        client = replace(make_client("US"), ip_address="192.0.2.7")
+        assert server.geoip.lookup("192.0.2.7") is None
+        server.ingest_records([make_record(make_result(), client, country_code="BR")])
+        [row] = server.store.rows()
+        assert (row.client_ip, row.country_code) == ("192.0.2.7", "BR")
 
     def test_referer_stripping_hides_origin(self):
         server, geoip = self.make_server()
-        kept = server.record(make_result(), make_client(geoip=geoip), "origin-00.example.edu",
-                             strip_referer=False)
-        stripped = server.record(make_result(), make_client(geoip=geoip), "origin-00.example.edu",
-                                 strip_referer=True)
+        server.ingest_records([
+            make_record(make_result(measurement_id="kept"), make_client(geoip=geoip),
+                        "origin-00.example.edu", strip_referer=False),
+            make_record(make_result(measurement_id="stripped"), make_client(geoip=geoip),
+                        "origin-00.example.edu", strip_referer=True),
+        ])
+        kept, stripped = server.store.rows()
         assert kept.origin_domain == "origin-00.example.edu"
         assert stripped.origin_domain is None
 
-    def test_filtered_excludes_automated_and_inconclusive(self):
+    def test_unreachable_submissions_are_counted(self):
         server, geoip = self.make_server()
-        server.record(make_result(), make_client(geoip=geoip), None)
-        server.record(make_result(outcome=TaskOutcome.INCONCLUSIVE), make_client(geoip=geoip), None)
-        server.record(make_result(), make_client(automated=True, geoip=geoip), None)
-        assert len(server.filtered()) == 1
-        assert len(server.filtered(exclude_automated=False, exclude_inconclusive=False)) == 3
+        assert server.ingest_records(
+            [make_record(make_result(), make_client(geoip=geoip))], unreachable=3
+        ) == 1
+        assert server.ingest_records([], unreachable=2) == 0
+        assert server.unreachable_submissions == 5
+        assert server.summary()["unreachable_submissions"] == 5
 
-    def test_filtered_by_domain_country_type(self):
+    def test_empty_batch_stores_nothing(self):
+        server, _ = self.make_server()
+        assert server.ingest_records([]) == 0
+        assert server.ingest_records(iter(())) == 0
+        assert len(server) == 0
+        assert server.store.version == 0
+        assert server.unreachable_submissions == 0
+
+    def test_row_mask_excludes_automated_and_inconclusive(self):
         server, geoip = self.make_server()
-        server.record(make_result("facebook.com"), make_client("CN", geoip=geoip), None)
-        server.record(make_result("youtube.com"), make_client("CN", geoip=geoip), None)
-        server.record(make_result("facebook.com"), make_client("US", geoip=geoip), None)
-        assert len(server.filtered(domain="facebook.com")) == 2
-        assert len(server.filtered(domain="facebook.com", country_code="CN")) == 1
-        assert len(server.filtered(task_type=TaskType.IMAGE)) == 3
-        assert len(server.filtered(task_type=TaskType.SCRIPT)) == 0
+        self.submit(
+            server,
+            (make_result(), make_client(geoip=geoip)),
+            (make_result(outcome=TaskOutcome.INCONCLUSIVE), make_client(geoip=geoip)),
+            (make_result(), make_client(automated=True, geoip=geoip)),
+        )
+        store = server.store
+        assert np.count_nonzero(store.row_mask()) == 1
+        assert np.count_nonzero(
+            store.row_mask(exclude_automated=False, exclude_inconclusive=False)
+        ) == 3
+
+    def test_row_mask_by_domain_country_type(self):
+        server, geoip = self.make_server()
+        self.submit(
+            server,
+            (make_result("facebook.com"), make_client("CN", geoip=geoip)),
+            (make_result("youtube.com"), make_client("CN", geoip=geoip)),
+            (make_result("facebook.com"), make_client("US", geoip=geoip)),
+        )
+        store = server.store
+        assert store.row_mask(domain="facebook.com").tolist() == [True, False, True]
+        assert store.row_mask(domain="facebook.com", country_code="CN").tolist() == [
+            True, False, False,
+        ]
+        assert np.count_nonzero(store.row_mask(task_type=TaskType.IMAGE)) == 3
+        assert np.count_nonzero(store.row_mask(task_type=TaskType.SCRIPT)) == 0
+        assert np.count_nonzero(store.row_mask(domain="absent.example")) == 0
 
     def test_success_counts_shape(self):
         server, geoip = self.make_server()
-        server.record(make_result(outcome=TaskOutcome.SUCCESS), make_client("CN", geoip=geoip), None)
-        server.record(make_result(outcome=TaskOutcome.FAILURE), make_client("CN", geoip=geoip), None)
+        self.submit(
+            server,
+            (make_result(outcome=TaskOutcome.SUCCESS), make_client("CN", geoip=geoip)),
+            (make_result(outcome=TaskOutcome.FAILURE), make_client("CN", geoip=geoip)),
+        )
         counts = server.success_counts()
         assert counts[("facebook.com", "CN")] == (2, 1)
 
     def test_distinct_counts_and_summary(self):
         server, geoip = self.make_server()
-        for i in range(5):
-            server.record(make_result(), make_client("US", client_id=i, geoip=geoip), None)
+        assert server.distinct_countries() == 0
+        self.submit(server, *(
+            (make_result(), make_client("US", client_id=i, geoip=geoip)) for i in range(5)
+        ))
         assert server.distinct_ips() == 5
         assert server.distinct_countries() == 1
         assert server.summary()["measurements"] == 5
@@ -208,18 +290,20 @@ class TestBinomialFilteringDetector:
         assert len(stats) == 1
         assert stats[0].success_rate == pytest.approx(0.95)
 
-    def test_detect_from_measurements_filters_noise(self):
+    def test_detect_on_a_collection_filters_noise(self):
         geoip = GeoIPDatabase()
         server = CollectionServer("http://collector.encore-measurement.org/submit", geoip)
-        for i in range(30):
-            server.record(make_result("youtube.com", TaskOutcome.FAILURE, f"m{i}"),
-                          make_client("PK", client_id=i, geoip=geoip), None)
-        for i in range(60):
-            server.record(make_result("youtube.com", TaskOutcome.SUCCESS, f"n{i}"),
-                          make_client("US", client_id=100 + i, geoip=geoip), None)
+        server.ingest_records(
+            [make_record(make_result("youtube.com", TaskOutcome.FAILURE, f"m{i}"),
+                         make_client("PK", client_id=i, geoip=geoip)) for i in range(30)]
+            + [make_record(make_result("youtube.com", TaskOutcome.SUCCESS, f"n{i}"),
+                           make_client("US", client_id=100 + i, geoip=geoip))
+               for i in range(60)]
+        )
         detector = BinomialFilteringDetector(min_measurements=10)
-        report = detector.detect_from_measurements(server.measurements)
+        report = detector.detect(server)
         assert report.detected_pairs() == {("youtube.com", "PK")}
+        assert detector.detect(server.store).detected_pairs() == report.detected_pairs()
 
     def test_stricter_significance_reduces_detections(self):
         counts = {

@@ -2,9 +2,9 @@
 
 The store replaced the collection server's ``list[Measurement]`` with
 struct-of-arrays storage; these tests pin the redesign's compatibility
-contract: every query (``select``/``filtered``, the query kernel's
-wrappers, the distinct counters, detection) must agree with the seed
-row-list implementations — reproduced here as reference functions — on
+contract: every query (``row_mask``, the query kernel's wrappers, the
+distinct counters, detection) must agree with the seed row-list
+implementations — reproduced here as reference functions — on
 arbitrary corpora, with and without spilling segments to disk.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.collection import CollectionServer, Measurement
+from repro.core.collection import CollectionServer, Measurement, SubmissionRecord
 from repro.core.inference import (
     AdaptiveFilteringDetector,
     BinomialFilteringDetector,
@@ -25,6 +25,7 @@ from repro.core.inference import (
 )
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.query import (
+    Count,
     distinct_ip_count,
     grouped_success_counts,
     masked_grouped_success_counts,
@@ -168,10 +169,12 @@ filter_combos = st.fixed_dictionaries(
 class TestStoreMatchesRowListSemantics:
     @given(corpus=corpora, combo=filter_combos)
     @settings(max_examples=60, deadline=None)
-    def test_select_equals_seed_filtered(self, corpus, combo):
+    def test_row_mask_equals_seed_filtered(self, corpus, combo):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        assert store.select(**combo).materialize() == reference_filtered(corpus, **combo)
+        mask = store.row_mask(**combo)
+        assert mask.dtype == bool and len(mask) == len(corpus)
+        assert store.rows(np.flatnonzero(mask)) == reference_filtered(corpus, **combo)
 
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -199,7 +202,8 @@ class TestStoreMatchesRowListSemantics:
                 assert store.segment_files, "expected .npz segments on disk"
                 assert store.rows_in_memory == 0
             assert store.rows() == corpus
-            assert store.select(**combo).materialize() == reference_filtered(corpus, **combo)
+            mask = store.row_mask(**combo)
+            assert store.rows(np.flatnonzero(mask)) == reference_filtered(corpus, **combo)
             assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
 
     def test_spilling_many_resident_segments_at_once_keeps_rows(self, tmp_path):
@@ -237,8 +241,15 @@ class TestStoreMatchesRowListSemantics:
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
-        assert store.distinct_countries() == len({m.country_code for m in corpus})
-        assert store.measurements_by_country() == Counter(m.country_code for m in corpus)
+        collection = CollectionServer("http://collector.encore-measurement.org/submit",
+                                      store=store)
+        assert collection.distinct_countries() == len({m.country_code for m in corpus})
+        by_country = store.query(
+            ("country",), (Count(),), exclude_automated=False, exclude_inconclusive=False
+        )
+        assert by_country.as_dict() == {
+            (code,): (n,) for code, n in Counter(m.country_code for m in corpus).items()
+        }
 
     @given(corpus=corpora)
     @settings(max_examples=30, deadline=None)
@@ -591,26 +602,16 @@ class TestDerivedCaches:
         corpus = self.make_corpus()
         store = MeasurementStore()
         store.append_rows(corpus)
-        by_country = store.measurements_by_country()
-        assert store.measurements_by_country() is by_country          # cache hit
-        assert grouped_success_counts(store) is grouped_success_counts(store)
+        grouped = grouped_success_counts(store)
+        assert grouped_success_counts(store) is grouped                # cache hit
         ips_before = distinct_ip_count(store)
         extra = self.make_corpus()[0]
         extra = Measurement(**{**extra.__dict__, "client_ip": "10.9.9.9",
                                "country_code": "IR", "measurement_id": "fresh"})
         store.append_rows([extra])                                     # invalidates
         assert distinct_ip_count(store) == ips_before + 1
-        assert store.measurements_by_country()["IR"] == 1
-        assert store.measurements_by_country() is not by_country
-
-    def test_collection_measurements_snapshot_is_cached(self):
-        server = CollectionServer("http://collector.encore-measurement.org/submit")
-        server.ingest_measurements(self.make_corpus())
-        first = server.measurements
-        assert server.measurements is first
-        server.ingest_measurements(self.make_corpus(1))
-        assert server.measurements is not first
-        assert len(server.measurements) == 21
+        assert grouped_success_counts(store) is not grouped
+        assert grouped_success_counts(store).as_dict()[("facebook.com", "IR")][0] == 1
 
 
 class TestIngestAlignment:
@@ -804,10 +805,10 @@ def small_deployment(seed=11, visits=600, **config_kwargs):
 
 class TestCampaignBackedStore:
     def test_campaign_result_rows_match_seed_representation(self):
-        """CampaignResult.measurements yields Measurement rows whose fields
+        """A campaign store's rows are Measurement dataclasses whose fields
         round-trip exactly through the columnar representation."""
         result = small_deployment().run_campaign()
-        rows = result.measurements
+        rows = result.collection.store.rows()
         assert rows and all(isinstance(m, Measurement) for m in rows)
         # Re-ingesting the materialized rows into a fresh store and reading
         # them back must be the identity, field for field.
@@ -816,39 +817,33 @@ class TestCampaignBackedStore:
         assert round_trip.rows() == rows
         # And the store-backed queries agree with the seed row-list logic.
         collection = result.collection
-        assert collection.filtered(domain="youtube.com", country_code="CN") == \
+        mask = collection.store.row_mask(domain="youtube.com", country_code="CN")
+        assert collection.store.rows(np.flatnonzero(mask)) == \
             reference_filtered(rows, domain="youtube.com", country_code="CN")
         assert collection.success_counts() == reference_success_counts(rows)
         assert collection.distinct_ips() == len({m.client_ip for m in rows})
 
-    def test_record_returns_seed_identical_measurement(self):
-        from repro.browser.profiles import BrowserProfile
-        from repro.core.tasks import TaskResult
-        from repro.netsim.latency import LinkQuality
-        from repro.population.clients import Client
-
+    def test_ingest_records_stores_seed_identical_measurement(self):
         geoip = GeoIPDatabase()
         server = CollectionServer("http://collector.encore-measurement.org/submit", geoip)
-        client = Client(
-            client_id=1, ip_address=geoip.allocate_ip("IR"), country_code="IR",
-            isp="ir-isp-1", browser=BrowserProfile.chrome(), link=LinkQuality.broadband(),
-            dwell_time_s=30.0,
-        )
+        ip = geoip.allocate_ip("IR")
         url = URL.parse("http://facebook.com/favicon.ico")
-        result = TaskResult(
+        stored = server.ingest_records([SubmissionRecord(
             measurement_id="m1", task_type=TaskType.IMAGE, target_url=url,
             target_domain="facebook.com", outcome=TaskOutcome.SUCCESS, elapsed_ms=80.0,
-        )
-        stored = server.record(result, client, "origin-00.example.edu", day=3)
+            probe_time_ms=None, client_ip=ip, country_code="IR", isp="ir-isp-1",
+            browser_family="chrome", origin_domain="origin-00.example.edu", day=3,
+            strip_referer=False, is_automated=False,
+        )])
         expected = Measurement(
             measurement_id="m1", task_type=TaskType.IMAGE, target_url=url,
             target_domain="facebook.com", outcome=TaskOutcome.SUCCESS, elapsed_ms=80.0,
-            client_ip=client.ip_address, country_code="IR", isp="ir-isp-1",
+            client_ip=ip, country_code="IR", isp="ir-isp-1",
             browser_family="chrome", origin_domain="origin-00.example.edu", day=3,
             probe_time_ms=None, is_automated=False,
         )
-        assert stored == expected
-        assert server.measurements == [expected]
+        assert stored == 1
+        assert server.store.rows() == [expected]
 
     def test_campaign_with_spill_matches_in_memory_campaign(self, tmp_path):
         baseline = small_deployment(seed=23).run_campaign()
@@ -869,7 +864,7 @@ class TestCampaignBackedStore:
                 for m in rows
             ]
 
-        assert key(spilling.measurements) == key(baseline.measurements)
+        assert key(spilling.collection.store.rows()) == key(baseline.collection.store.rows())
         assert spilling.detect().detected_pairs() == baseline.detect().detected_pairs()
         assert spilling.collection.success_counts() == baseline.collection.success_counts()
 
@@ -878,7 +873,7 @@ class TestCampaignBackedStore:
 
         deployment = small_deployment(seed=5, visits=800)
         result = deployment.run_campaign()
-        from_rows = build_soundness_report(result.measurements, deployment.testbed)
+        from_rows = build_soundness_report(result.collection.store.rows(), deployment.testbed)
         from_store = build_soundness_report(result.collection.store, deployment.testbed)
         assert from_store.total_measurements == from_rows.total_measurements
         for task_type, stats in from_rows.per_task_type.items():

@@ -1,5 +1,6 @@
 """Tests for origin-site integration and the end-to-end deployment driver."""
 
+import numpy as np
 import pytest
 
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
@@ -66,16 +67,16 @@ class TestDeploymentConstruction:
 
 class TestCampaign:
     def test_campaign_produces_measurements(self, detection_result):
-        assert len(detection_result.measurements) > 1000
+        assert len(detection_result.collection) > 1000
         assert detection_result.visits_simulated == 4000
-        assert detection_result.task_executions >= len(detection_result.measurements)
+        assert detection_result.task_executions >= len(detection_result.collection)
 
     def test_measurements_span_many_countries(self, detection_result):
         assert detection_result.collection.distinct_countries() > 30
 
     def test_referer_stripping_fraction(self, detection_result):
-        stripped = sum(1 for m in detection_result.measurements if m.origin_domain is None)
-        assert 0.4 < stripped / len(detection_result.measurements) < 0.95
+        stripped = np.count_nonzero(detection_result.collection.store.column("origin") < 0)
+        assert 0.4 < stripped / len(detection_result.collection) < 0.95
 
     def test_detection_recovers_ground_truth(self, detection_result):
         report = detection_result.detect()
@@ -95,9 +96,10 @@ class TestCampaign:
 
     def test_testbed_and_target_split(self, soundness_result):
         testbed = soundness_result.testbed_measurements()
-        targets = soundness_result.target_measurements()
+        targets = len(soundness_result.collection) - len(testbed)
         assert testbed and targets
-        fraction = len(testbed) / (len(testbed) + len(targets))
+        assert all(m.target_domain.endswith("encore-testbed.net") for m in testbed)
+        fraction = len(testbed) / (len(testbed) + targets)
         assert 0.15 < fraction < 0.45
 
     def test_run_campaign_visits_override(self):

@@ -22,6 +22,30 @@ from repro.core.tasks import TaskOutcome
 from repro.population.geoip import GeoIPDatabase
 
 
+def honest_rows(result):
+    """The campaign's rows, materialized for the row references."""
+    return result.collection.store.rows()
+
+
+def store_of(rows):
+    """A resident store holding ``rows`` in order."""
+    store = MeasurementStore()
+    store.append_rows(rows)
+    return store
+
+
+def forged_store(campaign, rng, rows=()):
+    """``rows`` followed by ``campaign``'s forged submissions, as a store."""
+    store = store_of(rows)
+    PoisoningAttacker(rng=rng).forge_columns(campaign).append_to(store)
+    return store
+
+
+def detected_over(rows):
+    """The §7.2 verdict over exactly ``rows``: a detector run on their store."""
+    return BinomialFilteringDetector().detect(store_of(rows)).detected_pairs()
+
+
 class TestPoisoningAttacker:
     def test_forged_measurements_match_campaign(self):
         attacker = PoisoningAttacker(rng=0)
@@ -55,8 +79,8 @@ class TestPoisoningAttacker:
         forged = attacker.forge_measurements(
             PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8)
         )
-        poisoned = list(detection_result.measurements) + forged
-        report = BinomialFilteringDetector(min_measurements=10).detect_from_measurements(poisoned)
+        poisoned = store_of(honest_rows(detection_result) + forged)
+        report = BinomialFilteringDetector(min_measurements=10).detect(poisoned)
         assert report.detected("facebook.com", "DE")
 
 
@@ -113,7 +137,7 @@ class TestForgeColumnsEquivalence:
             collection, PoisoningCampaign("twitter.com", "FR", submissions=30, client_identities=3)
         )
         assert injected == 30
-        assert collection.measurements == reference
+        assert collection.store.rows() == reference
 
 
 class TestReputationFilter:
@@ -124,39 +148,57 @@ class TestReputationFilter:
             ReputationFilter(suspicious_share=0.0)
 
     def test_honest_measurements_pass_through(self, detection_result):
-        honest = detection_result.measurements
-        report = ReputationFilter().apply(honest)
-        assert len(report.kept) >= 0.95 * len(honest)
+        honest = detection_result.collection
+        verdict = ReputationFilter().apply_store(honest)
+        assert len(verdict.kept_indices) >= 0.95 * len(honest)
 
     def test_filter_defeats_fabricated_blocking(self, detection_result):
-        attacker = PoisoningAttacker(rng=3)
-        forged = attacker.forge_measurements(
-            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8)
+        poisoned = forged_store(
+            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8),
+            rng=3, rows=honest_rows(detection_result),
         )
-        poisoned = list(detection_result.measurements) + forged
-        cleaned = ReputationFilter().filtered_measurements(poisoned)
-        report = BinomialFilteringDetector(min_measurements=10).detect_from_measurements(cleaned)
+        verdict = ReputationFilter().apply_store(poisoned)
+        detector = BinomialFilteringDetector(min_measurements=10)
+        report = detector.detect_from_counts(verdict.success_counts())
         assert not report.detected("facebook.com", "DE")
 
     def test_filter_preserves_real_detections(self, detection_result):
-        attacker = PoisoningAttacker(rng=4)
-        forged = attacker.forge_measurements(
-            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8)
+        poisoned = forged_store(
+            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8),
+            rng=4, rows=honest_rows(detection_result),
         )
-        poisoned = list(detection_result.measurements) + forged
-        cleaned = ReputationFilter().filtered_measurements(poisoned)
-        report = BinomialFilteringDetector(min_measurements=10).detect_from_measurements(cleaned)
+        verdict = ReputationFilter().apply_store(poisoned)
+        detector = BinomialFilteringDetector(min_measurements=10)
+        report = detector.detect_from_counts(verdict.success_counts())
         for pair in [("youtube.com", "PK"), ("facebook.com", "CN"), ("twitter.com", "IR")]:
             assert pair in report.detected_pairs()
 
-    def test_rate_limiting_counts_drops(self):
-        attacker = PoisoningAttacker(rng=5)
-        forged = attacker.forge_measurements(
-            PoisoningCampaign("facebook.com", "DE", submissions=200, client_identities=2)
+    def test_detect_rejects_a_reputation_verdict(self, detection_result):
+        """A verdict carries its unfiltered store; ``detect`` must not score it."""
+        poisoned = forged_store(
+            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8),
+            rng=2, rows=honest_rows(detection_result),
         )
-        report = ReputationFilter(max_submissions_per_client=10).apply(forged)
-        assert report.dropped_rate_limited == 200 - 2 * 10
-        assert report.dropped == report.dropped_rate_limited + report.dropped_low_reputation
+        verdict = ReputationFilter().apply_store(poisoned)
+        detector = BinomialFilteringDetector(min_measurements=10)
+        assert verdict.dropped == 400 and not verdict.keep_mask[-400:].any()
+        assert detector.detect(poisoned).detected("facebook.com", "DE")
+        assert not detector.detect_from_counts(verdict.success_counts()).detected(
+            "facebook.com", "DE"
+        )
+        with pytest.raises(TypeError, match="StoreReputationReport"):
+            detector.detect(verdict)
+        with pytest.raises(TypeError, match="dict"):
+            detector.detect({("facebook.com", "DE"): (400, 0)})
+
+    def test_rate_limiting_counts_drops(self):
+        forged = forged_store(
+            PoisoningCampaign("facebook.com", "DE", submissions=200, client_identities=2),
+            rng=5,
+        )
+        verdict = ReputationFilter(max_submissions_per_client=10).apply_store(forged)
+        assert verdict.dropped_rate_limited == 200 - 2 * 10
+        assert verdict.dropped == verdict.dropped_rate_limited + verdict.dropped_low_reputation
 
 
 class TestReputationFilterColumnarEquivalence:
@@ -171,42 +213,49 @@ class TestReputationFilterColumnarEquivalence:
             PoisoningCampaign("youtube.com", "PK", fabricate_blocking=False,
                               submissions=150, client_identities=3)
         )
-        return list(detection_result.measurements) + forged
+        return honest_rows(detection_result) + forged
+
+    @staticmethod
+    def assert_verdicts_match(filt, corpus, store):
+        """``apply_store`` on ``store`` keeps exactly the reference's rows."""
+        reference = filt.apply_reference(corpus)
+        verdict = filt.apply_store(store)
+        assert store.rows(verdict.kept_indices) == reference.kept
+        assert verdict.dropped_rate_limited == reference.dropped_rate_limited
+        assert verdict.dropped_low_reputation == reference.dropped_low_reputation
 
     @pytest.mark.parametrize("max_per_client,share", [(10, 0.2), (3, 0.1), (50, 0.5)])
-    def test_apply_matches_reference_row_for_row(self, detection_result, max_per_client, share):
+    def test_apply_store_matches_reference_row_for_row(
+        self, detection_result, max_per_client, share
+    ):
         corpus = self.poisoned_corpus(detection_result)
         filt = ReputationFilter(max_submissions_per_client=max_per_client,
                                 suspicious_share=share)
-        reference = filt.apply_reference(corpus)
-        columnar = filt.apply(corpus)
-        assert columnar.kept == reference.kept
-        assert columnar.dropped_rate_limited == reference.dropped_rate_limited
-        assert columnar.dropped_low_reputation == reference.dropped_low_reputation
+        self.assert_verdicts_match(filt, corpus, store_of(corpus))
 
-    def test_apply_store_matches_reference(self, detection_result):
+    def test_apply_store_on_a_collection_matches_reference(self, detection_result):
         corpus = self.poisoned_corpus(detection_result, rng_seed=7)
         collection = CollectionServer("http://collector.encore-measurement.org/submit")
-        collection.ingest_measurements(corpus)
+        collection.store.append_rows(corpus)
         filt = ReputationFilter()
-        reference = filt.apply_reference(collection.measurements)
-        store_report = filt.apply_store(collection)
-        assert store_report.dropped_rate_limited == reference.dropped_rate_limited
-        assert store_report.dropped_low_reputation == reference.dropped_low_reputation
-        assert len(store_report.kept_indices) == len(reference.kept)
-        kept = store_report.kept_measurements()
-        assert [(m.client_ip, m.target_domain, m.outcome) for m in kept] == [
-            (m.client_ip, m.target_domain, m.outcome) for m in reference.kept
-        ]
+        reference = filt.apply_reference(corpus)
+        verdict = filt.apply_store(collection)
+        assert verdict.store is collection.store
+        assert collection.store.rows(verdict.kept_indices) == reference.kept
+        assert verdict.dropped_rate_limited == reference.dropped_rate_limited
+        assert verdict.dropped_low_reputation == reference.dropped_low_reputation
 
     def test_empty_corpus(self):
         filt = ReputationFilter()
-        assert filt.apply([]).kept == []
-        assert filt.apply([]).dropped == 0
+        verdict = filt.apply_store(MeasurementStore())
+        assert verdict.keep_mask.shape == (0,)
+        assert verdict.dropped == 0
+        assert verdict.success_counts().as_dict() == {}
+        assert filt.apply_reference([]).kept == []
 
     def test_apply_store_on_poisoned_spilled_store(self, detection_result, tmp_path):
         """Filtering and re-detection run on a spilled poisoned store without rows."""
-        honest = detection_result.measurements
+        honest = honest_rows(detection_result)
         campaign = PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8)
         reference_corpus = list(honest) + PoisoningAttacker(rng=8).forge_measurements(campaign)
         store = MeasurementStore(max_rows_in_memory=512, spill_dir=tmp_path)
@@ -224,7 +273,7 @@ class TestReputationFilterColumnarEquivalence:
         # Defended detection over the kept rows, straight from the mask.
         detector = BinomialFilteringDetector(min_measurements=10)
         assert detector.detect_from_counts(verdict.success_counts()).detected_pairs() == \
-            detector.detect_from_measurements(reference.kept).detected_pairs()
+            detector.detect(store_of(reference.kept)).detected_pairs()
 
 
 class TestAdversarySweep:
@@ -239,14 +288,11 @@ class TestAdversarySweep:
             PoisoningCampaign("facebook.com", "DE", submissions=submissions,
                               client_identities=identities)
         )
-        poisoned = list(honest) + forged
-        detector = BinomialFilteringDetector()
+        poisoned = honest + forged
         reference = ReputationFilter().apply_reference(poisoned)
         return {
-            "naive": frozenset(detector.detect_from_measurements(poisoned).detected_pairs()),
-            "defended": frozenset(
-                detector.detect_from_measurements(reference.kept).detected_pairs()
-            ),
+            "naive": frozenset(detected_over(poisoned)),
+            "defended": frozenset(detected_over(reference.kept)),
             "dropped_rate_limited": reference.dropped_rate_limited,
             "dropped_low_reputation": reference.dropped_low_reputation,
         }
@@ -255,7 +301,7 @@ class TestAdversarySweep:
         cells = detection_result.adversary_sweep(
             "facebook.com", "DE", self.BUDGETS, executor="inline", seed=self.SEED
         )
-        honest = detection_result.measurements
+        honest = honest_rows(detection_result)
         for index, ((submissions, identities), cell) in enumerate(zip(self.BUDGETS, cells)):
             expected = self.row_pipeline_cell(honest, submissions, identities,
                                               [self.SEED, index])
@@ -304,7 +350,7 @@ class TestAdversarySweep:
     def test_sweep_on_a_spilled_honest_store(self, detection_result, tmp_path):
         """Adopting a spilled honest corpus gives identical verdicts."""
         spilled = MeasurementStore(max_rows_in_memory=512, spill_dir=tmp_path / "honest")
-        spilled.append_rows(detection_result.measurements)
+        spilled.append_rows(honest_rows(detection_result))
         spilled.spill()
         sweep = AdversarySweep(executor="inline", seed=self.SEED)
         from_spilled = sweep.run(spilled, "facebook.com", "DE", self.BUDGETS)
@@ -332,14 +378,11 @@ class TestMaskingSweep:
             PoisoningCampaign(*self.TARGET, fabricate_blocking=False,
                               submissions=submissions, client_identities=identities)
         )
-        poisoned = list(honest) + forged
-        detector = BinomialFilteringDetector()
+        poisoned = honest + forged
         reference = ReputationFilter().apply_reference(poisoned)
         return {
-            "naive": frozenset(detector.detect_from_measurements(poisoned).detected_pairs()),
-            "defended": frozenset(
-                detector.detect_from_measurements(reference.kept).detected_pairs()
-            ),
+            "naive": frozenset(detected_over(poisoned)),
+            "defended": frozenset(detected_over(reference.kept)),
             "dropped_rate_limited": reference.dropped_rate_limited,
             "dropped_low_reputation": reference.dropped_low_reputation,
         }
@@ -350,7 +393,7 @@ class TestMaskingSweep:
             *self.TARGET, self.BUDGETS, fabricate_blocking=False,
             executor="inline", seed=self.SEED,
         )
-        honest = detection_result.measurements
+        honest = honest_rows(detection_result)
         for index, ((submissions, identities), cell) in enumerate(zip(self.BUDGETS, cells)):
             expected = self.row_pipeline_cell(
                 honest, submissions, identities, [self.SEED, index]
@@ -390,7 +433,7 @@ class TestAdaptiveReputationFilter:
 
     def test_country_thresholds_track_background_failure(self, detection_result):
         """Flakier countries get roomier disagreement thresholds."""
-        corpus = detection_result.measurements
+        corpus = honest_rows(detection_result)
         filt = AdaptiveReputationFilter(margin=0.45, min_threshold=0.5, max_threshold=0.85)
         thresholds = filt.country_thresholds(corpus)
         fails = Counter(m.country_code for m in corpus if m.failed)
@@ -405,39 +448,34 @@ class TestAdaptiveReputationFilter:
         assert set(fixed.values()) == {0.5}
 
     @pytest.mark.parametrize("rng_seed", [6, 7])
-    def test_adaptive_apply_matches_reference_row_for_row(self, detection_result, rng_seed):
+    def test_adaptive_apply_store_matches_reference_row_for_row(
+        self, detection_result, rng_seed
+    ):
         """The per-country threshold flows through both paths identically."""
-        corpus = TestReputationFilterColumnarEquivalence().poisoned_corpus(
-            detection_result, rng_seed=rng_seed
-        )
+        equivalence = TestReputationFilterColumnarEquivalence()
+        corpus = equivalence.poisoned_corpus(detection_result, rng_seed=rng_seed)
+        equivalence.assert_verdicts_match(AdaptiveReputationFilter(), corpus, store_of(corpus))
+
+    def test_adaptive_apply_store_on_a_collection_matches_reference(self, detection_result):
+        equivalence = TestReputationFilterColumnarEquivalence()
+        corpus = equivalence.poisoned_corpus(detection_result, rng_seed=8)
+        collection = CollectionServer("http://collector.encore-measurement.org/submit")
+        collection.store.append_rows(corpus)
         filt = AdaptiveReputationFilter()
         reference = filt.apply_reference(corpus)
-        columnar = filt.apply(corpus)
-        assert columnar.kept == reference.kept
-        assert columnar.dropped_rate_limited == reference.dropped_rate_limited
-        assert columnar.dropped_low_reputation == reference.dropped_low_reputation
-
-    def test_adaptive_apply_store_matches_reference(self, detection_result):
-        corpus = TestReputationFilterColumnarEquivalence().poisoned_corpus(
-            detection_result, rng_seed=8
-        )
-        collection = CollectionServer("http://collector.encore-measurement.org/submit")
-        collection.ingest_measurements(corpus)
-        filt = AdaptiveReputationFilter()
-        reference = filt.apply_reference(collection.measurements)
         verdict = filt.apply_store(collection)
+        assert collection.store.rows(verdict.kept_indices) == reference.kept
         assert verdict.dropped_rate_limited == reference.dropped_rate_limited
         assert verdict.dropped_low_reputation == reference.dropped_low_reputation
-        assert len(verdict.kept_indices) == len(reference.kept)
 
     def test_adaptive_filter_still_defeats_fabrication(self, detection_result):
-        attacker = PoisoningAttacker(rng=11)
-        forged = attacker.forge_measurements(
-            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8)
+        poisoned = forged_store(
+            PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8),
+            rng=11, rows=honest_rows(detection_result),
         )
-        poisoned = list(detection_result.measurements) + forged
-        cleaned = AdaptiveReputationFilter().filtered_measurements(poisoned)
-        report = BinomialFilteringDetector(min_measurements=10).detect_from_measurements(cleaned)
+        verdict = AdaptiveReputationFilter().apply_store(poisoned)
+        detector = BinomialFilteringDetector(min_measurements=10)
+        report = detector.detect_from_counts(verdict.success_counts())
         assert not report.detected("facebook.com", "DE")
 
 

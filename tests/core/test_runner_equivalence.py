@@ -16,7 +16,7 @@ from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.runner import (
     KIND_COORD, KIND_EMBEDDED, KIND_PAGE, KIND_PROBE, KIND_SUBMIT, KIND_TARGET,
     TASK_IMAGE, TASK_NONE, TASK_SCRIPT, TASK_STYLE,
-    BatchProgress, CampaignRunner, CampaignSweep,
+    BatchProgress, CampaignRunner,
 )
 from repro.core.scheduler import Scheduler, TaskPool
 from repro.core.tasks import MeasurementTask, TaskType
@@ -50,7 +50,7 @@ def measurement_key(result):
             m.outcome.value, m.elapsed_ms, m.probe_time_ms, m.origin_domain,
             m.day, m.client_ip, m.isp, m.browser_family, m.is_automated,
         )
-        for m in result.measurements
+        for m in result.collection.store.rows()
     ]
 
 
@@ -63,7 +63,7 @@ class TestSerialBatchEquivalence:
         batch = batch_dep.run_campaign()
 
         assert serial.mode == "serial" and batch.mode == "batch"
-        assert len(serial.measurements) == len(batch.measurements)
+        assert len(serial.collection) == len(batch.collection)
         assert serial.task_executions == batch.task_executions
         assert measurement_key(serial) == measurement_key(batch)
         assert (
@@ -86,7 +86,10 @@ class TestSerialBatchEquivalence:
         serial = small_deployment("serial", country="CN", visits=400).run_campaign()
         batch = small_deployment("batch", country="CN", visits=400).run_campaign()
         assert measurement_key(serial) == measurement_key(batch)
-        assert all(m.country_code == "CN" for m in batch.measurements)
+        store = batch.collection.store
+        assert len(store) and store.row_mask(
+            country_code="CN", exclude_automated=False, exclude_inconclusive=False
+        ).all()
 
     def test_batch_size_does_not_change_results(self):
         coarse = small_deployment("batch").run_campaign(batch_size=1000)
@@ -403,32 +406,3 @@ class TestCheckpointResume:
         deployment.run_campaign(batch_size=200)
         with pytest.raises(ValueError, match="freshly built"):
             deployment.run_campaign(batch_size=200, resume_from_batch=1)
-
-
-class TestCampaignSweep:
-    def test_sweep_reuses_world_and_restores_interceptors(self):
-        world = World(
-            WorldConfig(seed=31, target_list_total=12, target_list_online=10, origin_site_count=3)
-        )
-        base = CampaignConfig(visits=300, include_testbed=True, favicons_only=True)
-        sweep = CampaignSweep(world=world, base_config=base)
-        before = list(world.global_interceptors)
-        records = sweep.run(seeds=(1, 2), testbed_fractions=(0.2, 0.4))
-        assert len(records) == 4
-        assert world.global_interceptors == before
-        assert all(r.visits == 300 for r in records)
-        assert all(r.measurements > 0 for r in records)
-        fractions = {r.testbed_fraction for r in records}
-        assert fractions == {0.2, 0.4}
-
-    def test_sweep_pinned_country_runs(self):
-        world = World(
-            WorldConfig(seed=37, target_list_total=12, target_list_online=10, origin_site_count=2)
-        )
-        base = CampaignConfig(visits=200, include_testbed=False)
-        records = CampaignSweep(world=world, base_config=base).run(
-            seeds=(5,), countries=("US", "CN")
-        )
-        assert len(records) == 2
-        assert {r.country_code for r in records} == {"US", "CN"}
-        assert all(r.visits_per_second > 0 for r in records)

@@ -57,7 +57,7 @@ def measurement_key(result):
             m.outcome.value, m.elapsed_ms, m.probe_time_ms, m.origin_domain,
             m.day, m.client_ip, m.isp, m.browser_family, m.is_automated,
         )
-        for m in result.measurements
+        for m in result.collection.store.rows()
     ]
 
 
@@ -169,7 +169,7 @@ class TestShardProgressAndResume:
 
         first = small_deployment("sharded", worker_spill_dir=str(tmp_path))
         first_result = first.run_campaign(num_shards=3, shard_executor="inline")
-        first_ids = {m.measurement_id for m in first_result.measurements}
+        first_ids = set(first_result.collection.store.column("measurement_id").tolist())
         survivors = {
             p: (p / MANIFEST_NAME).read_text()
             for p in sorted(tmp_path.rglob("shard-*"))
@@ -204,7 +204,7 @@ class TestShardProgressAndResume:
         # One coherent measurement-id space across the restart — the
         # re-executed shard adopted the original run's task ids — and the
         # dead attempt's partial segments were cleared, not accumulated.
-        assert {m.measurement_id for m in result.measurements} == first_ids
+        assert set(result.collection.store.column("measurement_id").tolist()) == first_ids
         assert not orphan.exists()
 
     def test_foreign_manifest_is_ignored(self, tmp_path):
@@ -250,7 +250,7 @@ class TestShardProgressAndResume:
         )
         assert measurement_key(second) == measurement_key(first)
         assert first.collection.success_counts() == first_counts
-        assert len(first.collection.measurements) == len(first.collection)
+        assert len(first.collection.store.rows()) == len(first.collection)
 
     def test_second_campaign_on_one_deployment_gets_fresh_client_identities(self):
         # Client ids / IP hosts are numbered from the deployment's claimed
@@ -259,11 +259,9 @@ class TestShardProgressAndResume:
         deployment = small_deployment("batch", visits=400)
         deployment.run_campaign()
         first_rows = len(deployment.collection)
-        first_ips = {m.client_ip for m in deployment.collection.measurements[:first_rows]}
+        first_ips = set(deployment.collection.store.column("client_ip")[:first_rows].tolist())
         deployment.run_campaign()
-        second_ips = {
-            m.client_ip for m in deployment.collection.measurements[first_rows:]
-        }
+        second_ips = set(deployment.collection.store.column("client_ip")[first_rows:].tolist())
         assert not (first_ips & second_ips)
         assert deployment.collection.distinct_ips() == len(first_ips) + len(second_ips)
 
@@ -280,7 +278,7 @@ class TestShardProgressAndResume:
         assert len(second.collection) > 0
         # The first campaign's store still answers queries off its files.
         assert first.collection.success_counts() == first_counts
-        assert len(first.collection.measurements) == len(first.collection)
+        assert len(first.collection.store.rows()) == len(first.collection)
 
     def test_zero_plan_block_visits_rejected_in_every_mode(self):
         batch = small_deployment("batch", visits=64, plan_block_visits=0)

@@ -67,7 +67,7 @@ def measurement_key(result):
             m.outcome.value, m.elapsed_ms, m.probe_time_ms, m.origin_domain,
             m.day, m.client_ip, m.isp, m.browser_family, m.is_automated,
         )
-        for m in result.measurements
+        for m in result.collection.store.rows()
     ]
 
 

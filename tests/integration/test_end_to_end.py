@@ -1,5 +1,6 @@
 """End-to-end integration tests spanning every stage of the system."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.reports import build_soundness_report
@@ -25,12 +26,11 @@ class TestDetectionEndToEnd:
         assert detected <= expected | {("facebook.com", "PK"), ("twitter.com", "PK")}
 
     def test_success_rates_reflect_censorship(self, detection_result):
-        collection = detection_result.collection
-        cn = collection.filtered(domain="facebook.com", country_code="CN")
-        us = collection.filtered(domain="facebook.com", country_code="US")
-        assert cn and us
-        cn_rate = sum(1 for m in cn if m.succeeded) / len(cn)
-        us_rate = sum(1 for m in us if m.succeeded) / len(us)
+        counts = detection_result.collection.success_counts()
+        cn_n, cn_ok = counts[("facebook.com", "CN")]
+        us_n, us_ok = counts[("facebook.com", "US")]
+        cn_rate = cn_ok / cn_n
+        us_rate = us_ok / us_n
         assert cn_rate < 0.2
         assert us_rate > 0.9
 
@@ -72,7 +72,9 @@ class TestSoundnessEndToEnd:
         assert failure_rate < 0.10
 
     def test_soundness_report_matches_paper_shape(self, soundness_result, soundness_deployment):
-        report = build_soundness_report(soundness_result.measurements, soundness_deployment.testbed)
+        report = build_soundness_report(
+            soundness_result.collection.store, soundness_deployment.testbed
+        )
         image_stats = report.for_type(TaskType.IMAGE)
         assert image_stats.false_positive_rate < 0.10
         assert image_stats.detection_rate > 0.75
@@ -103,11 +105,17 @@ class TestInfrastructureBlocking:
             world, CampaignConfig(visits=800, include_testbed=False, seed=41)
         )
         deployment.run_campaign()
-        by_country = deployment.collection.measurements_by_country()
+        store = deployment.collection.store
+        volume = {
+            country: np.count_nonzero(store.row_mask(
+                country_code=country, exclude_automated=False, exclude_inconclusive=False
+            ))
+            for country in ("IR", "US")
+        }
         # Iranian clients cannot fetch tasks at all, so Iran contributes
         # (almost) nothing despite its nonzero visit share.
-        assert by_country.get("IR", 0) == 0
-        assert by_country.get("US", 0) > 0
+        assert volume["IR"] == 0
+        assert volume["US"] > 0
         assert deployment.coordination.delivery_failure_rate > 0.0
 
 
@@ -121,7 +129,8 @@ class TestDeterminism:
             )
             result = deployment.run_campaign()
             return [
-                (m.target_domain, m.country_code, m.outcome.value) for m in result.measurements
+                (m.target_domain, m.country_code, m.outcome.value)
+                for m in result.collection.store.rows()
             ]
 
         assert run() == run()
