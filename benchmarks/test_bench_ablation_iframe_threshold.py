@@ -9,8 +9,6 @@ ground truth (page genuinely loaded vs filtered), locating the plateau the
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.reports import format_table
 from repro.censor.mechanisms import Censor, FilteringMechanism
 from repro.censor.policy import BlacklistPolicy

@@ -10,11 +10,10 @@ report the resulting applicability matrix.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.reports import format_table
 from repro.browser.engine import Browser
-from repro.browser.profiles import BrowserFamily, BrowserProfile
+from repro.browser.profiles import BrowserProfile
 from repro.core.task_generation import TaskGenerationLimits, TaskGenerator
 from repro.core.tasks import MeasurementTask, TaskOutcome, TaskType, execute_task
 from repro.netsim.latency import LinkQuality

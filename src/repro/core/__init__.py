@@ -38,7 +38,6 @@ from repro.core.query import (
     DenseResult,
     DistinctCount,
     Quantiles,
-    Query,
     QueryResult,
     SuccessCount,
     Sum,
@@ -109,7 +108,6 @@ __all__ = [
     "DenseResult",
     "DistinctCount",
     "Quantiles",
-    "Query",
     "QueryResult",
     "SuccessCount",
     "Sum",

@@ -177,7 +177,6 @@ class CollectionServer:
             if store is not None
             else MeasurementStore(max_rows_in_memory=max_rows_in_memory, spill_dir=spill_dir)
         )
-        self.rejected_submissions = 0
         self.unreachable_submissions = 0
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ is reachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.browser.engine import Browser
 from repro.core.scheduler import ScheduleDecision, Scheduler

@@ -12,7 +12,7 @@ filtering, campaign scale) are all thin wrappers around
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,8 @@ from repro.core.task_generation import (
     TaskGenerationLimits,
     TaskGenerationPipeline,
 )
-from repro.core.tasks import MeasurementTask, TaskType
+from repro.core.tasks import MeasurementTask, TaskType, mint_measurement_ids
 from repro.population.world import World
-from repro.web.url import URL
 
 #: The execution modes :meth:`EncoreDeployment.run_campaign` accepts.
 CAMPAIGN_MODES = ("batch", "serial", "sharded")
@@ -135,7 +134,6 @@ class CampaignResult:
         detector: BinomialFilteringDetector | None = None,
         reputation=None,
         executor: str = "process",
-        num_workers: int | None = None,
         spill_dir: str | None = None,
         seed: int = 0,
     ):
@@ -156,7 +154,6 @@ class CampaignResult:
             reputation,
             fabricate_blocking=fabricate_blocking,
             executor=executor,
-            num_workers=num_workers,
             spill_dir=spill_dir,
             seed=seed,
         )
@@ -197,9 +194,11 @@ class EncoreDeployment:
         target_list = TargetList.high_value().restrict_to_domains(self.config.target_domains)
         generation = self.generation_pipeline.run(target_list.entries)
         self.feasibility = generation.report
-        self.target_tasks: list[MeasurementTask] = generation.tasks
-        self.testbed_tasks: list[MeasurementTask] = (
-            self._build_testbed_tasks() if self.testbed else []
+        # Measurement ids are numbered in pool order, so they follow from
+        # the configuration: forked workers, workers rebuilt from pickled
+        # configs and restarted processes all hold the same ids.
+        self.target_tasks, self.testbed_tasks = mint_measurement_ids(
+            generation.tasks, self._build_testbed_tasks() if self.testbed else []
         )
 
         # --- Servers ---------------------------------------------------------
@@ -322,7 +321,6 @@ class EncoreDeployment:
         mode: str | None = None,
         batch_size: int | None = None,
         progress=None,
-        resume_from_batch: int = 0,
         num_shards: int | None = None,
         worker_spill_dir: str | None = None,
         shard_executor: str | None = None,
@@ -335,17 +333,22 @@ class EncoreDeployment:
         :class:`~repro.core.runner.CampaignRunner`: the vectorized fast path
         and the scalar reference implementation that produces identical
         measurements for a fixed seed.  ``progress`` is invoked with a
-        :class:`~repro.core.runner.BatchProgress` after every batch;
-        ``resume_from_batch`` skips already-completed batches.
+        :class:`~repro.core.runner.BatchProgress` after every batch.
 
         ``mode="sharded"`` fans the batch path out across worker processes
         (:func:`repro.core.shard.run_sharded`) and merges the workers'
         spilled segments back into this deployment's store; for a fixed seed
         the merged campaign is identical to ``mode="batch"`` at any
         ``num_shards``.  ``progress`` then receives a
-        :class:`~repro.core.shard.ShardProgress` per completed shard, and a
-        re-run pointed at the same ``worker_spill_dir`` resumes by adopting
-        the manifests of shards that already finished.
+        :class:`~repro.core.shard.ShardProgress` per completed shard.
+
+        Only the sharded path resumes a killed campaign: a freshly built
+        deployment pointed at the same ``worker_spill_dir`` adopts the
+        manifests of the shards that already committed and re-executes the
+        rest (one inline shard is enough, which is how the checkpointed
+        monitor runs).  Its rows, ``measurement_id`` included, equal an
+        uninterrupted run's, because every row is a function of the
+        configuration.
         """
         from repro.core.runner import CampaignRunner
 
@@ -354,11 +357,10 @@ class EncoreDeployment:
             raise ValueError(f"unknown campaign mode {mode!r}")
         visits = visits if visits is not None else self.config.visits
         if mode == "sharded":
-            if resume_from_batch or batch_size is not None:
+            if batch_size is not None:
                 raise ValueError(
-                    "mode='sharded' executes whole planning blocks and "
-                    "resumes from worker manifests (worker_spill_dir); "
-                    "batch_size and resume_from_batch do not apply"
+                    "mode='sharded' executes whole planning blocks, so "
+                    "batch_size does not apply"
                 )
             from repro.core.shard import run_sharded
 
@@ -387,8 +389,8 @@ class EncoreDeployment:
             # The sharded path opens its own campaign root span; give the
             # in-process modes the same shape so summaries line up.
             with tracer.span("campaign", visits=visits, shards=0):
-                return runner.run(visits, resume_from_batch=resume_from_batch)
-        return runner.run(visits, resume_from_batch=resume_from_batch)
+                return runner.run(visits)
+        return runner.run(visits)
 
     def run_longitudinal(self, timeline, config=None):
         """Run an epoch-by-epoch campaign against a time-varying censor policy.

@@ -45,7 +45,6 @@ it is handed — ``NULL_TRACER`` unless a caller opts in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -317,36 +316,6 @@ class DenseResult:
             if spec == aggregate or spec.name == aggregate:
                 return column
         raise KeyError(f"no aggregate {aggregate!r} in this result")
-
-
-@dataclass(frozen=True)
-class Query:
-    """A reusable query specification: keys + aggregates + filters.
-
-    ``shape="cells"`` yields a :class:`QueryResult` (one row per non-empty
-    group); ``shape="dense"`` yields a :class:`DenseResult` (full key-space
-    accumulator arrays, foldable maskless queries only) — what the
-    always-on monitor's day series rides.
-    """
-
-    keys: tuple[str, ...] = ("domain", "country")
-    aggregates: tuple[Aggregate, ...] = (Count(), SuccessCount())
-    exclude_automated: bool = True
-    exclude_inconclusive: bool = True
-    shape: str = "cells"
-    mask: np.ndarray | None = field(default=None, compare=False)
-
-    def run(self, store: "MeasurementStore", tracer=NULL_TRACER):
-        return run_query(
-            store,
-            self.keys,
-            self.aggregates,
-            mask=self.mask,
-            exclude_automated=self.exclude_automated,
-            exclude_inconclusive=self.exclude_inconclusive,
-            shape=self.shape,
-            tracer=tracer,
-        )
 
 
 # ----------------------------------------------------------------------

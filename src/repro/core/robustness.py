@@ -731,7 +731,6 @@ class AdversarySweep:
         *,
         fabricate_blocking: bool = True,
         executor: str = "process",
-        num_workers: int | None = None,
         spill_dir: str | Path | None = None,
         seed: int = 0,
         tracer=None,
@@ -742,7 +741,6 @@ class AdversarySweep:
         self.reputation = reputation if reputation is not None else ReputationFilter()
         self.fabricate_blocking = fabricate_blocking
         self.executor = executor
-        self.num_workers = num_workers
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.seed = seed
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -850,11 +848,7 @@ class AdversarySweep:
             return
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        workers = (
-            self.num_workers
-            if self.num_workers is not None
-            else min(len(payloads), available_cpu_count())
-        )
+        workers = min(len(payloads), available_cpu_count())
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             futures = {
                 pool.submit(_forge_cell, payload): index

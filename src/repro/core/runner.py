@@ -36,20 +36,20 @@ This module executes campaigns in vectorized batches instead:
    :class:`~repro.core.collection.CollectionServer` through its columnar
    :meth:`ingest_records` path — record tuples are transposed into the
    struct-of-arrays :class:`~repro.core.store.MeasurementStore` without ever
-   constructing per-row ``Measurement`` objects — and per-batch
-   progress/checkpoint hooks make
-   long campaigns observable and resumable (re-run with
-   ``resume_from_batch=n`` to skip the completed batches' execution; their
-   planning is replayed so campaign-wide counters stay complete).
+   constructing per-row ``Measurement`` objects — and a per-batch
+   progress hook makes long campaigns observable.  A killed campaign is
+   resumed by the sharded path, whose manifests commit each shard's rows
+   to disk (:mod:`repro.core.shard`).
 
 Planning is **block-keyed**: visits are planned in fixed-size blocks
 (``CampaignConfig.plan_block_visits``) whose randomness — client sampling,
 scheduling, origins, days, the pre-drawn uniform matrix — derives from
 ``(seed, epoch, block_index)`` alone, with client IPs/ids indexed by global
-visit position.  Campaign content is therefore invariant to batch size
-(batches are just progress/ingestion groupings sliced out of blocks), resume
-needs no replay, and any process can plan any block independently — the
-foundation of the :mod:`repro.core.shard` multi-process execution path.
+visit position, and the task ids the blocks schedule are minted from the
+configuration too.  Campaign content is therefore invariant to batch size
+(batches are just progress/ingestion groupings sliced out of blocks), and
+any process can plan any block independently — the foundation of the
+:mod:`repro.core.shard` multi-process execution path.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.browser.engine import CACHED_RENDER_MAX_MS, CACHED_RENDER_MIN_MS
-from repro.core.collection import ColumnarRecords, SubmissionRecord
+from repro.core.collection import ColumnarRecords
 from repro.core.store import DictColumn
 from repro.obs.clock import monotonic
 from repro.obs.metrics import get_registry
@@ -608,59 +608,16 @@ class CampaignRunner:
         self._block_cache: tuple[tuple, _BlockPlan] | None = None
 
     # ------------------------------------------------------------------
-    def run(self, visits: int | None = None, resume_from_batch: int = 0):
-        """Run ``visits`` origin-site visits and return a ``CampaignResult``.
-
-        Planning is block-keyed (every planning block's randomness derives
-        from ``(seed, epoch, block_index)`` alone), so ``resume_from_batch``
-        skips the completed batches' *execution* outright — no replay is
-        needed for the remaining draws to line up.  Their planning is still
-        replayed (it carries the scheduling counters), so campaign-wide
-        surfaces like ``Scheduler.replication_report`` come out identical to
-        an uninterrupted run.  Resuming still requires a freshly built
-        ``World`` + deployment with the same seeds so that the campaign
-        epoch matches the interrupted run; resuming on a deployment that has
-        already run a campaign is rejected rather than silently producing a
-        different one; so is a ``resume_from_batch`` outside
-        ``[0, batch count]``.
-        """
+    def run(self, visits: int | None = None):
+        """Run ``visits`` origin-site visits and return a ``CampaignResult``."""
         from repro.core.pipeline import CampaignResult  # local: avoids a cycle
 
         deployment = self.deployment
         config = deployment.config
         visits = visits if visits is not None else config.visits
         batch_count = (visits + self.batch_size - 1) // self.batch_size
-        if not 0 <= resume_from_batch <= batch_count:
-            raise ValueError(
-                f"resume_from_batch must lie in [0, {batch_count}] for {visits} visits "
-                f"in batches of {self.batch_size}, got {resume_from_batch}"
-            )
-        if resume_from_batch:
-            stale = (
-                deployment.campaigns_run != 0
-                or deployment.world.clients.batch_sampling_started
-            )
-            if stale:
-                raise ValueError(
-                    "resume_from_batch requires a freshly built World and "
-                    "deployment (same seeds as the interrupted run); this "
-                    "deployment/world has already sampled or run a campaign, "
-                    "so the resumed batches would belong to a different "
-                    "campaign epoch"
-                )
         epoch = deployment.next_campaign_epoch()
         ctx = self.plan_context(visits, epoch, deployment.claim_visit_range(visits))
-        if resume_from_batch:
-            # Replay the planning (only) of the blocks the skipped batches
-            # fully cover; the boundary block is planned by the main loop.
-            boundary = min(resume_from_batch * self.batch_size, visits)
-            skipped_blocks = (
-                ctx.block_count if boundary >= visits
-                else boundary // ctx.block_visits
-            )
-            for block_index in range(skipped_blocks):
-                self._plan_block(ctx, block_index)
-            get_registry().counter("runner.blocks_replayed").add(skipped_blocks)
 
         executions = 0
         started = monotonic()
@@ -672,7 +629,7 @@ class CampaignRunner:
             listener = progress_listener(self.progress, "batch", BatchProgress)
             self.tracer.add_listener(listener)
         try:
-            for batch_index in range(resume_from_batch, batch_count):
+            for batch_index in range(batch_count):
                 start = batch_index * self.batch_size
                 end = min(start + self.batch_size, visits)
                 stored_in_batch = 0

@@ -32,7 +32,10 @@ single coherent :class:`~repro.core.store.MeasurementStore`:
 ``CampaignConfig.num_shards`` / ``worker_spill_dir`` / ``shard_executor``
 configure it.  Re-running a sharded campaign with the same
 ``worker_spill_dir`` adopts the manifests of shards that already completed
-and re-executes only the missing ones (the crash-resume path).
+and re-executes only the missing ones (the crash-resume path).  Nothing
+about task identity needs carrying across: a deployment mints its
+measurement ids from its configuration, so a worker or a restarted process
+that builds the same deployment writes rows in the same id space.
 """
 
 from __future__ import annotations
@@ -424,39 +427,6 @@ def segment_row_counts(paths: Sequence[Path], total_rows: int):
 _FORK_DEPLOYMENT = None
 
 
-def _adopt_task_ids(deployment, task_ids: Sequence[str]) -> None:
-    """Give a rebuilt deployment the parent deployment's measurement ids.
-
-    Rebuilding from the pickled configs regenerates the same tasks in the
-    same order, but ``MeasurementTask.new`` draws fresh uuid4 ids — which
-    would leave each worker's ``measurement_id`` column (and its scheduling
-    counts) speaking a different dialect than the parent's.  Replacing every
-    task with an id-adopted copy, position for position, restores the
-    cross-process id space the fork path gets for free.
-    """
-    from dataclasses import replace
-
-    pools = deployment.scheduler.pools
-    flat = [task for pool in pools for task in pool.tasks]
-    if len(flat) != len(task_ids):
-        raise ValueError(
-            f"rebuilt deployment generated {len(flat)} tasks but the parent "
-            f"shipped {len(task_ids)} ids; world/campaign configs must match"
-        )
-    adopted: dict[int, object] = {}
-    for task, measurement_id in zip(flat, task_ids):
-        if id(task) not in adopted:
-            adopted[id(task)] = replace(task, measurement_id=measurement_id)
-    for pool in pools:
-        pool.tasks[:] = [adopted[id(task)] for task in pool.tasks]
-    deployment.target_tasks[:] = [
-        adopted.get(id(task), task) for task in deployment.target_tasks
-    ]
-    deployment.testbed_tasks[:] = [
-        adopted.get(id(task), task) for task in deployment.testbed_tasks
-    ]
-
-
 def shard_worker(payload: dict) -> str:
     """Process-pool entrypoint: run one shard, return its manifest path."""
     deployment = _FORK_DEPLOYMENT
@@ -466,7 +436,6 @@ def shard_worker(payload: dict) -> str:
 
         world = World(payload["world_config"])
         deployment = EncoreDeployment(world, payload["campaign_config"])
-        _adopt_task_ids(deployment, payload["task_ids"])
     execute_shard(
         deployment,
         payload["assignment"],
@@ -531,71 +500,35 @@ class StoreMerger:
         return adopted
 
 
-def _pool_task_ids(deployment) -> list[str]:
-    """Every task's measurement id, in pool order (the cross-process id space)."""
-    return [
-        task.measurement_id
-        for pool in deployment.scheduler.pools
-        for task in pool.tasks
-    ]
-
-
 def establish_campaign_state(
-    deployment, campaign_root: Path, signature: dict,
+    campaign_root: Path, signature: dict,
     requested_num_shards: int | None, block_count: int = 0,
 ) -> int:
-    """Pin the campaign's cross-restart state; return the shard count to use.
+    """Pin the campaign's shard partition across restarts; return its count.
 
-    Two things must survive a process restart for crash resume to be sound:
-
-    * **The measurement-id space.**  Task ids are uuid4-per-deployment, so
-      a resumed run in a fresh process would otherwise adopt surviving
-      manifests (written under the dead process's ids) while re-executing
-      missing shards under new ids — splitting every task's rows across two
-      id spaces.  The first run writes its id list to the campaign file; a
-      matching resume adopts those ids into the current deployment *before*
-      any worker starts.
-    * **The shard partition.**  With ``num_shards`` unconfigured it falls
-      back to :func:`default_num_shards` (affinity-aware CPUs, capped by
-      ``block_count``), which may differ on the resuming host; reusing the
-      recorded count keeps the old manifests adoptable instead of silently
-      re-executing the whole campaign.  An *explicitly* requested count
-      wins (the old manifests are then rejected by their ``block_indices``,
-      which is safe, just not a cache hit).
+    With ``num_shards`` unconfigured the count falls back to
+    :func:`default_num_shards` (affinity-aware CPUs, capped by
+    ``block_count``), which may differ on the resuming host; reusing the
+    count the campaign file recorded keeps the old manifests adoptable
+    instead of silently re-executing the whole campaign.  An *explicitly*
+    requested count wins (the old manifests are then rejected by their
+    ``block_indices``, which is safe, just not a cache hit).
     """
     path = campaign_root / CAMPAIGN_FILE_NAME
-    current_ids = _pool_task_ids(deployment)
-    stored = None
-    if path.is_file():
-        try:
-            candidate = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            candidate = None
-        if (
-            candidate is not None
-            and candidate.get("signature") == signature
-            and len(candidate.get("task_ids", ())) == len(current_ids)
-        ):
-            stored = candidate
-    if stored is not None:
-        if stored["task_ids"] != current_ids:
-            _adopt_task_ids(deployment, stored["task_ids"])
+    stored = read_manifest(path)
+    if stored is not None and stored.get("signature") == signature:
         stored_shards = stored.get("num_shards")
         if requested_num_shards is None:
             if stored_shards:
                 return int(stored_shards)
         elif requested_num_shards == stored_shards:
             return requested_num_shards
-        current_ids = stored["task_ids"]
     num_shards = (
         requested_num_shards
         if requested_num_shards is not None
         else default_num_shards(block_count)
     )
-    write_json_atomic(
-        path,
-        {"signature": signature, "task_ids": current_ids, "num_shards": num_shards},
-    )
+    write_json_atomic(path, {"signature": signature, "num_shards": num_shards})
     return num_shards
 
 
@@ -645,7 +578,7 @@ def run_sharded(
     Inside ``worker_spill_dir`` each campaign owns a signature-keyed
     subdirectory (so one spill root is safely shareable across campaigns
     and deployments), holding the shard directories plus the campaign file
-    that pins the run's measurement-id space across process restarts.  With
+    that pins the run's shard partition across process restarts.  With
     no directory configured, a temporary root is used and reclaimed when
     the merged store is garbage-collected (or at interpreter exit).
     """
@@ -676,11 +609,10 @@ def run_sharded(
         weakref.finalize(
             deployment.collection.store, shutil.rmtree, str(spill_root), True
         )
-    # Pin the cross-restart state first: a resume must speak the original
-    # run's measurement ids and (unless overridden) its shard partition.
+    # A resume keeps the original run's shard partition unless overridden.
     block_count = ShardPlanner(visits, config.plan_block_visits, 1).block_count
     num_shards = establish_campaign_state(
-        deployment, campaign_root, signature, requested_num_shards, block_count
+        campaign_root, signature, requested_num_shards, block_count
     )
     planner = ShardPlanner(visits, config.plan_block_visits, num_shards)
     assignments = planner.plan()
@@ -829,22 +761,21 @@ def _run_process_pool(
     Prefers the ``fork`` start method so workers inherit the already-built
     deployment through copy-on-write memory (no pickling, no rebuild); on
     platforms without it, workers rebuild the deployment from the pickled
-    world/campaign configs and adopt the parent's task ids, producing the
-    same campaign either way.
+    world/campaign configs, producing the same campaign (measurement ids
+    included) either way.
     """
     global _FORK_DEPLOYMENT
     methods = multiprocessing.get_all_start_methods()
     use_fork = "fork" in methods
     context = multiprocessing.get_context("fork" if use_fork else None)
-    # The rebuild fields (configs + task ids) are only shipped when workers
-    # cannot inherit the deployment; forked children never read them.
+    # The configs are only shipped when workers cannot inherit the
+    # deployment; forked children never read them.
     rebuild_fields = (
         {}
         if use_fork
         else {
             "world_config": deployment.world.config,
             "campaign_config": deployment.config,
-            "task_ids": _pool_task_ids(deployment),
         }
     )
     payloads = {

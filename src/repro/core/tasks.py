@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.browser.engine import Browser
 from repro.browser.events import LoadEvent
@@ -105,7 +105,12 @@ class MeasurementTask:
         category: str = "uncategorised",
         measurement_id: str | None = None,
     ) -> "MeasurementTask":
-        """Create a task with a fresh measurement ID."""
+        """Create a task; without ``measurement_id`` it gets a fresh uuid4.
+
+        A deployment re-mints the ids of the tasks it schedules with
+        :func:`mint_measurement_ids`, so the uuid4 default only stands for
+        tasks built outside one.
+        """
         url = target_url if isinstance(target_url, URL) else URL.parse(target_url)
         probe = (
             probe_image_url
@@ -131,6 +136,26 @@ class MeasurementTask:
         if self.task_type is TaskType.STYLE_SHEET:
             return browser_profile.supports_computed_style_check
         return True
+
+
+def mint_measurement_ids(
+    *task_lists: list[MeasurementTask],
+) -> list[list[MeasurementTask]]:
+    """The task lists with every distinct task's id minted from its position.
+
+    Tasks are numbered in order of first appearance across ``task_lists``
+    (a task object listed twice keeps one id), so the ids depend on that
+    order alone: any process that builds the same deployment holds the
+    same ids without being sent them.
+    """
+    minted: dict[int, MeasurementTask] = {}
+    renamed = []
+    for tasks in task_lists:
+        for task in tasks:
+            if id(task) not in minted:
+                minted[id(task)] = replace(task, measurement_id=f"task-{len(minted):05d}")
+        renamed.append([minted[id(task)] for task in tasks])
+    return renamed
 
 
 @dataclass(frozen=True)

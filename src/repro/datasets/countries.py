@@ -12,7 +12,7 @@ connectivity behind the ~5% false-positive rate of §7.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netsim.latency import LinkQuality
 

@@ -14,7 +14,13 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.devtools.engine import META_RULE_IDS, Finding, LintContext, SourceFile
+from repro.devtools.engine import (
+    META_RULE_IDS,
+    Finding,
+    LintContext,
+    SourceFile,
+    _string_collection,
+)
 
 #: np.random attributes that construct independent, seedable generators —
 #: everything else on the module shares hidden global state.
@@ -643,6 +649,76 @@ class BenchHygieneRule(Rule):
         )
 
 
+# ----------------------------------------------------------------------
+class UnusedImportRule(Rule):
+    """An import the module never reads is dead weight, or a missed caller.
+
+    A name counts as read when it appears as a loaded name anywhere in the
+    module, inside a string annotation, or in ``__all__``.  The check is
+    module-wide, not scope-exact: a name read anywhere keeps its import, so
+    an unused function-local import can slip through when another scope
+    reads the same name.  ``__init__.py`` files (re-export surfaces) and
+    ``from __future__`` imports are exempt; an import kept only for its
+    side effects carries a justified suppression.
+    """
+
+    id = "unused-import"
+    summary = (
+        "no import in src/repro/ or benchmarks/ (outside __init__.py) that "
+        "the module never reads"
+    )
+
+    def applies(self, file: SourceFile) -> bool:
+        return (_in_src(file) or _in_benchmarks(file)) and file.name != "__init__.py"
+
+    def check(self, file: SourceFile, ctx: LintContext) -> Iterator[Finding]:
+        used = self._read_names(file.tree)
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.Import):
+                bound = [
+                    alias.asname or alias.name.split(".")[0] for alias in node.names
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name != "*"
+                ]
+            else:
+                continue
+            unused = [name for name in bound if name not in used]
+            if unused:
+                yield self.finding(
+                    file,
+                    node,
+                    f"{', '.join(unused)} imported but never read; delete the "
+                    "import (or suppress it with the side effect it is kept for)",
+                )
+
+    @staticmethod
+    def _read_names(tree: ast.Module) -> set[str]:
+        names = set(_string_collection(tree, "__all__") or ())
+        annotations: list[ast.AST | None] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)):
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations.append(node.returns)
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    try:
+                        parsed = ast.parse(sub.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    names.update(
+                        n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                    )
+        return names
+
+
 RULES: tuple[Rule, ...] = (
     RngDisciplineRule(),
     TelemetryHygieneRule(),
@@ -652,6 +728,7 @@ RULES: tuple[Rule, ...] = (
     SegmentStreamingRule(),
     WorkerPickleSafetyRule(),
     BenchHygieneRule(),
+    UnusedImportRule(),
 )
 
 

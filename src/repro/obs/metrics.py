@@ -20,7 +20,6 @@ Metric names in use across the tree (dotted, lowercase):
 ``store.client_codes_encoded``  rows whose client identity code was computed
 ``store.client_codes_reused``   rows whose codes an adopter took from its source
 ``runner.blocks_planned``      visit blocks planned from scratch
-``runner.blocks_replayed``     visit blocks replayed from the plan cache
 ``cusum.cells_scanned``        (cell, day) positions the CUSUM scan visited
 ``timing_cusum.cells_scanned``  (cell, day) positions the timing scan visited
 ``longitudinal.epochs_run``    epochs executed by the engine

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.obs.clock import Clock, default_clock
 from repro.obs.metrics import MetricsRegistry, get_registry

@@ -233,11 +233,6 @@ class ClientFactory:
         """Sample ``count`` visitors."""
         return [self.sample_client(country_code) for _ in range(count)]
 
-    @property
-    def batch_sampling_started(self) -> bool:
-        """Whether any batch has been sampled (its field streams consumed)."""
-        return self._field_rngs is not None
-
     # ------------------------------------------------------------------
     def sample_batch(
         self,
@@ -275,7 +270,7 @@ class ClientFactory:
                 # One independent stream per sampled field.  Consuming each
                 # field's stream sequentially makes a campaign's client sequence
                 # a function of the seed alone, not of how visits are chunked
-                # into batches (checkpoint/resume relies on this).
+                # into batches.
                 self._field_rngs = self._rng.spawn(7)
             (country_rng, isp_rng, browser_rng, link_rng,
              roll_rng, span_rng, automated_rng) = self._field_rngs

@@ -70,7 +70,8 @@ def _load_suites() -> None:
     global _LOADED
     if _LOADED:
         return
-    from repro.scenarios import (  # noqa: F401  (imported for registration)
+    # repro-lint: disable=unused-import -- each suite module registers itself on import
+    from repro.scenarios import (
         adversarial_suites,
         longitudinal_suites,
         throttle_suite,

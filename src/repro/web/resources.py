@@ -11,7 +11,7 @@ set of embedded resources.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.web.url import URL

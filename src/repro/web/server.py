@@ -10,7 +10,7 @@ that host Encore, and Encore's own coordination / collection servers.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.web.resources import ContentType, Resource

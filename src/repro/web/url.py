@@ -11,7 +11,7 @@ Encore reasons about three granularities of Web identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.reports import (
-    SoundnessReport,
     TaskTypeSoundness,
     TimelineReport,
     TransitionMatch,

@@ -8,10 +8,14 @@ that only reads them.  Tests that mutate state build their own objects.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
+from repro.core.shard import MANIFEST_NAME
 from repro.core.targets import TargetList
 from repro.core.task_generation import TaskGenerationLimits, TaskGenerationPipeline
 from repro.population.world import World, WorldConfig
@@ -82,3 +86,23 @@ def feasibility_report(feasibility_world: World):
     )
     target_list = TargetList.high_value(total=70, online=60)
     return pipeline.run(target_list.entries)
+
+
+@pytest.fixture
+def orphan_segments():
+    """Lists the segment files under a spill root that no manifest commits.
+
+    A shard killed before its manifest landed leaves such files behind; a
+    resumed run must clear them rather than let them pile up.
+    """
+
+    def find(root: Path) -> set[Path]:
+        committed = {
+            Path(segment["path"])
+            for manifest in root.rglob(MANIFEST_NAME)
+            for block in json.loads(manifest.read_text())["blocks"]
+            for segment in block["segments"]
+        }
+        return set(root.rglob("*.npz")) - committed
+
+    return find

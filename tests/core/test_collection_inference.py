@@ -12,7 +12,7 @@ from repro.core.inference import (
     binomial_cdf,
     binomial_cdf_cells,
 )
-from repro.core.tasks import MeasurementTask, TaskOutcome, TaskResult, TaskType
+from repro.core.tasks import TaskOutcome, TaskResult, TaskType
 from repro.netsim.latency import LinkQuality
 from repro.population.clients import Client
 from repro.population.geoip import GeoIPDatabase

@@ -357,11 +357,10 @@ class TestLongitudinalRun:
         )
 
         def keys(rows):
-            # Everything but the uuid4 task ids, which legitimately differ
-            # between two independently built deployments.
             return [
                 (
-                    str(m.target_url), m.task_type, m.country_code, m.outcome,
+                    m.measurement_id, str(m.target_url), m.task_type,
+                    m.country_code, m.outcome,
                     m.elapsed_ms, m.probe_time_ms, m.origin_domain, m.day,
                     m.client_ip, m.isp, m.browser_family, m.is_automated,
                 )
@@ -543,6 +542,85 @@ class TestCheckpointedMonitor:
         # The completed epochs' events came from the checkpoint verbatim.
         assert resumed.monitor.events[: len(killed.monitor.events)] == (
             killed.monitor.events
+        )
+
+    @staticmethod
+    def monitor_state(deployment, result):
+        return (
+            deployment.collection.store.rows(),
+            [(e.epoch, e.measurements_added, e.blocked, e.throttled) for e in result.epochs],
+            deployment.collection.unreachable_submissions,
+            deployment.coordination.batched_deliveries_attempted,
+            deployment.coordination.batched_deliveries_failed,
+            deployment.scheduler.replication_report(),
+            result.events(),
+            result.monitor.days_processed,
+        )
+
+    def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, inject):
+        """Kill the monitor with ``inject``, resume it, compare with a clean run.
+
+        Returns the resumed run's per-epoch ``resumed`` flags and the
+        segments the dead attempt left uncommitted.
+        """
+        expected = self.monitor_state(
+            *self.run_deployment(seed=41, checkpoint_dir=str(tmp_path / "reference"))
+        )
+        checkpoint = tmp_path / "monitor"
+        inject(monkeypatch)
+        with pytest.raises(OSError, match="injected crash"):
+            self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
+        monkeypatch.undo()
+        orphans = orphan_segments(checkpoint)
+        # A fresh process: new deployment (same world/campaign seeds), same
+        # checkpoint directory.
+        deployment, resumed = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
+        assert self.monitor_state(deployment, resumed) == expected
+        assert not any(path.exists() for path in orphans)
+        assert orphan_segments(checkpoint) == set()
+        return [e.resumed for e in resumed.epochs], orphans
+
+    def test_crash_in_a_manifest_write(self, tmp_path, monkeypatch, orphan_segments):
+        from repro.core import shard as shard_module
+
+        real_write = shard_module.write_manifest
+        calls = []
+
+        def write_manifest(shard_dir, manifest):
+            calls.append(shard_dir)
+            if len(calls) == self.KILL_AFTER + 1:
+                raise OSError("injected crash")
+            return real_write(shard_dir, manifest)
+
+        resumed, orphans = self.crash_and_resume(
+            tmp_path, monkeypatch, orphan_segments,
+            lambda patch: patch.setattr(shard_module, "write_manifest", write_manifest),
+        )
+        # Epoch KILL_AFTER spilled its segments but never committed them.
+        assert orphans
+        assert resumed == [True] * self.KILL_AFTER + [False] * (
+            self.EPOCHS - self.KILL_AFTER
+        )
+
+    def test_crash_in_a_cusum_checkpoint(self, tmp_path, monkeypatch, orphan_segments):
+        real_save = CusumState.save
+        calls = []
+
+        def save(state, path, signature=None):
+            calls.append(path)
+            if len(calls) == self.KILL_AFTER + 1:
+                raise OSError("injected crash")
+            real_save(state, path, signature)
+
+        resumed, orphans = self.crash_and_resume(
+            tmp_path, monkeypatch, orphan_segments,
+            lambda patch: patch.setattr(CusumState, "save", save),
+        )
+        # Epoch KILL_AFTER committed its rows, so the resume adopts them and
+        # re-scans its day from the previous epoch's checkpoint.
+        assert not orphans
+        assert resumed == [True] * (self.KILL_AFTER + 1) + [False] * (
+            self.EPOCHS - self.KILL_AFTER - 1
         )
 
     def test_resume_false_starts_over(self, tmp_path):

@@ -854,17 +854,8 @@ class TestCampaignBackedStore:
         assert store.segment_files and all(p.suffix == ".npz" for p in store.segment_files)
         assert all(Path(p).is_relative_to(tmp_path) for p in store.segment_files)
 
-        # Identical rows minus the uuid4 task ids, which legitimately differ
-        # between two independently built deployments.
-        def key(rows):
-            return [
-                (str(m.target_url), m.task_type.value, m.country_code, m.outcome.value,
-                 m.elapsed_ms, m.probe_time_ms, m.origin_domain, m.day, m.client_ip,
-                 m.isp, m.browser_family, m.is_automated)
-                for m in rows
-            ]
-
-        assert key(spilling.collection.store.rows()) == key(baseline.collection.store.rows())
+        # Identical rows, measurement ids included.
+        assert spilling.collection.store.rows() == baseline.collection.store.rows()
         assert spilling.detect().detected_pairs() == baseline.detect().detected_pairs()
         assert spilling.collection.success_counts() == baseline.collection.success_counts()
 

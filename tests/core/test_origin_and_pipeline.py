@@ -1,7 +1,6 @@
 """Tests for origin-site integration and the end-to-end deployment driver."""
 
 import numpy as np
-import pytest
 
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
 from repro.core.pipeline import CampaignConfig, EncoreDeployment

@@ -28,7 +28,6 @@ from repro.core.query import (
     Count,
     DistinctCount,
     Quantiles,
-    Query,
     SuccessCount,
     Sum,
     distinct_ip_count,
@@ -215,14 +214,6 @@ class TestRunQueryEquivalence:
         assert fast.keys() == reference.keys()
         for group, row in fast.items():
             assert row == pytest.approx(reference[group])
-
-    def test_query_dataclass_runs_like_the_function(self):
-        corpus = _timing_corpus()
-        store = build_store(corpus)
-        spec = Query(keys=("domain", "country"), aggregates=FULL_AGGREGATES)
-        assert spec.run(store).as_dict() == run_query_reference(
-            store, ("domain", "country"), FULL_AGGREGATES
-        )
 
     def test_store_query_method_is_the_kernel(self):
         store = build_store(_timing_corpus())

@@ -18,7 +18,6 @@ from repro.core.robustness import (
     ReputationFilter,
 )
 from repro.core.store import MeasurementStore, SegmentRowsError
-from repro.core.tasks import TaskOutcome
 from repro.population.geoip import GeoIPDatabase
 
 

@@ -4,8 +4,9 @@
 pre-drawn randomness) but execute it with completely different code — a
 scalar per-visit walk over interceptor objects versus vectorized numpy
 passes over cached verdicts.  For a fixed seed the two must produce
-*identical* campaigns; these tests pin that, plus the scheduler- and
-resume-level equivalences it is built from.
+*identical* campaigns; these tests pin that, plus the scheduler-level
+equivalences it is built from and the config-minted measurement ids that
+let separately built deployments compare whole rows.
 """
 
 import numpy as np
@@ -42,11 +43,10 @@ def small_deployment(mode, include_testbed=False, seed=11, visits=900, country=N
 
 
 def measurement_key(result):
-    """Everything that identifies a measurement, minus the uuid4 task ids
-    (which legitimately differ between two independently built deployments)."""
+    """Everything that identifies a measurement, its task's id included."""
     return [
         (
-            str(m.target_url), m.task_type.value, m.country_code,
+            m.measurement_id, str(m.target_url), m.task_type.value, m.country_code,
             m.outcome.value, m.elapsed_ms, m.probe_time_ms, m.origin_domain,
             m.day, m.client_ip, m.isp, m.browser_family, m.is_automated,
         )
@@ -123,18 +123,36 @@ class TestGeneratedEquivalence:
                 plan_block_visits=plan_block_visits, favicons_only=favicons_only,
             )
             result = deployment.run_campaign(**run_kw)
-            # Task ids are uuid4 per deployment: key the report by pool position.
-            report = deployment.scheduler.replication_report()
             return (
                 measurement_key(result),
                 deployment.collection.unreachable_submissions,
                 deployment.coordination.delivery_failure_rate,
-                [report.get(t.measurement_id, 0) for t in deployment.scheduler.all_tasks],
+                deployment.scheduler.replication_report(),
             )
 
         serial = run("serial", batch_size=batch_size)
         assert serial == run("batch", batch_size=batch_size)
         assert serial == run("sharded", num_shards=2, shard_executor="inline")
+
+
+class TestMeasurementIds:
+    """Task ids are minted from the configuration, not drawn per process."""
+
+    def test_equal_configs_mint_equal_ids(self):
+        first = small_deployment("batch", include_testbed=True)
+        second = small_deployment("batch", include_testbed=True)
+        ids = [t.measurement_id for t in first.scheduler.all_tasks]
+        assert ids == [t.measurement_id for t in second.scheduler.all_tasks]
+        # Distinct, at most uuid4().hex's 32 characters, numbered in pool
+        # order: the target pool first, then the testbed pool.
+        assert len(set(ids)) == len(ids) and max(map(len, ids)) <= 32
+        pooled = [t.measurement_id for t in first.target_tasks + first.testbed_tasks]
+        assert ids == pooled == sorted(pooled)
+        first.run_campaign()
+        second.run_campaign()
+        report = first.scheduler.replication_report()
+        assert report and report == second.scheduler.replication_report()
+        assert set(report) <= set(ids)
 
 
 class TestProgramLayout:
@@ -319,7 +337,7 @@ class TestClientBatchEquivalence:
         assert all(world.geoip.lookup(ip) == "IR" for ip in batch.ip_addresses)
 
 
-class TestCheckpointResume:
+class TestProgressAndReuse:
     def test_progress_hook_sees_every_batch(self):
         seen = []
         deployment = small_deployment("batch", visits=500)
@@ -329,23 +347,6 @@ class TestCheckpointResume:
         assert [p.batch_index for p in seen] == list(range(5))
         assert seen[-1].visits_completed == 500
         assert seen[-1].measurements_total == len(deployment.collection)
-
-    def test_resume_reproduces_remaining_batches(self):
-        full = small_deployment("batch", visits=600)
-        full_result = full.run_campaign(batch_size=200)
-        full_keys = measurement_key(full_result)
-
-        # Count how many measurements the first two batches contributed.
-        per_batch = []
-        counting = small_deployment("batch", visits=600)
-        counting.run_campaign(
-            batch_size=200, progress=lambda p: per_batch.append(p.measurements_added)
-        )
-        done_before_resume = sum(per_batch[:2])
-
-        resumed = small_deployment("batch", visits=600)
-        resumed_result = resumed.run_campaign(batch_size=200, resume_from_batch=2)
-        assert measurement_key(resumed_result) == full_keys[done_before_resume:]
 
     def test_runner_instance_is_reusable_across_campaigns(self):
         # Regression: the block-plan cache is keyed on the campaign epoch,
@@ -359,25 +360,6 @@ class TestCheckpointResume:
         assert first.visits_simulated == second.visits_simulated == 300
         assert len(deployment.collection) > after_first
 
-    def test_resume_keeps_replication_report_complete(self):
-        # Skipped batches' planning is replayed (execution is not), so the
-        # campaign-wide replication report matches an uninterrupted run
-        # regardless of where the resume boundary falls inside a block.
-        full = small_deployment("batch", visits=600, plan_block_visits=100)
-        full.run_campaign(batch_size=200)
-        resumed = small_deployment("batch", visits=600, plan_block_visits=100)
-        resumed.run_campaign(batch_size=200, resume_from_batch=2)
-        assert sorted(full.scheduler.replication_report().values()) == sorted(
-            resumed.scheduler.replication_report().values()
-        )
-
-    def test_resume_is_mode_agnostic(self):
-        serial = small_deployment("serial", visits=400)
-        serial_tail = serial.run_campaign(batch_size=200, resume_from_batch=1)
-        batch = small_deployment("batch", visits=400)
-        batch_tail = batch.run_campaign(batch_size=200, resume_from_batch=1)
-        assert measurement_key(serial_tail) == measurement_key(batch_tail)
-
     def test_invalid_runner_arguments_rejected(self):
         deployment = small_deployment("batch", visits=100)
         with pytest.raises(ValueError):
@@ -389,20 +371,6 @@ class TestCheckpointResume:
         for mode in ("legacy", "warp"):
             with pytest.raises(ValueError, match=f"unknown campaign mode '{mode}'"):
                 deployment.run_campaign(mode=mode)
-        # 100 visits in batches of 50 make batches 0 and 1; resuming at 2 (the
-        # batch count) is valid and runs nothing.  Outside [0, 2] is rejected
-        # before the campaign claims its epoch or visit range.
-        for resume in (-1, 3):
-            with pytest.raises(ValueError, match=r"resume_from_batch must lie in \[0, 2\]"):
-                deployment.run_campaign(batch_size=50, resume_from_batch=resume)
+        # Rejected before the campaign claims its epoch or visit range.
         assert len(deployment.collection) == 0
         assert deployment.campaigns_run == 0
-
-    def test_resume_on_stale_state_is_rejected(self):
-        # Replay only matches the interrupted run from a fresh World +
-        # deployment; resuming on advanced RNG streams must fail loudly
-        # instead of silently appending a different campaign.
-        deployment = small_deployment("batch", visits=400)
-        deployment.run_campaign(batch_size=200)
-        with pytest.raises(ValueError, match="freshly built"):
-            deployment.run_campaign(batch_size=200, resume_from_batch=1)

@@ -12,7 +12,6 @@ translation, and the manifest-based crash-resume path.
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.collection import CollectionServer
@@ -53,7 +52,7 @@ def small_deployment(mode, seed=11, visits=900, include_testbed=True, **config_k
 def measurement_key(result):
     return [
         (
-            str(m.target_url), m.task_type.value, m.country_code,
+            m.measurement_id, str(m.target_url), m.task_type.value, m.country_code,
             m.outcome.value, m.elapsed_ms, m.probe_time_ms, m.origin_domain,
             m.day, m.client_ip, m.isp, m.browser_family, m.is_automated,
         )
@@ -130,22 +129,20 @@ class TestShardedEqualsBatch:
 
     def test_replication_counts_survive_the_merge(self):
         # Worker-side scheduling counts are folded back through manifests,
-        # so the campaign-wide replication report matches the in-process
-        # run's (up to the uuid4 task ids, which differ per deployment).
+        # so the campaign-wide replication report equals the in-process run's.
         sharded_deployment = small_deployment("sharded")
         sharded_deployment.run_campaign(num_shards=3, shard_executor="inline")
         batch_deployment = small_deployment("batch")
         batch_deployment.run_campaign()
-        assert sorted(sharded_deployment.scheduler.replication_report().values()) == sorted(
-            batch_deployment.scheduler.replication_report().values()
+        assert (
+            sharded_deployment.scheduler.replication_report()
+            == batch_deployment.scheduler.replication_report()
         )
 
     def test_sharded_mode_rejects_batch_only_arguments(self):
         deployment = small_deployment("sharded", visits=128)
         with pytest.raises(ValueError, match="sharded"):
             deployment.run_campaign(batch_size=64)
-        with pytest.raises(ValueError, match="sharded"):
-            deployment.run_campaign(resume_from_batch=1)
         batch = small_deployment("batch", visits=128)
         with pytest.raises(ValueError, match="sharded"):
             batch.run_campaign(num_shards=2)
@@ -168,8 +165,7 @@ class TestShardProgressAndResume:
         reference = small_deployment("batch").run_campaign()
 
         first = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        first_result = first.run_campaign(num_shards=3, shard_executor="inline")
-        first_ids = set(first_result.collection.store.column("measurement_id").tolist())
+        first.run_campaign(num_shards=3, shard_executor="inline")
         survivors = {
             p: (p / MANIFEST_NAME).read_text()
             for p in sorted(tmp_path.rglob("shard-*"))
@@ -184,8 +180,7 @@ class TestShardProgressAndResume:
         orphan.write_bytes(b"partial output of the dead attempt")
 
         seen = []
-        # A *fresh* deployment (new uuid4 task ids, as after a process
-        # restart): the campaign file pins the original id space.
+        # A *fresh* deployment, as after a process restart.
         resumed = small_deployment("sharded", worker_spill_dir=str(tmp_path))
         result = resumed.run_campaign(
             num_shards=3, shard_executor="inline", progress=seen.append
@@ -201,10 +196,8 @@ class TestShardProgressAndResume:
             result.collection.unreachable_submissions
             == reference.collection.unreachable_submissions
         )
-        # One coherent measurement-id space across the restart — the
-        # re-executed shard adopted the original run's task ids — and the
-        # dead attempt's partial segments were cleared, not accumulated.
-        assert set(result.collection.store.column("measurement_id").tolist()) == first_ids
+        # The rows matched with their measurement ids, and the dead
+        # attempt's partial segments were cleared, not accumulated.
         assert not orphan.exists()
 
     def test_foreign_manifest_is_ignored(self, tmp_path):
@@ -325,9 +318,10 @@ class TestShardProgressAndResume:
 
     def test_rebuilt_worker_matches_forked_worker(self, tmp_path):
         # The spawn fallback rebuilds the deployment from pickled configs
-        # and adopts the parent's task ids, so its shard output — including
-        # the measurement_id column — is byte-equal to a worker sharing the
-        # parent deployment (what fork provides).
+        # alone, and the rebuilt deployment mints the parent's task ids, so
+        # its shard output — including the measurement_id column — is
+        # byte-equal to a worker sharing the parent deployment (what fork
+        # provides).
         from repro.core import shard as shard_module
 
         parent = small_deployment("batch", visits=256)
@@ -347,11 +341,6 @@ class TestShardProgressAndResume:
                 "signature": signature,
                 "world_config": parent.world.config,
                 "campaign_config": parent.config,
-                "task_ids": [
-                    t.measurement_id
-                    for pool in parent.scheduler.pools
-                    for t in pool.tasks
-                ],
                 "visit_base": 0,
             }
         )
@@ -367,6 +356,9 @@ class TestShardProgressAndResume:
 
         rebuilt_manifest = json.loads(Path(rebuilt_path).read_text())
         assert rows_of(rebuilt_manifest) == rows_of(shared_manifest)
+        # The scheduling counts the parent folds into its replication
+        # report are keyed by the same ids.
+        assert rebuilt_manifest["assignment_counts"] == shared_manifest["assignment_counts"]
 
     def test_execute_shard_writes_committing_manifest(self, tmp_path):
         deployment = small_deployment("batch", visits=256)
@@ -387,6 +379,93 @@ class TestShardProgressAndResume:
             b["rows"] for b in manifest["blocks"]
         )
         assert load_manifest(tmp_path / "shard-000", signature, assignment) is not None
+
+
+class TestCrashPoints:
+    """Kill a 3-shard campaign at one durable write of shard 1, then resume.
+
+    The resume runs in a freshly built deployment against the same spill
+    root, as a restarted process would.  It must adopt shard 0, re-execute
+    shards 1 and 2, clear the dead attempt's segments, and end with the
+    uninterrupted campaign: rows with their measurement ids, counters and
+    detections.
+    """
+
+    VICTIM = "shard-001-of003"
+
+    @staticmethod
+    def campaign_state(deployment, result):
+        return (
+            measurement_key(result),
+            result.task_executions,
+            deployment.collection.unreachable_submissions,
+            deployment.coordination.batched_deliveries_attempted,
+            deployment.coordination.batched_deliveries_failed,
+            deployment.scheduler.replication_report(),
+            result.detect().detected_pairs(),
+        )
+
+    def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, inject):
+        reference = small_deployment("sharded")
+        expected = self.campaign_state(
+            reference, reference.run_campaign(num_shards=3, shard_executor="inline")
+        )
+        spill = tmp_path / "spill"
+        inject(monkeypatch)
+        with pytest.raises(OSError, match="injected crash"):
+            small_deployment("sharded", worker_spill_dir=str(spill)).run_campaign(
+                num_shards=3, shard_executor="inline"
+            )
+        monkeypatch.undo()
+        orphans = orphan_segments(spill)
+        assert orphans and all(self.VICTIM in str(path) for path in orphans)
+
+        seen = []
+        resumed = small_deployment("sharded", worker_spill_dir=str(spill))
+        result = resumed.run_campaign(
+            num_shards=3, shard_executor="inline", progress=seen.append
+        )
+        assert [(p.shard_index, p.resumed) for p in seen] == [
+            (0, True), (1, False), (2, False)
+        ]
+        assert self.campaign_state(resumed, result) == expected
+        assert not any(path.exists() for path in orphans)
+        assert orphan_segments(spill) == set()
+
+    def test_crash_in_a_segment_spill(self, tmp_path, monkeypatch, orphan_segments):
+        from repro.core import store as store_module
+
+        real_spill = store_module._Segment.spill
+        victim_spills = []
+
+        def spill(segment, path):
+            if self.VICTIM in str(path):
+                victim_spills.append(path)
+                if len(victim_spills) == 2:
+                    # Die halfway through shard 1's second segment.
+                    Path(path).write_bytes(b"half a segment")
+                    raise OSError("injected crash")
+            real_spill(segment, path)
+
+        self.crash_and_resume(
+            tmp_path, monkeypatch, orphan_segments,
+            lambda patch: patch.setattr(store_module._Segment, "spill", spill),
+        )
+
+    def test_crash_in_a_manifest_write(self, tmp_path, monkeypatch, orphan_segments):
+        from repro.core import shard as shard_module
+
+        real_write = shard_module.write_manifest
+
+        def write_manifest(shard_dir, manifest):
+            if Path(shard_dir).name == self.VICTIM:
+                raise OSError("injected crash")
+            return real_write(shard_dir, manifest)
+
+        self.crash_and_resume(
+            tmp_path, monkeypatch, orphan_segments,
+            lambda patch: patch.setattr(shard_module, "write_manifest", write_manifest),
+        )
 
 
 class TestStoreMerger:
@@ -573,6 +652,7 @@ class TestDefaultShardCount:
         campaign_files = list(Path(tmp_path).glob("campaign-*/campaign.json"))
         assert len(campaign_files) == 1
         recorded = json.loads(campaign_files[0].read_text())
+        assert set(recorded) == {"signature", "num_shards"}
         assert recorded["num_shards"] == 2
         reference = small_deployment("batch").run_campaign()
         assert measurement_key(result) == measurement_key(reference)

@@ -1,13 +1,10 @@
 """Tests for target lists, deployment phases, and the task-generation pipeline."""
 
-import pytest
-
 from repro.core.targets import TargetList, apply_phase, deployment_phases
 from repro.core.task_generation import (
     PatternExpander,
     TargetFetcher,
     TaskGenerationLimits,
-    TaskGenerationPipeline,
     TaskGenerator,
 )
 from repro.core.tasks import TaskType

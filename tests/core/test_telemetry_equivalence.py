@@ -12,7 +12,6 @@ import dataclasses
 import json
 
 import numpy as np
-import pytest
 
 from repro.censor.policy import PolicyTimeline
 from repro.core.longitudinal import LongitudinalConfig, LongitudinalEngine
@@ -63,7 +62,7 @@ def progress_key(progress):
 def measurement_key(result):
     return [
         (
-            str(m.target_url), m.task_type.value, m.country_code,
+            m.measurement_id, str(m.target_url), m.task_type.value, m.country_code,
             m.outcome.value, m.elapsed_ms, m.probe_time_ms, m.origin_domain,
             m.day, m.client_ip, m.isp, m.browser_family, m.is_automated,
         )
@@ -191,7 +190,7 @@ class TestLongitudinalEquivalence:
         ]
         a, b = untraced.collection.store, traced.collection.store
         assert len(a) == len(b)
-        for column in ("day", "outcome", "domain", "country"):
+        for column in ("measurement_id", "day", "outcome", "domain", "country"):
             assert np.array_equal(a.column(column), b.column(column)), column
 
         trace = load_trace(tmp_path / "trace-on" / TRACE_FILENAME)
@@ -231,7 +230,7 @@ class TestLongitudinalEquivalence:
         ]
         a, b = untraced.collection.store, resumed.collection.store
         assert len(a) == len(b)
-        for column in ("day", "outcome", "domain", "country"):
+        for column in ("measurement_id", "day", "outcome", "domain", "country"):
             assert np.array_equal(a.column(column), b.column(column)), column
 
         # The appended stream is still one well-formed trace; the second

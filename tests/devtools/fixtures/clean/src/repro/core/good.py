@@ -1,8 +1,19 @@
 """Fixture: one clean counterpart per repro-lint rule."""
 
+from __future__ import annotations
+
+import os.path
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+__all__ = ["exported_step", "joined", "zeros"]
+
+from repro.core.instrumented import traced_step as exported_step
+
+if TYPE_CHECKING:
+    from repro.core.store import MeasurementStore
 
 
 def seeded_sample(seed: int) -> float:
@@ -39,3 +50,16 @@ def fan_out(items: list[int]) -> None:
 
     with ProcessPoolExecutor() as pool:
         pool.map(double, items)
+
+
+def joined(parts: list[str]) -> str:
+    return os.path.join(*parts)
+
+
+def zeros(store: "MeasurementStore") -> np.ndarray:
+    return np.zeros(len(store))
+
+
+def load_plugins() -> None:
+    # repro-lint: disable=unused-import -- the module registers itself on import
+    from repro.core import runner

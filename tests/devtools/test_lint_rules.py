@@ -53,6 +53,16 @@ class TestViolationsCorpus:
         ("telemetry-hygiene", "src/repro/scenarios/quality_violations.py", 10),
         ("atomic-json-write", "src/repro/scenarios/quality_violations.py", 12),
         ("atomic-json-write", "src/repro/scenarios/quality_violations.py", 13),
+        # Unused imports: plain, aliased, one name of a from-import, and a
+        # function-local import; the package __init__ re-export is exempt.
+        ("unused-import", "benchmarks/bench_helpers.py", 3),
+        ("unused-import", "src/repro/core/import_violations.py", 5),
+        ("unused-import", "src/repro/core/import_violations.py", 6),
+        ("unused-import", "src/repro/core/import_violations.py", 7),
+        ("unused-import", "src/repro/core/import_violations.py", 8),
+        ("unused-import", "src/repro/core/import_violations.py", 17),
+        # The telemetry fixture's `import time` is never read either.
+        ("unused-import", "src/repro/core/telemetry_violations.py", 3),
     }
 
     def test_every_rule_fires_at_the_expected_lines(self):
@@ -82,6 +92,25 @@ class TestViolationsCorpus:
             ("src/repro/core/rng_violations.py", 4),
             ("src/repro/core/telemetry_violations.py", 3),
             ("src/repro/core/telemetry_violations.py", 4),
+        }
+
+    def test_unused_imports_name_only_the_unread_names(self):
+        # `from dataclasses import dataclass, field` flags `field` alone;
+        # `from typing import Iterable, Sequence` flags `Iterable` alone.
+        findings = lint_fixture("violations")
+        messages = {
+            (f.path, f.line): f.message.split(" imported")[0]
+            for f in findings
+            if f.rule == "unused-import"
+        }
+        assert messages == {
+            ("benchmarks/bench_helpers.py", 3): "np",
+            ("src/repro/core/import_violations.py", 5): "os",
+            ("src/repro/core/import_violations.py", 6): "osp",
+            ("src/repro/core/import_violations.py", 7): "field",
+            ("src/repro/core/import_violations.py", 8): "Iterable",
+            ("src/repro/core/import_violations.py", 17): "json",
+            ("src/repro/core/telemetry_violations.py", 3): "time",
         }
 
     def test_findings_render_as_path_line_rule(self):

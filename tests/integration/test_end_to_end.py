@@ -1,7 +1,6 @@
 """End-to-end integration tests spanning every stage of the system."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.reports import build_soundness_report
 from repro.censor.mechanisms import FilteringMechanism

@@ -1,16 +1,15 @@
 """Tests for the individual DNS / TCP / HTTP stage models."""
 
 import numpy as np
-import pytest
 
 from repro.censor.mechanisms import Censor, FilteringMechanism
 from repro.censor.policy import BlacklistPolicy
 from repro.netsim.dns import DNSAction, DNSResolver, INJECTED_SINKHOLE_IP
-from repro.netsim.http import HTTPAction, HTTPExchangeModel, THROTTLE_FACTOR
+from repro.netsim.http import HTTPAction, HTTPExchangeModel
 from repro.netsim.latency import LinkQuality
 from repro.netsim.tcp import TCPAction, TCPConnectionModel
 from repro.web.resources import ContentType, Resource
-from repro.web.server import WebServer, WebUniverse
+from repro.web.server import WebUniverse
 from repro.web.sites import Site
 from repro.web.url import URL
 
