@@ -36,12 +36,11 @@ def timed_campaign(mode: str) -> tuple[float, int]:
         testbed_fraction=0.3,
         favicons_only=True,
         seed=2017,
-        mode=mode,
     )
     deployment = EncoreDeployment(world, config)
     gc.collect()
     started = time.perf_counter()
-    result = deployment.run_campaign()
+    result = deployment.run_campaign(mode=mode)
     elapsed = time.perf_counter() - started
     return elapsed, len(result.collection)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import gc
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -34,7 +33,7 @@ MIN_SPEEDUP = 2.0
 REPORT_PATH = Path(__file__).parent / "BENCH_shard.json"
 
 
-def build_deployment(mode: str) -> EncoreDeployment:
+def build_deployment() -> EncoreDeployment:
     world = World(WorldConfig(seed=2018))
     config = CampaignConfig(
         visits=VISITS,
@@ -42,37 +41,35 @@ def build_deployment(mode: str) -> EncoreDeployment:
         testbed_fraction=0.3,
         favicons_only=True,
         seed=2018,
-        mode=mode,
     )
     return EncoreDeployment(world, config)
 
 
 def timed_batch() -> tuple[float, int]:
-    deployment = build_deployment("batch")
+    deployment = build_deployment()
     gc.collect()
     started = time.perf_counter()
     result = deployment.run_campaign()
     return time.perf_counter() - started, len(result.collection)
 
 
-def timed_sharded() -> tuple[float, int]:
-    deployment = build_deployment("sharded")
-    spill_dir = tempfile.mkdtemp(prefix="bench-shard-")
+def timed_sharded(spill_dir: Path) -> tuple[float, int]:
+    deployment = build_deployment()
     gc.collect()
     started = time.perf_counter()
     result = deployment.run_campaign(
-        num_shards=NUM_SHARDS, worker_spill_dir=spill_dir
+        mode="sharded", num_shards=NUM_SHARDS, worker_spill_dir=str(spill_dir)
     )
     return time.perf_counter() - started, len(result.collection)
 
 
 class TestShardThroughput:
-    def test_sharded_campaign_speedup(self, bench_report_writer):
+    def test_sharded_campaign_speedup(self, bench_report_writer, tmp_path):
         cpu_count = os.cpu_count() or 1
         batch_runs = [timed_batch() for _ in range(2)]
         batch_s = min(elapsed for elapsed, _ in batch_runs)
         batch_measurements = batch_runs[0][1]
-        sharded_runs = [timed_sharded() for _ in range(2)]
+        sharded_runs = [timed_sharded(tmp_path / f"run-{run}") for run in range(2)]
         sharded_s = min(elapsed for elapsed, _ in sharded_runs)
         sharded_measurements = sharded_runs[0][1]
 

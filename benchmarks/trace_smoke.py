@@ -26,11 +26,11 @@ def main() -> None:
     ))
     config = CampaignConfig(
         visits=600, include_testbed=True, testbed_fraction=0.3,
-        plan_block_visits=128, seed=11, mode="sharded",
+        plan_block_visits=128, seed=11,
     )
     tracer = Tracer(Path("trace-smoke") / "trace.jsonl")
     EncoreDeployment(world, config).run_campaign(
-        num_shards=2, shard_executor="inline", tracer=tracer,
+        mode="sharded", num_shards=2, shard_executor="inline", tracer=tracer,
     )
     tracer.close()
 

@@ -19,9 +19,9 @@ The second half turns the same run into an *always-on monitor*: with
 ``LongitudinalConfig(checkpoint_dir=...)`` each epoch folds only its new
 rows into the day-bucketed aggregate, advances a resumable CUSUM state over
 only the new day columns, and checkpoints that state — so a killed monitor
-restarted with ``resume=True`` re-adopts the completed epochs' rows from
-their manifests, picks the scan up mid-series, and ends with events
-identical to a never-interrupted run.
+restarted on the same checkpoint directory re-adopts the completed epochs'
+rows from their manifests, picks the scan up mid-series, and ends with
+events identical to a never-interrupted run.
 
 Run with::
 
@@ -91,13 +91,14 @@ def always_on_monitor(reference_events) -> None:
             ),
         )
         # A fresh process: new deployment, same seeds, same checkpoint
-        # directory, full horizon.  resume=True (the default) restores the
-        # CUSUM state and re-adopts completed epochs from their manifests.
+        # directory, full horizon.  The directory's checkpoint restores the
+        # CUSUM state, and completed epochs are re-adopted from their
+        # manifests.
         resumed = build_deployment().run_longitudinal(
             build_timeline(),
             LongitudinalConfig(
                 epochs=EPOCHS, visits_per_epoch=250,
-                checkpoint_dir=str(checkpoint), resume=True,
+                checkpoint_dir=str(checkpoint),
             ),
         )
         adopted = sum(1 for epoch in resumed.epochs if epoch.resumed)

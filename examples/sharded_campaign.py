@@ -28,7 +28,7 @@ from repro import CampaignConfig, EncoreDeployment, World, WorldConfig
 from repro.analysis.reports import format_table
 
 
-def build_deployment(seed: int, visits: int, mode: str) -> EncoreDeployment:
+def build_deployment(seed: int, visits: int) -> EncoreDeployment:
     # Identical worlds + configs, so the two modes below run the *same*
     # campaign and the comparison is purely about execution strategy.
     world = World(WorldConfig(seed=seed, target_list_total=30, target_list_online=24,
@@ -39,25 +39,24 @@ def build_deployment(seed: int, visits: int, mode: str) -> EncoreDeployment:
         favicons_only=True,
         target_domains=("facebook.com", "youtube.com", "twitter.com"),
         seed=seed,
-        mode=mode,
     )
     return EncoreDeployment(world, config)
 
 
-def main(seed: int = 3, visits: int = 20_000) -> None:
+def main(spill_dir: str, seed: int = 3, visits: int = 20_000) -> None:
     num_shards = min(4, os.cpu_count() or 1)
-    spill_dir = tempfile.mkdtemp(prefix="encore-sharded-example-")
 
     print(f"Running {visits} visits single-process (mode='batch')...")
     started = time.perf_counter()
-    batch = build_deployment(seed, visits, "batch").run_campaign()
+    batch = build_deployment(seed, visits).run_campaign()
     batch_s = time.perf_counter() - started
 
     print(f"Running the same campaign across {num_shards} worker processes...")
     shard_events = []
-    deployment = build_deployment(seed, visits, "sharded")
+    deployment = build_deployment(seed, visits)
     started = time.perf_counter()
     sharded = deployment.run_campaign(
+        mode="sharded",
         num_shards=num_shards,
         worker_spill_dir=spill_dir,
         progress=shard_events.append,
@@ -95,4 +94,5 @@ def main(seed: int = 3, visits: int = 20_000) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="encore-sharded-example-") as spill_dir:
+        main(spill_dir)

@@ -16,9 +16,8 @@ sequence of **epochs** over simulated days:
    campaign signature covers it.
 2. **Collect.**  Each epoch runs one ordinary campaign over its day window
    (``CampaignConfig.day_offset`` slides per epoch) through the block-keyed
-   planner, so an epoch is reproducible from ``(seed, epoch)`` alone and
-   can fan out across worker processes with ``mode="sharded"``.  All epochs
-   ingest into one (possibly spilled) collection store.
+   planner, so an epoch is reproducible from ``(seed, epoch)`` alone.  All
+   epochs ingest into one (possibly spilled) collection store.
 3. **Aggregate.**  The query kernel
    (:func:`repro.core.query.grouped_success_counts` ``by_day=True``)
    reduces the whole corpus to a dense per-(domain, country)
@@ -43,15 +42,15 @@ watermark), advances a resumable
 :class:`~repro.core.inference.CusumState` over only the new day columns, and
 checkpoints that state to ``checkpoint_dir/cusum-state.json`` — so per-epoch
 cost stays flat as history grows (``benchmarks/test_bench_monitor.py``,
-``BENCH_monitor.json``).  Each epoch's campaign runs through the sharded
-path with ``worker_spill_dir=checkpoint_dir``: its manifests are keyed by
-the campaign signature (which covers the world config *including the
-epoch's timeline posture*), so a restarted monitor re-adopts completed
-epochs' rows instead of re-executing them — the same crash-resume story as
-``mode="sharded"`` — and, with ``resume=True`` (the default), restores the
-CUSUM state and picks up mid-series, emitting events bit-identical to an
-uninterrupted cold run.  ``adaptive_baselines=True`` additionally seeds
-per-country healthy baselines from
+``BENCH_monitor.json``).  Each epoch's campaign runs as one inline shard
+with ``worker_spill_dir=checkpoint_dir``: its manifest is keyed by the
+campaign signature (which covers the world config *including the epoch's
+timeline posture*), so a restarted monitor re-adopts completed epochs'
+rows instead of re-executing them, restores the CUSUM state from the
+directory's ``cusum-state.json`` and picks up mid-series, emitting events
+bit-identical to an uninterrupted cold run.  Without a checkpoint
+directory each epoch is a plain batch campaign.  ``adaptive_baselines=True``
+additionally seeds per-country healthy baselines from
 :meth:`~repro.core.inference.AdaptiveFilteringDetector.country_priors`
 after the first epoch.
 
@@ -75,16 +74,19 @@ from repro.core.inference import (
     CusumState,
     TimingCusumDetector,
 )
-from repro.core.pipeline import CAMPAIGN_MODES
 from repro.core.query import grouped_success_counts, timing_day_series
 from repro.core.store import DaySeries
 from repro.obs.metrics import get_registry
-from repro.obs.trace import NULL_TRACER, TRACE_FILENAME, Tracer
+from repro.obs.trace import NULL_TRACER
 
 
 @dataclass
 class LongitudinalConfig:
-    """Parameters of one longitudinal (multi-epoch) run."""
+    """Parameters of one longitudinal (multi-epoch) run.
+
+    Each epoch is a batch campaign, or with a ``checkpoint_dir`` one
+    crash-resumable inline shard; both give the same rows.
+    """
 
     #: How many epochs to run.  ``None`` covers the timeline: enough epochs
     #: that the last scripted event has at least ``trailing_epochs`` of
@@ -95,14 +97,6 @@ class LongitudinalConfig:
     days_per_epoch: int = 1
     #: Origin-site visits simulated per epoch.
     visits_per_epoch: int = 2000
-    #: Execution mode of each epoch's campaign: ``"batch"`` (default),
-    #: ``"serial"``, or ``"sharded"`` (fans each epoch out over worker
-    #: processes; merged results are identical to ``"batch"``).
-    mode: str = "batch"
-    #: ``mode="sharded"`` knobs, passed through to ``run_campaign``.
-    num_shards: int | None = None
-    worker_spill_dir: str | None = None
-    shard_executor: str | None = None
     #: Epochs kept running after the last scripted event when ``epochs`` is
     #: unset, so offsets near the end of the script remain detectable.
     trailing_epochs: int = 5
@@ -115,24 +109,17 @@ class LongitudinalConfig:
     timing_quantile: float = 0.9
     #: Directory for the always-on monitor's resumable state: per-epoch
     #: shard manifests (epoch-level crash resume) plus the CUSUM state
-    #: checkpoint.  ``None`` (the default) runs the engine statelessly.
+    #: checkpoint, which a run restores whenever it finds one.  ``None``
+    #: (the default) runs the engine statelessly.
     checkpoint_dir: str | None = None
-    #: With a ``checkpoint_dir``, whether to restore a previous run's
-    #: checkpoint (``False`` starts over, ignoring — not deleting — any
-    #: existing state).
-    resume: bool = True
     #: Seed per-country healthy baselines for the CUSUM from
     #: ``AdaptiveFilteringDetector.country_priors`` after the first epoch.
     adaptive_baselines: bool = False
     #: Telemetry (strictly write-only: rows/events are bit-identical with
-    #: tracing on or off).  A directory to write the run's merged span
-    #: stream into (``trace.jsonl``), or ``None`` for the zero-overhead
-    #: no-op tracer.  Runtime-only: neither field enters the monitor
-    #: signature, so traced and untraced runs resume each other's
-    #: checkpoints.
-    trace_dir: str | None = None
-    #: An explicit tracer instance (overrides ``trace_dir``); the caller
-    #: owns its lifetime and close().
+    #: tracing on or off).  A :class:`~repro.obs.trace.Tracer` the caller
+    #: opens and closes, or ``None`` for the zero-overhead no-op tracer.
+    #: Not part of the monitor signature, so traced and untraced runs
+    #: resume each other's checkpoints.
     tracer: object | None = None
 
     def resolved_epochs(self, timeline: PolicyTimeline) -> int:
@@ -285,7 +272,7 @@ class LongitudinalEngine:
     ordinary campaigns afterwards.
 
     With ``config.checkpoint_dir`` set the engine is an always-on monitor:
-    each epoch's campaign runs through the sharded path with the checkpoint
+    each epoch's campaign runs as one inline shard with the checkpoint
     directory as its spill root (so completed epochs resume from their
     manifests after a crash), and after each epoch the store's new rows are
     sealed, folded incrementally into the day-bucketed aggregate, scanned by
@@ -300,10 +287,6 @@ class LongitudinalEngine:
         self.deployment = deployment
         self.timeline = timeline
         self.config = config or LongitudinalConfig()
-        # Checked here, not by run_campaign: a checkpointed run executes
-        # every epoch through mode="sharded" whatever config.mode says.
-        if self.config.mode not in CAMPAIGN_MODES:
-            raise ValueError(f"unknown campaign mode {self.config.mode!r}")
         if self.config.days_per_epoch < 1:
             raise ValueError("days_per_epoch must be positive")
         if self.config.visits_per_epoch < 1:
@@ -333,55 +316,33 @@ class LongitudinalEngine:
     def _restore_monitor(self, checkpoint_dir: Path) -> CusumState:
         """The previous run's checkpointed CUSUM state, or a fresh one."""
         state_path = checkpoint_dir / self.STATE_FILE
-        if self.config.resume and state_path.is_file():
+        if state_path.is_file():
             return CusumState.load(state_path, self._monitor_signature)
         return self.config.detector.initial_state()
 
-    def _resolve_tracer(self) -> tuple:
-        """The run's tracer plus whether this engine owns its lifetime."""
-        config = self.config
-        if config.tracer is not None:
-            return config.tracer, False
-        if config.trace_dir is not None:
-            return Tracer(Path(config.trace_dir) / TRACE_FILENAME), True
-        return NULL_TRACER, False
-
     def _run_epoch_campaign(self, checkpoint_dir: Path | None, tracer) -> bool:
-        """Run one epoch's campaign; True when it resumed from manifests."""
-        config = self.config
+        """Run one epoch's campaign; True when it resumed from its manifest.
+
+        A stateless epoch is a batch campaign.  A checkpointed epoch is one
+        inline shard under ``checkpoint_dir``: its signature-keyed manifest
+        is what makes a completed epoch resumable, and its rows are
+        bit-identical to the batch campaign's.
+        """
+        visits = self.config.visits_per_epoch
         if checkpoint_dir is None:
-            shard_kwargs = (
-                {
-                    "num_shards": config.num_shards,
-                    "worker_spill_dir": config.worker_spill_dir,
-                    "shard_executor": config.shard_executor,
-                }
-                if config.mode == "sharded"
-                else {}
-            )
-            self.deployment.run_campaign(
-                visits=config.visits_per_epoch,
-                mode=config.mode,
-                tracer=tracer if tracer is not NULL_TRACER else None,
-                **shard_kwargs,
-            )
+            self.deployment.run_campaign(visits=visits, tracer=tracer)
             return False
-        # Checkpointed epochs always go through the sharded path: its
-        # signature-keyed manifests under checkpoint_dir are what make a
-        # completed epoch resumable, and the merged rows are bit-identical
-        # to mode="batch".  Non-sharded configs run one inline shard.
-        sharded = config.mode == "sharded"
-        resumed_shards: list[bool] = []
+        resumed: list[bool] = []
         self.deployment.run_campaign(
-            visits=config.visits_per_epoch,
+            visits=visits,
             mode="sharded",
-            num_shards=config.num_shards if sharded else 1,
+            num_shards=1,
+            shard_executor="inline",
             worker_spill_dir=str(checkpoint_dir),
-            shard_executor=config.shard_executor if sharded else "inline",
-            progress=lambda shard: resumed_shards.append(shard.resumed),
-            tracer=tracer if tracer is not NULL_TRACER else None,
+            progress=lambda shard: resumed.append(shard.resumed),
+            tracer=tracer,
         )
-        return bool(resumed_shards) and all(resumed_shards)
+        return resumed == [True]
 
     def run(self) -> LongitudinalResult:
         deployment = self.deployment
@@ -399,7 +360,7 @@ class LongitudinalEngine:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             monitor = self._restore_monitor(checkpoint_dir)
         summaries: list[EpochSummary] = []
-        tracer, owns_tracer = self._resolve_tracer()
+        tracer = config.tracer if config.tracer is not None else NULL_TRACER
         try:
             with tracer.span(
                 "longitudinal",
@@ -467,8 +428,6 @@ class LongitudinalEngine:
             world.config.timeline_rules = original_rules
             world.refresh_timeline_censors()
             tracer.record_metrics(scope="campaign")
-            if owns_tracer:
-                tracer.close()
         return LongitudinalResult(
             config=config,
             timeline=self.timeline,

@@ -37,7 +37,10 @@ CAMPAIGN_MODES = ("batch", "serial", "sharded")
 
 @dataclass
 class CampaignConfig:
-    """Parameters of one simulated measurement campaign."""
+    """What one simulated campaign measures, plus the store's spill settings.
+
+    How it runs is chosen by :meth:`EncoreDeployment.run_campaign` alone.
+    """
 
     #: Number of origin-site visits to simulate.
     visits: int = 5000
@@ -63,13 +66,6 @@ class CampaignConfig:
     #: Pin every visitor to one country (``None`` samples the global visit
     #: share distribution); used by scenario sweeps.
     country_code: str | None = None
-    #: Default execution mode for :meth:`EncoreDeployment.run_campaign`:
-    #: ``"batch"`` (vectorized), ``"serial"`` (scalar reference with identical
-    #: results), or ``"sharded"`` (the batch path fanned out over worker
-    #: processes).
-    mode: str = "batch"
-    #: Visits per runner batch (progress/checkpoint granularity).
-    batch_size: int | None = None
     #: Visits per planning block — the unit whose randomness derives from
     #: ``(seed, epoch, block_index)`` alone.  Part of the campaign's
     #: identity: changing it changes the sampled campaign (batch size does
@@ -79,22 +75,9 @@ class CampaignConfig:
     #: sealed column segments beyond the bound spill to ``.npz`` files
     #: (``None`` keeps everything in memory).
     max_rows_in_memory: int | None = None
-    #: Where spilled segments go (a temporary directory if unset).
+    #: Where spilled segments go (a temporary directory, removed with the
+    #: store, if unset).
     spill_dir: str | None = None
-    #: Worker processes for ``mode="sharded"``.  ``None`` resolves via
-    #: :func:`repro.core.shard.default_num_shards`: the CPUs *available* to
-    #: the process (scheduler-affinity-aware, so cgroup/NUMA pinning is
-    #: respected), capped by the number of planning blocks, always ≥ 1.
-    num_shards: int | None = None
-    #: Where shard workers write their spill segments + manifests.  Setting
-    #: it makes an interrupted sharded campaign resumable: shards whose
-    #: manifest is already on disk are adopted without re-execution.  Unset,
-    #: a temporary directory is used.
-    worker_spill_dir: str | None = None
-    #: How shard workers run: ``"process"`` (a real
-    #: ``ProcessPoolExecutor``) or ``"inline"`` (sequentially in-process —
-    #: deterministic, dependency-free, used by tests and single-CPU hosts).
-    shard_executor: str = "process"
 
 
 @dataclass
@@ -294,8 +277,14 @@ class EncoreDeployment:
     # ------------------------------------------------------------------
     @property
     def campaigns_run(self) -> int:
-        """How many campaigns this deployment has started."""
+        """How many campaigns this deployment has started (a sharded one
+        once its merge begins)."""
         return self._campaign_epoch
+
+    @property
+    def visits_claimed(self) -> int:
+        """The base the next :meth:`claim_visit_range` will return."""
+        return self._visit_base
 
     def next_campaign_epoch(self) -> int:
         """Advance and return the campaign counter (seeds per-run RNG streams)."""
@@ -318,7 +307,7 @@ class EncoreDeployment:
     def run_campaign(
         self,
         visits: int | None = None,
-        mode: str | None = None,
+        mode: str = "batch",
         batch_size: int | None = None,
         progress=None,
         num_shards: int | None = None,
@@ -328,19 +317,25 @@ class EncoreDeployment:
     ) -> CampaignResult:
         """Simulate a full campaign of origin-site visits.
 
-        ``mode`` is one of :data:`CAMPAIGN_MODES`.  ``"batch"`` (the
-        default) and ``"serial"`` delegate to
+        These arguments alone choose how the campaign runs; ``visits``
+        defaults to ``config.visits``.  ``mode`` is one of
+        :data:`CAMPAIGN_MODES`.  ``"batch"`` (the default) and ``"serial"``
+        delegate to
         :class:`~repro.core.runner.CampaignRunner`: the vectorized fast path
         and the scalar reference implementation that produces identical
-        measurements for a fixed seed.  ``progress`` is invoked with a
+        measurements for a fixed seed.  ``batch_size`` sets their visits per
+        batch, and ``progress`` is invoked with a
         :class:`~repro.core.runner.BatchProgress` after every batch.
 
         ``mode="sharded"`` fans the batch path out across worker processes
         (:func:`repro.core.shard.run_sharded`) and merges the workers'
         spilled segments back into this deployment's store; for a fixed seed
         the merged campaign is identical to ``mode="batch"`` at any
-        ``num_shards``.  ``progress`` then receives a
-        :class:`~repro.core.shard.ShardProgress` per completed shard.
+        ``num_shards`` (unset: :func:`repro.core.shard.default_num_shards`).
+        ``shard_executor`` is ``"process"`` (the default) or ``"inline"``,
+        which runs the shards one after another in this process.
+        ``progress`` then receives a :class:`~repro.core.shard.ShardProgress`
+        per completed shard.
 
         Only the sharded path resumes a killed campaign: a freshly built
         deployment pointed at the same ``worker_spill_dir`` adopts the
@@ -348,11 +343,12 @@ class EncoreDeployment:
         rest (one inline shard is enough, which is how the checkpointed
         monitor runs).  Its rows, ``measurement_id`` included, equal an
         uninterrupted run's, because every row is a function of the
-        configuration.
+        configuration.  A sharded campaign that raises before its merge
+        leaves this deployment's campaign and visit counters where they
+        were, so calling again retries the same campaign.
         """
         from repro.core.runner import CampaignRunner
 
-        mode = mode if mode is not None else self.config.mode
         if mode not in CAMPAIGN_MODES:
             raise ValueError(f"unknown campaign mode {mode!r}")
         visits = visits if visits is not None else self.config.visits
@@ -381,7 +377,7 @@ class EncoreDeployment:
         runner = CampaignRunner(
             self,
             mode=mode,
-            batch_size=batch_size if batch_size is not None else self.config.batch_size,
+            batch_size=batch_size,
             progress=progress,
             tracer=tracer,
         )
@@ -400,8 +396,8 @@ class EncoreDeployment:
         ``config`` a :class:`~repro.core.longitudinal.LongitudinalConfig`
         (defaults cover a 30-day, one-day-per-epoch run).  Each epoch is one
         block-keyed campaign over its day window — reproducible from
-        ``(seed, epoch)`` and shardable via ``mode="sharded"`` — ingested
-        into this deployment's collection store.  Returns a
+        ``(seed, epoch)`` and, with a ``checkpoint_dir``, resumable after a
+        crash — ingested into this deployment's collection store.  Returns a
         :class:`~repro.core.longitudinal.LongitudinalResult` whose
         ``events()`` runs online CUSUM change-point detection over the
         day-bucketed success rates and whose ``timeline_report()`` grades

@@ -621,7 +621,7 @@ def run_query(
     """Group ``store`` rows by ``keys`` and reduce with ``aggregates``.
 
     The one engine behind every store reduction; see the module docstring
-    for the model and ``docs/query_api.md`` for the migration table.
+    for the model and ``docs/query_api.md`` for the wrappers built on it.
     Maskless results are cached per store version; maskless all-foldable
     queries additionally advance the fold-once incremental state instead of
     rescanning history.

@@ -580,10 +580,6 @@ class CampaignRunner:
 
     MODES = ("batch", "serial")
     DEFAULT_BATCH_SIZE = 8192
-    #: Visits per planning block — the unit whose randomness is derived
-    #: entirely from ``(seed, epoch, block_index)``.  Overridden per campaign
-    #: by ``CampaignConfig.plan_block_visits``.
-    DEFAULT_PLAN_BLOCK_VISITS = 2048
 
     def __init__(
         self,
@@ -676,8 +672,6 @@ class CampaignRunner:
         deployment = self.deployment
         urls = UrlTable(deployment.world)
         block_visits = deployment.config.plan_block_visits
-        if block_visits is None:
-            block_visits = self.DEFAULT_PLAN_BLOCK_VISITS
         if block_visits < 1:
             raise ValueError("plan_block_visits must be positive")
         return PlanContext(

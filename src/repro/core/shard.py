@@ -28,8 +28,8 @@ single coherent :class:`~repro.core.store.MeasurementStore`:
    order — so the merged store's rows come back in exactly the order the
    single-process campaign would have appended them.
 
-``EncoreDeployment.run_campaign(mode="sharded")`` is the front door;
-``CampaignConfig.num_shards`` / ``worker_spill_dir`` / ``shard_executor``
+``EncoreDeployment.run_campaign(mode="sharded")`` is the front door, and
+its ``num_shards``, ``worker_spill_dir`` and ``shard_executor`` arguments
 configure it.  Re-running a sharded campaign with the same
 ``worker_spill_dir`` adopts the manifests of shards that already completed
 and re-executes only the missing ones (the crash-resume path).  Nothing
@@ -89,7 +89,7 @@ def available_cpu_count() -> int:
 
 
 def default_num_shards(block_count: int) -> int:
-    """The worker count used when ``CampaignConfig.num_shards`` is unset.
+    """The worker count used when ``run_campaign``'s ``num_shards`` is unset.
 
     The available-CPU count (affinity-aware), capped by the number of
     planning blocks (extra workers would receive empty assignments) and by
@@ -190,24 +190,21 @@ def campaign_signature(deployment, epoch: int, visits: int, visit_base: int = 0)
     """What a manifest must match to belong to this campaign run.
 
     Covers everything that shapes campaign *content* — the full world
-    config and every campaign-config field except runtime-only knobs
-    (executor kind, spill locations, memory bounds, shard count) — so a
-    manifest from a materially different campaign sharing the same seed is
-    rejected rather than silently adopted.  The shard count is deliberately
-    *not* part of the signature: it shapes the partition, not the campaign,
-    and per-shard ``block_indices`` checks already reject manifests cut for
-    a different partition.  JSON round-tripped so the in-memory form
+    config and every campaign-config field except the store's memory bound
+    and spill location — so a manifest from a materially different
+    campaign sharing the same seed is rejected rather than silently
+    adopted.  The shard count is deliberately *not* part of the signature:
+    it shapes the partition, not the campaign, and per-shard
+    ``block_indices`` checks already reject manifests cut for a different
+    partition.  JSON round-tripped so the in-memory form
     compares equal to what comes back off disk.
     """
     from dataclasses import asdict
 
     config = deployment.config
     campaign = asdict(config)
-    for runtime_only in (
-        "mode", "batch_size", "max_rows_in_memory", "spill_dir",
-        "num_shards", "worker_spill_dir", "shard_executor",
-    ):
-        campaign.pop(runtime_only, None)
+    for store_setting in ("max_rows_in_memory", "spill_dir"):
+        del campaign[store_setting]
     signature = {
         "epoch": epoch,
         "visits": visits,
@@ -579,25 +576,29 @@ def run_sharded(
     subdirectory (so one spill root is safely shareable across campaigns
     and deployments), holding the shard directories plus the campaign file
     that pins the run's shard partition across process restarts.  With
-    no directory configured, a temporary root is used and reclaimed when
-    the merged store is garbage-collected (or at interpreter exit).
+    no directory given, a temporary root is used and reclaimed when the
+    merged store is garbage-collected (or at interpreter exit).
+
+    The deployment's campaign and visit counters advance only when the
+    merge begins: a run that raises before then leaves them as they were,
+    so a retry on the same deployment is the same campaign and adopts
+    whatever the failed attempt committed.
     """
     from repro.core.pipeline import CampaignResult  # local: avoids a cycle
 
     tracer = tracer if tracer is not None else NULL_TRACER
     config = deployment.config
     visits = visits if visits is not None else config.visits
-    executor_kind = shard_executor or config.shard_executor
+    executor_kind = shard_executor or "process"
     if executor_kind not in ("process", "inline"):
         raise ValueError(f"unknown shard executor {executor_kind!r}")
-    requested_num_shards = num_shards if num_shards is not None else config.num_shards
-    epoch = deployment.next_campaign_epoch()
-    visit_base = deployment.claim_visit_range(visits)
+    epoch = deployment.campaigns_run + 1
+    visit_base = deployment.visits_claimed
     signature = campaign_signature(deployment, epoch, visits, visit_base)
-    spill_root = worker_spill_dir or config.worker_spill_dir
-    temporary_root = spill_root is None
-    if temporary_root:
-        spill_root = tempfile.mkdtemp(prefix="encore-shards-")
+    temporary_root = worker_spill_dir is None
+    spill_root = (
+        tempfile.mkdtemp(prefix="encore-shards-") if temporary_root else worker_spill_dir
+    )
     # Every campaign gets its own signature-keyed subdirectory, so spill
     # roots are safely shareable across campaigns and deployments.
     campaign_root = Path(spill_root) / campaign_directory_name(signature)
@@ -612,7 +613,7 @@ def run_sharded(
     # A resume keeps the original run's shard partition unless overridden.
     block_count = ShardPlanner(visits, config.plan_block_visits, 1).block_count
     num_shards = establish_campaign_state(
-        campaign_root, signature, requested_num_shards, block_count
+        campaign_root, signature, num_shards, block_count
     )
     planner = ShardPlanner(visits, config.plan_block_visits, num_shards)
     assignments = planner.plan()
@@ -709,6 +710,8 @@ def run_sharded(
                         tracer.absorb_file(shard_trace, parent_id=span.id)
 
             merged = [manifests[a.shard_index] for a in assignments]
+            deployment.next_campaign_epoch()
+            deployment.claim_visit_range(visits)
             merger = StoreMerger(deployment.collection.store)
             with tracer.span("adopt", shards=len(merged)):
                 executions = merger.merge(merged)

@@ -22,9 +22,10 @@ instead:
   (``grouped_success_counts`` and friends) are the reduction API.
 * **Bounded memory.**  With ``max_rows_in_memory=`` set, sealed column
   segments spill to ``.npz`` files under ``spill_dir`` (a temporary
-  directory if none is given).  Queries transparently concatenate spilled
-  and resident segments — and only load the columns they touch, so the
-  detection pipeline over a spilled store never reads the string columns.
+  directory, removed with the store, if none is given).  Queries
+  transparently concatenate spilled and resident segments — and only load
+  the columns they touch, so the detection pipeline over a spilled store
+  never reads the string columns.
 * **One materializer.**  :meth:`rows` builds
   :class:`~repro.core.collection.Measurement` dataclasses on demand, for
   all rows or given indices, field-for-field identical to what the
@@ -35,7 +36,9 @@ instead:
 
 from __future__ import annotations
 
+import shutil
 import tempfile
+import weakref
 import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -697,6 +700,9 @@ class MeasurementStore:
         if self._spill_subdir is None:
             if self._spill_dir is None:
                 self._spill_subdir = Path(tempfile.mkdtemp(prefix="measurement-store-"))
+                # Nothing else names this directory, so it goes with the
+                # store; adopters hold their sources, keeping it readable.
+                weakref.finalize(self, shutil.rmtree, str(self._spill_subdir), True)
             else:
                 self._spill_dir.mkdir(parents=True, exist_ok=True)
                 self._spill_subdir = Path(

@@ -56,7 +56,7 @@ def _sweep_quality(
         fabricate_blocking=fabricate_blocking,
         executor="inline",
         seed=seed,
-        tracer=tracer if tracer is not NULL_TRACER else None,
+        tracer=tracer,
     )
     cells = sweep.run(result.collection, *target, budgets)
     naive_wins = [cell for cell in cells if cell.attack_succeeded_naive]

@@ -63,7 +63,7 @@ def _graded_run(
     config = LongitudinalConfig(
         epochs=epochs,
         visits_per_epoch=200,
-        tracer=tracer if tracer is not NULL_TRACER else None,
+        tracer=tracer,
     )
     return deployment.run_longitudinal(timeline, config).timeline_report()
 

@@ -51,7 +51,7 @@ def run_throttle(tracer=NULL_TRACER) -> dict:
         LongitudinalConfig(
             epochs=EPOCHS,
             visits_per_epoch=200,
-            tracer=tracer if tracer is not NULL_TRACER else None,
+            tracer=tracer,
         ),
     )
     quality = result.throttle_report().quality_summary()

@@ -1,5 +1,6 @@
 """Tests for the longitudinal campaign engine and its detection pipeline."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -284,14 +285,14 @@ class TestLongitudinalRun:
     #: statistic crosses within two days of data.
     LAG_BOUND = 3
 
-    def run_deployment(self, mode="batch", seed=11, **config_kwargs):
+    def run_deployment(self, seed=11, **config_kwargs):
         deployment = longitudinal_deployment(seed=seed)
         timeline = (
             PolicyTimeline()
             .onset(self.ONSET_DAY, "DE", "facebook.com")
             .offset(self.OFFSET_DAY, "DE", "facebook.com")
         )
-        kwargs = {"epochs": self.EPOCHS, "visits_per_epoch": 200, "mode": mode}
+        kwargs = {"epochs": self.EPOCHS, "visits_per_epoch": 200}
         kwargs.update(config_kwargs)
         config = LongitudinalConfig(**kwargs)
         return deployment, deployment.run_longitudinal(timeline, config)
@@ -343,38 +344,13 @@ class TestLongitudinalRun:
         assert deployment.world.config.timeline_rules == {}
         assert not deployment.world.censorship_for("DE").filters_anything
 
-    def test_sharded_epochs_match_batch(self):
-        """Each epoch fans out over the shard machinery with identical rows."""
-        _, batch = self.run_deployment(mode="batch", seed=23)
-        _, sharded = self.run_deployment(
-            mode="sharded", seed=23, num_shards=2, shard_executor="inline",
-        )
-        assert len(batch.collection.store) == len(sharded.collection.store)
-        assert batch.day_counts().as_dict() == sharded.day_counts().as_dict()
-        assert batch.events() == sharded.events()
-        sample = np.linspace(
-            0, len(batch.collection.store) - 1, num=40, dtype=np.int64
-        )
-
-        def keys(rows):
-            return [
-                (
-                    m.measurement_id, str(m.target_url), m.task_type,
-                    m.country_code, m.outcome,
-                    m.elapsed_ms, m.probe_time_ms, m.origin_domain, m.day,
-                    m.client_ip, m.isp, m.browser_family, m.is_automated,
-                )
-                for m in rows
-            ]
-
-        assert keys(batch.collection.store.rows(sample)) == keys(
-            sharded.collection.store.rows(sample)
-        )
-
-    def test_serial_epochs_match_batch(self):
-        _, batch = self.run_deployment(mode="batch", seed=29)
-        _, serial = self.run_deployment(mode="serial", seed=29)
-        assert batch.day_counts().as_dict() == serial.day_counts().as_dict()
+    def test_checkpointed_epochs_match_stateless(self, tmp_path):
+        """An epoch run as one inline shard gives the batch epoch's rows."""
+        _, stateless = self.run_deployment(seed=23)
+        _, checkpointed = self.run_deployment(seed=23, checkpoint_dir=str(tmp_path))
+        # Whole rows, measurement ids included, in the same order.
+        assert checkpointed.collection.store.rows() == stateless.collection.store.rows()
+        assert checkpointed.events() == stateless.events()
 
     def test_throttle_moves_timings_not_success_rates(self):
         """Throttling is the subtle filtering CUSUM is not expected to flag."""
@@ -480,19 +456,20 @@ class TestLongitudinalRun:
         with pytest.raises(ValueError):
             LongitudinalEngine(deployment, timeline, LongitudinalConfig(epochs=0))
 
-    @pytest.mark.parametrize("checkpointed", [False, True])
-    @pytest.mark.parametrize("mode", ["bogus", "legacy"])
-    def test_unknown_mode_rejected_before_any_epoch(self, tmp_path, mode, checkpointed):
-        """Regression: a checkpointed run used to run an unknown mode as batch."""
-        deployment = longitudinal_deployment(seed=59)
-        timeline = PolicyTimeline().onset(1, "DE", "facebook.com")
-        config = LongitudinalConfig(
-            epochs=3, visits_per_epoch=200, mode=mode,
-            checkpoint_dir=str(tmp_path) if checkpointed else None,
+    def test_monitor_signature_is_pinned(self):
+        """The signature keys every CUSUM checkpoint; a run setting leaking
+        back into it would make restarts reject their own checkpoints."""
+        engine = LongitudinalEngine(
+            longitudinal_deployment(seed=41),
+            PolicyTimeline()
+            .onset(self.ONSET_DAY, "DE", "facebook.com")
+            .offset(self.OFFSET_DAY, "DE", "facebook.com"),
+            LongitudinalConfig(epochs=self.EPOCHS, visits_per_epoch=200),
         )
-        with pytest.raises(ValueError, match=f"unknown campaign mode '{mode}'"):
-            deployment.run_longitudinal(timeline, config)
-        assert len(deployment.collection) == 0
+        digest = hashlib.sha256(engine._monitor_signature.encode()).hexdigest()
+        assert digest == (
+            "035878cbeb2e503100233698f17741b881820942b8bd28f46074603b6c22fb79"
+        )
 
 
 class TestCheckpointedMonitor:
@@ -623,17 +600,19 @@ class TestCheckpointedMonitor:
             self.EPOCHS - self.KILL_AFTER - 1
         )
 
-    def test_resume_false_starts_over(self, tmp_path):
+    def test_lost_cusum_checkpoint_rescans(self, tmp_path):
         checkpoint = tmp_path / "monitor"
-        _, first = self.run_deployment(
+        self.run_deployment(
             seed=41, epochs=self.KILL_AFTER, checkpoint_dir=str(checkpoint)
         )
-        _, restarted = self.run_deployment(
-            seed=41, checkpoint_dir=str(checkpoint), resume=False
-        )
+        (checkpoint / LongitudinalEngine.STATE_FILE).unlink()
+        _, restarted = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
         # The CUSUM state starts fresh; the epoch campaigns still adopt the
         # completed epochs' rows from their manifests (that is cheap replay,
         # not stale state: the fold + scan cover those rows again).
+        assert [e.resumed for e in restarted.epochs[: self.KILL_AFTER]] == (
+            [True] * self.KILL_AFTER
+        )
         assert restarted.monitor.days_processed == self.EPOCHS
         _, stateless = self.run_deployment(seed=41)
         assert restarted.events() == stateless.events()

@@ -576,6 +576,27 @@ class TestStoreAdoption:
         assert not (tmp_path / "reaped").exists()
         assert store.rows() == rows
 
+    def test_temporary_spill_dir_goes_with_its_store(self):
+        # With no spill_dir the store spills under a temp directory that
+        # nothing else names: it must go when the last reader does.
+        import gc
+
+        rows = self.make_corpus(10, "temp")
+        source = MeasurementStore()
+        source.append_rows(rows)
+        source.spill()
+        spill_root = source.segment_files[0].parent
+        assert spill_root.name.startswith("measurement-store-")
+        adopter = MeasurementStore()
+        adopter.adopt_segments_from(source)
+        del source
+        gc.collect()
+        assert spill_root.is_dir()
+        assert adopter.rows() == rows
+        del adopter
+        gc.collect()
+        assert not spill_root.exists()
+
 
 class TestDerivedCaches:
     def make_corpus(self, n=20):

@@ -24,7 +24,7 @@ from repro.core.tasks import MeasurementTask, TaskType
 from repro.population.world import World, WorldConfig
 
 
-def small_deployment(mode, include_testbed=False, seed=11, visits=900, country=None,
+def small_deployment(include_testbed=False, seed=11, visits=900, country=None,
                      plan_block_visits=2048, favicons_only=True):
     world = World(
         WorldConfig(seed=7, target_list_total=30, target_list_online=24, origin_site_count=4)
@@ -34,7 +34,6 @@ def small_deployment(mode, include_testbed=False, seed=11, visits=900, country=N
         include_testbed=include_testbed,
         testbed_fraction=0.3,
         seed=seed,
-        mode=mode,
         country_code=country,
         plan_block_visits=plan_block_visits,
         favicons_only=favicons_only,
@@ -57,9 +56,9 @@ def measurement_key(result):
 class TestSerialBatchEquivalence:
     @pytest.mark.parametrize("include_testbed", [False, True])
     def test_identical_measurements_and_counts(self, include_testbed):
-        serial_dep = small_deployment("serial", include_testbed)
-        batch_dep = small_deployment("batch", include_testbed)
-        serial = serial_dep.run_campaign()
+        serial_dep = small_deployment(include_testbed)
+        batch_dep = small_deployment(include_testbed)
+        serial = serial_dep.run_campaign(mode="serial")
         batch = batch_dep.run_campaign()
 
         assert serial.mode == "serial" and batch.mode == "batch"
@@ -77,14 +76,14 @@ class TestSerialBatchEquivalence:
 
     @pytest.mark.parametrize("include_testbed", [False, True])
     def test_identical_detection_verdicts(self, include_testbed):
-        serial = small_deployment("serial", include_testbed, seed=23).run_campaign()
-        batch = small_deployment("batch", include_testbed, seed=23).run_campaign()
+        serial = small_deployment(include_testbed, seed=23).run_campaign(mode="serial")
+        batch = small_deployment(include_testbed, seed=23).run_campaign()
         assert serial.detect().detected_pairs() == batch.detect().detected_pairs()
         assert serial.collection.success_counts() == batch.collection.success_counts()
 
     def test_equivalence_with_pinned_country(self):
-        serial = small_deployment("serial", country="CN", visits=400).run_campaign()
-        batch = small_deployment("batch", country="CN", visits=400).run_campaign()
+        serial = small_deployment(country="CN", visits=400).run_campaign(mode="serial")
+        batch = small_deployment(country="CN", visits=400).run_campaign()
         assert measurement_key(serial) == measurement_key(batch)
         store = batch.collection.store
         assert len(store) and store.row_mask(
@@ -92,8 +91,8 @@ class TestSerialBatchEquivalence:
         ).all()
 
     def test_batch_size_does_not_change_results(self):
-        coarse = small_deployment("batch").run_campaign(batch_size=1000)
-        fine = small_deployment("batch").run_campaign(batch_size=137)
+        coarse = small_deployment().run_campaign(batch_size=1000)
+        fine = small_deployment().run_campaign(batch_size=137)
         assert measurement_key(coarse) == measurement_key(fine)
 
 
@@ -119,10 +118,10 @@ class TestGeneratedEquivalence:
                                         favicons_only, include_testbed, country):
         def run(mode, **run_kw):
             deployment = small_deployment(
-                mode, include_testbed, seed=seed, visits=visits, country=country,
+                include_testbed, seed=seed, visits=visits, country=country,
                 plan_block_visits=plan_block_visits, favicons_only=favicons_only,
             )
-            result = deployment.run_campaign(**run_kw)
+            result = deployment.run_campaign(mode=mode, **run_kw)
             return (
                 measurement_key(result),
                 deployment.collection.unreachable_submissions,
@@ -139,8 +138,8 @@ class TestMeasurementIds:
     """Task ids are minted from the configuration, not drawn per process."""
 
     def test_equal_configs_mint_equal_ids(self):
-        first = small_deployment("batch", include_testbed=True)
-        second = small_deployment("batch", include_testbed=True)
+        first = small_deployment(include_testbed=True)
+        second = small_deployment(include_testbed=True)
         ids = [t.measurement_id for t in first.scheduler.all_tasks]
         assert ids == [t.measurement_id for t in second.scheduler.all_tasks]
         # Distinct, at most uuid4().hex's 32 characters, numbered in pool
@@ -164,7 +163,7 @@ class TestProgramLayout:
         """
         visits = 400
         deployment = small_deployment(
-            "batch", include_testbed=True, visits=visits, favicons_only=False
+            include_testbed=True, visits=visits, favicons_only=False
         )
         runner = CampaignRunner(deployment)
         ctx = runner.plan_context(visits, epoch=1)
@@ -227,11 +226,11 @@ class TestShardedBatchEquivalence:
     @pytest.mark.parametrize("include_testbed", [False, True])
     def test_sharded_matches_batch(self, include_testbed):
         batch = small_deployment(
-            "batch", include_testbed, visits=600, plan_block_visits=100
+            include_testbed, visits=600, plan_block_visits=100
         ).run_campaign()
         sharded = small_deployment(
-            "sharded", include_testbed, visits=600, plan_block_visits=100
-        ).run_campaign(num_shards=3, shard_executor="inline")
+            include_testbed, visits=600, plan_block_visits=100
+        ).run_campaign(mode="sharded", num_shards=3, shard_executor="inline")
         assert sharded.mode == "sharded"
         assert measurement_key(sharded) == measurement_key(batch)
         assert sharded.detect().detected_pairs() == batch.detect().detected_pairs()
@@ -239,12 +238,12 @@ class TestShardedBatchEquivalence:
     def test_sharding_is_batch_size_invariant(self):
         # Shards partition planning blocks, batches slice them: neither may
         # change the campaign.
-        fine = small_deployment(
-            "batch", visits=600, plan_block_visits=100
-        ).run_campaign(batch_size=97)
-        sharded = small_deployment(
-            "sharded", visits=600, plan_block_visits=100
-        ).run_campaign(num_shards=2, shard_executor="inline")
+        fine = small_deployment(visits=600, plan_block_visits=100).run_campaign(
+            batch_size=97
+        )
+        sharded = small_deployment(visits=600, plan_block_visits=100).run_campaign(
+            mode="sharded", num_shards=2, shard_executor="inline"
+        )
         assert measurement_key(sharded) == measurement_key(fine)
 
 
@@ -340,7 +339,7 @@ class TestClientBatchEquivalence:
 class TestProgressAndReuse:
     def test_progress_hook_sees_every_batch(self):
         seen = []
-        deployment = small_deployment("batch", visits=500)
+        deployment = small_deployment(visits=500)
         deployment.run_campaign(batch_size=100, progress=seen.append)
         assert len(seen) == 5
         assert all(isinstance(p, BatchProgress) for p in seen)
@@ -352,7 +351,7 @@ class TestProgressAndReuse:
         # Regression: the block-plan cache is keyed on the campaign epoch,
         # so a runner driven twice must not serve the first campaign's
         # stale block plans to the second.
-        deployment = small_deployment("batch", visits=300)
+        deployment = small_deployment(visits=300)
         runner = CampaignRunner(deployment, mode="batch")
         first = runner.run(300)
         after_first = len(deployment.collection)
@@ -361,7 +360,7 @@ class TestProgressAndReuse:
         assert len(deployment.collection) > after_first
 
     def test_invalid_runner_arguments_rejected(self):
-        deployment = small_deployment("batch", visits=100)
+        deployment = small_deployment(visits=100)
         with pytest.raises(ValueError):
             CampaignRunner(deployment, mode="warp")
         with pytest.raises(ValueError):

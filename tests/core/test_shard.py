@@ -10,6 +10,8 @@ translation, and the manifest-based crash-resume path.
 """
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from repro.core.shard import (
     ShardPlanner,
     ShardProgress,
     StoreMerger,
+    campaign_directory_name,
     campaign_signature,
     execute_shard,
     load_manifest,
@@ -33,7 +36,7 @@ from repro.population.world import World, WorldConfig
 from repro.web.url import URL
 
 
-def small_deployment(mode, seed=11, visits=900, include_testbed=True, **config_kw):
+def small_deployment(seed=11, visits=900, include_testbed=True, **config_kw):
     world = World(
         WorldConfig(seed=7, target_list_total=30, target_list_online=24, origin_site_count=4)
     )
@@ -43,7 +46,6 @@ def small_deployment(mode, seed=11, visits=900, include_testbed=True, **config_k
         visits=visits,
         include_testbed=include_testbed,
         seed=seed,
-        mode=mode,
         **config_kw,
     )
     return EncoreDeployment(world, config)
@@ -92,12 +94,12 @@ class TestShardedEqualsBatch:
 
     @pytest.fixture(scope="class")
     def batch_reference(self):
-        return small_deployment("batch").run_campaign()
+        return small_deployment().run_campaign()
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
     def test_merged_rows_identical_for_any_shard_count(self, batch_reference, num_shards):
-        sharded = small_deployment("sharded").run_campaign(
-            num_shards=num_shards, shard_executor="inline"
+        sharded = small_deployment().run_campaign(
+            mode="sharded", num_shards=num_shards, shard_executor="inline"
         )
         assert sharded.mode == "sharded"
         # Not just the same multiset: the merger adopts blocks in campaign
@@ -106,8 +108,10 @@ class TestShardedEqualsBatch:
         assert sharded.task_executions == batch_reference.task_executions
 
     def test_counters_and_verdicts_match(self, batch_reference):
-        deployment = small_deployment("sharded")
-        sharded = deployment.run_campaign(num_shards=3, shard_executor="inline")
+        deployment = small_deployment()
+        sharded = deployment.run_campaign(
+            mode="sharded", num_shards=3, shard_executor="inline"
+        )
         assert (
             sharded.collection.unreachable_submissions
             == batch_reference.collection.unreachable_submissions
@@ -124,15 +128,15 @@ class TestShardedEqualsBatch:
         assert sharded.collection.distinct_ips() == batch_reference.collection.distinct_ips()
 
     def test_process_pool_matches_batch(self, batch_reference):
-        sharded = small_deployment("sharded").run_campaign(num_shards=2)
+        sharded = small_deployment().run_campaign(mode="sharded", num_shards=2)
         assert measurement_key(sharded) == measurement_key(batch_reference)
 
     def test_replication_counts_survive_the_merge(self):
         # Worker-side scheduling counts are folded back through manifests,
         # so the campaign-wide replication report equals the in-process run's.
-        sharded_deployment = small_deployment("sharded")
-        sharded_deployment.run_campaign(num_shards=3, shard_executor="inline")
-        batch_deployment = small_deployment("batch")
+        sharded_deployment = small_deployment()
+        sharded_deployment.run_campaign(mode="sharded", num_shards=3, shard_executor="inline")
+        batch_deployment = small_deployment()
         batch_deployment.run_campaign()
         assert (
             sharded_deployment.scheduler.replication_report()
@@ -140,19 +144,21 @@ class TestShardedEqualsBatch:
         )
 
     def test_sharded_mode_rejects_batch_only_arguments(self):
-        deployment = small_deployment("sharded", visits=128)
+        deployment = small_deployment(visits=128)
         with pytest.raises(ValueError, match="sharded"):
-            deployment.run_campaign(batch_size=64)
-        batch = small_deployment("batch", visits=128)
+            deployment.run_campaign(mode="sharded", batch_size=64)
         with pytest.raises(ValueError, match="sharded"):
-            batch.run_campaign(num_shards=2)
+            deployment.run_campaign(num_shards=2)
 
 
 class TestShardProgressAndResume:
     def test_progress_hook_sees_every_shard(self, tmp_path):
         seen = []
-        deployment = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        deployment.run_campaign(num_shards=3, shard_executor="inline", progress=seen.append)
+        deployment = small_deployment()
+        deployment.run_campaign(
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path), progress=seen.append,
+        )
         assert len(seen) == 3
         assert all(isinstance(p, ShardProgress) for p in seen)
         assert seen[-1].shards_completed == 3
@@ -162,10 +168,11 @@ class TestShardProgressAndResume:
         assert seen[-1].measurements_total == len(deployment.collection)
 
     def test_killed_worker_resumes_from_surviving_manifests(self, tmp_path):
-        reference = small_deployment("batch").run_campaign()
+        reference = small_deployment().run_campaign()
 
-        first = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        first.run_campaign(num_shards=3, shard_executor="inline")
+        run = {"mode": "sharded", "shard_executor": "inline",
+               "worker_spill_dir": str(tmp_path)}
+        small_deployment().run_campaign(num_shards=3, **run)
         survivors = {
             p: (p / MANIFEST_NAME).read_text()
             for p in sorted(tmp_path.rglob("shard-*"))
@@ -181,9 +188,8 @@ class TestShardProgressAndResume:
 
         seen = []
         # A *fresh* deployment, as after a process restart.
-        resumed = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        result = resumed.run_campaign(
-            num_shards=3, shard_executor="inline", progress=seen.append
+        result = small_deployment().run_campaign(
+            num_shards=3, progress=seen.append, **run
         )
         # Only the killed shard re-executed; the survivors were adopted
         # verbatim from their manifests.
@@ -201,7 +207,7 @@ class TestShardProgressAndResume:
         assert not orphan.exists()
 
     def test_foreign_manifest_is_ignored(self, tmp_path):
-        deployment = small_deployment("sharded", worker_spill_dir=str(tmp_path))
+        deployment = small_deployment()
         config = deployment.config
         signature = campaign_signature(deployment, epoch=1, visits=900)
         planner = ShardPlanner(900, config.plan_block_visits, 2)
@@ -219,13 +225,13 @@ class TestShardProgressAndResume:
         # differ on the resuming host; the campaign file records the
         # original partition so a resume adopts the old manifests instead
         # of silently re-executing everything.
-        reference = small_deployment("batch").run_campaign()
-        first = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        first.run_campaign(num_shards=3, shard_executor="inline")
+        reference = small_deployment().run_campaign()
+        run = {"mode": "sharded", "shard_executor": "inline",
+               "worker_spill_dir": str(tmp_path)}
+        small_deployment().run_campaign(num_shards=3, **run)
 
         seen = []
-        resumed = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        result = resumed.run_campaign(shard_executor="inline", progress=seen.append)
+        result = small_deployment().run_campaign(progress=seen.append, **run)
         assert len(seen) == 3 and all(p.resumed for p in seen)
         assert measurement_key(result) == measurement_key(reference)
 
@@ -234,13 +240,11 @@ class TestShardProgressAndResume:
         # the partition is part of the shard directory names, so the new
         # run's cleanup can never delete segments the first run's merged
         # store still reads lazily.
-        first = small_deployment("sharded", worker_spill_dir=str(tmp_path)).run_campaign(
-            num_shards=4, shard_executor="inline"
-        )
+        run = {"mode": "sharded", "shard_executor": "inline",
+               "worker_spill_dir": str(tmp_path)}
+        first = small_deployment().run_campaign(num_shards=4, **run)
         first_counts = first.collection.success_counts()
-        second = small_deployment("sharded", worker_spill_dir=str(tmp_path)).run_campaign(
-            num_shards=2, shard_executor="inline"
-        )
+        second = small_deployment().run_campaign(num_shards=2, **run)
         assert measurement_key(second) == measurement_key(first)
         assert first.collection.success_counts() == first_counts
         assert len(first.collection.store.rows()) == len(first.collection)
@@ -249,7 +253,7 @@ class TestShardProgressAndResume:
         # Client ids / IP hosts are numbered from the deployment's claimed
         # visit base, so two campaigns on one deployment never mint the
         # same client identity (until a country's IP space wraps).
-        deployment = small_deployment("batch", visits=400)
+        deployment = small_deployment(visits=400)
         deployment.run_campaign()
         first_rows = len(deployment.collection)
         first_ips = set(deployment.collection.store.column("client_ip")[:first_rows].tolist())
@@ -262,30 +266,31 @@ class TestShardProgressAndResume:
         # Regression: campaigns get signature-keyed subdirectories of the
         # spill root, so re-executing campaign B's shards can never delete
         # segment files campaign A's merged store still reads lazily.
-        first_dep = small_deployment("sharded", seed=11, worker_spill_dir=str(tmp_path))
-        first = first_dep.run_campaign(num_shards=2, shard_executor="inline")
+        run = {"mode": "sharded", "num_shards": 2, "shard_executor": "inline",
+               "worker_spill_dir": str(tmp_path)}
+        first = small_deployment(seed=11).run_campaign(**run)
         first_counts = first.collection.success_counts()
-        second = small_deployment(
-            "sharded", seed=12, worker_spill_dir=str(tmp_path)
-        ).run_campaign(num_shards=2, shard_executor="inline")
+        second = small_deployment(seed=12).run_campaign(**run)
         assert len(second.collection) > 0
         # The first campaign's store still answers queries off its files.
         assert first.collection.success_counts() == first_counts
         assert len(first.collection.store.rows()) == len(first.collection)
 
     def test_zero_plan_block_visits_rejected_in_every_mode(self):
-        batch = small_deployment("batch", visits=64, plan_block_visits=0)
+        batch = small_deployment(visits=64, plan_block_visits=0)
         with pytest.raises(ValueError, match="plan_block_visits"):
             batch.run_campaign()
-        sharded = small_deployment("sharded", visits=64, plan_block_visits=0)
+        sharded = small_deployment(visits=64, plan_block_visits=0)
         with pytest.raises(ValueError, match="plan_block_visits"):
-            sharded.run_campaign(num_shards=1, shard_executor="inline")
+            sharded.run_campaign(mode="sharded", num_shards=1, shard_executor="inline")
 
     def test_temporary_spill_root_reclaimed_with_the_store(self):
         import gc
 
-        deployment = small_deployment("sharded", visits=256)
-        result = deployment.run_campaign(num_shards=2, shard_executor="inline")
+        deployment = small_deployment(visits=256)
+        result = deployment.run_campaign(
+            mode="sharded", num_shards=2, shard_executor="inline"
+        )
         segment = Path(result.collection.store.segment_files[0])
         # <temp root>/campaign-XX-xxxx/shard-XXX/store-XXXX/segment-XXXXX.npz
         temp_root = segment.parents[3]
@@ -299,7 +304,7 @@ class TestShardProgressAndResume:
     def test_signature_covers_campaign_content(self):
         # Same seed/visits but different campaign content (days, testbed,
         # targets, world) must not share manifests.
-        base = small_deployment("sharded")
+        base = small_deployment()
         reference = campaign_signature(base, epoch=1, visits=900)
         for kw in (
             {"days": 7},
@@ -307,7 +312,7 @@ class TestShardProgressAndResume:
             {"testbed_fraction": 0.5},
             {"target_domains": ("facebook.com",)},
         ):
-            other = small_deployment("sharded", **kw)
+            other = small_deployment(**kw)
             assert campaign_signature(other, 1, 900) != reference
         different_world = EncoreDeployment(
             World(WorldConfig(seed=8, target_list_total=30, target_list_online=24,
@@ -315,6 +320,12 @@ class TestShardProgressAndResume:
             base.config,
         )
         assert campaign_signature(different_world, 1, 900) != reference
+
+    def test_campaign_directory_name_is_pinned(self):
+        # The name keys every campaign directory on disk; a run setting
+        # leaking back into the signature would move it and orphan them.
+        signature = campaign_signature(small_deployment(), 1, 900)
+        assert campaign_directory_name(signature) == "campaign-01-cbbd3fb8a0"
 
     def test_rebuilt_worker_matches_forked_worker(self, tmp_path):
         # The spawn fallback rebuilds the deployment from pickled configs
@@ -324,7 +335,7 @@ class TestShardProgressAndResume:
         # provides).
         from repro.core import shard as shard_module
 
-        parent = small_deployment("batch", visits=256)
+        parent = small_deployment(visits=256)
         epoch = parent.next_campaign_epoch()
         signature = campaign_signature(parent, epoch, 256)
         assignment = ShardPlanner(256, 128, 2).plan()[0]
@@ -361,7 +372,7 @@ class TestShardProgressAndResume:
         assert rebuilt_manifest["assignment_counts"] == shared_manifest["assignment_counts"]
 
     def test_execute_shard_writes_committing_manifest(self, tmp_path):
-        deployment = small_deployment("batch", visits=256)
+        deployment = small_deployment(visits=256)
         epoch = deployment.next_campaign_epoch()
         signature = campaign_signature(deployment, epoch, 256)
         assignment = ShardPlanner(256, 128, 2).plan()[0]
@@ -385,13 +396,14 @@ class TestCrashPoints:
     """Kill a 3-shard campaign at one durable write of shard 1, then resume.
 
     The resume runs in a freshly built deployment against the same spill
-    root, as a restarted process would.  It must adopt shard 0, re-execute
-    shards 1 and 2, clear the dead attempt's segments, and end with the
-    uninterrupted campaign: rows with their measurement ids, counters and
-    detections.
+    root, as a restarted process would, or retries on the same deployment.
+    It must adopt shard 0, re-execute shards 1 and 2, clear the dead
+    attempt's segments, and end with the uninterrupted campaign: rows with
+    their measurement ids, counters and detections.
     """
 
     VICTIM = "shard-001-of003"
+    RUN = {"mode": "sharded", "num_shards": 3, "shard_executor": "inline"}
 
     @staticmethod
     def campaign_state(deployment, result):
@@ -405,25 +417,24 @@ class TestCrashPoints:
             result.detect().detected_pairs(),
         )
 
+    def uninterrupted_state(self):
+        reference = small_deployment()
+        return self.campaign_state(reference, reference.run_campaign(**self.RUN))
+
     def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, inject):
-        reference = small_deployment("sharded")
-        expected = self.campaign_state(
-            reference, reference.run_campaign(num_shards=3, shard_executor="inline")
-        )
+        expected = self.uninterrupted_state()
         spill = tmp_path / "spill"
         inject(monkeypatch)
         with pytest.raises(OSError, match="injected crash"):
-            small_deployment("sharded", worker_spill_dir=str(spill)).run_campaign(
-                num_shards=3, shard_executor="inline"
-            )
+            small_deployment().run_campaign(worker_spill_dir=str(spill), **self.RUN)
         monkeypatch.undo()
         orphans = orphan_segments(spill)
         assert orphans and all(self.VICTIM in str(path) for path in orphans)
 
         seen = []
-        resumed = small_deployment("sharded", worker_spill_dir=str(spill))
+        resumed = small_deployment()
         result = resumed.run_campaign(
-            num_shards=3, shard_executor="inline", progress=seen.append
+            worker_spill_dir=str(spill), progress=seen.append, **self.RUN
         )
         assert [(p.shard_index, p.resumed) for p in seen] == [
             (0, True), (1, False), (2, False)
@@ -431,6 +442,23 @@ class TestCrashPoints:
         assert self.campaign_state(resumed, result) == expected
         assert not any(path.exists() for path in orphans)
         assert orphan_segments(spill) == set()
+
+    def fail_manifest_write(self, monkeypatch, fail):
+        """Make shard 1's manifest write call ``fail()`` instead."""
+        from repro.core import shard as shard_module
+
+        real_write = shard_module.write_manifest
+
+        def write_manifest(shard_dir, manifest):
+            if Path(shard_dir).name == self.VICTIM:
+                fail()
+            return real_write(shard_dir, manifest)
+
+        monkeypatch.setattr(shard_module, "write_manifest", write_manifest)
+
+    @staticmethod
+    def injected_crash():
+        raise OSError("injected crash")
 
     def test_crash_in_a_segment_spill(self, tmp_path, monkeypatch, orphan_segments):
         from repro.core import store as store_module
@@ -453,19 +481,60 @@ class TestCrashPoints:
         )
 
     def test_crash_in_a_manifest_write(self, tmp_path, monkeypatch, orphan_segments):
-        from repro.core import shard as shard_module
-
-        real_write = shard_module.write_manifest
-
-        def write_manifest(shard_dir, manifest):
-            if Path(shard_dir).name == self.VICTIM:
-                raise OSError("injected crash")
-            return real_write(shard_dir, manifest)
-
         self.crash_and_resume(
             tmp_path, monkeypatch, orphan_segments,
-            lambda patch: patch.setattr(shard_module, "write_manifest", write_manifest),
+            lambda patch: self.fail_manifest_write(patch, self.injected_crash),
         )
+
+    def test_same_deployment_retry_resumes_the_failed_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        # The failed run claimed neither the campaign epoch nor the visit
+        # range, so the retry is the same campaign, in the same directory.
+        expected = self.uninterrupted_state()
+        spill = tmp_path / "spill"
+        deployment = small_deployment()
+        self.fail_manifest_write(monkeypatch, self.injected_crash)
+        with pytest.raises(OSError, match="injected crash"):
+            deployment.run_campaign(worker_spill_dir=str(spill), **self.RUN)
+        monkeypatch.undo()
+        assert deployment.campaigns_run == 0
+
+        seen = []
+        result = deployment.run_campaign(
+            worker_spill_dir=str(spill), progress=seen.append, **self.RUN
+        )
+        assert [(p.shard_index, p.resumed) for p in seen] == [
+            (0, True), (1, False), (2, False)
+        ]
+        assert deployment.campaigns_run == 1
+        assert self.campaign_state(deployment, result) == expected
+        assert len(list(spill.glob("campaign-*"))) == 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched manifest write reaches workers only through fork",
+    )
+    def test_dead_process_worker(self, tmp_path, monkeypatch, orphan_segments):
+        # Shard 1's forked worker dies before its manifest lands, which
+        # breaks the pool.  Which other shards committed first is a race,
+        # so only shard 1's re-execution is asserted.
+        from concurrent.futures.process import BrokenProcessPool
+
+        expected = self.uninterrupted_state()
+        run = {**self.RUN, "shard_executor": "process",
+               "worker_spill_dir": str(tmp_path / "spill")}
+        self.fail_manifest_write(monkeypatch, lambda: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            small_deployment().run_campaign(**run)
+        monkeypatch.undo()
+
+        seen = []
+        resumed = small_deployment()
+        result = resumed.run_campaign(progress=seen.append, **run)
+        assert (1, False) in [(p.shard_index, p.resumed) for p in seen]
+        assert self.campaign_state(resumed, result) == expected
+        assert orphan_segments(tmp_path / "spill") == set()
 
 
 class TestStoreMerger:
@@ -647,14 +716,15 @@ class TestDefaultShardCount:
         from repro.core import shard as shard_module
 
         monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 2)
-        deployment = small_deployment("sharded", worker_spill_dir=str(tmp_path))
-        result = deployment.run_campaign(shard_executor="inline")
+        result = small_deployment().run_campaign(
+            mode="sharded", shard_executor="inline", worker_spill_dir=str(tmp_path)
+        )
         campaign_files = list(Path(tmp_path).glob("campaign-*/campaign.json"))
         assert len(campaign_files) == 1
         recorded = json.loads(campaign_files[0].read_text())
         assert set(recorded) == {"signature", "num_shards"}
         assert recorded["num_shards"] == 2
-        reference = small_deployment("batch").run_campaign()
+        reference = small_deployment().run_campaign()
         assert measurement_key(result) == measurement_key(reference)
 
 

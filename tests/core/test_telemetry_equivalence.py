@@ -35,7 +35,6 @@ def sharded_deployment(seed=11, visits=900):
         testbed_fraction=0.3,
         plan_block_visits=128,
         seed=seed,
-        mode="sharded",
     )
     return EncoreDeployment(small_world(), config)
 
@@ -83,12 +82,12 @@ def assert_well_formed(trace):
 class TestTracedRunsAreIdentical:
     def test_sharded_campaign_rows_identical_with_tracing(self, tmp_path):
         untraced = sharded_deployment().run_campaign(
-            num_shards=3, shard_executor="inline"
+            mode="sharded", num_shards=3, shard_executor="inline"
         )
 
         tracer = Tracer(tmp_path / TRACE_FILENAME)
         traced = sharded_deployment().run_campaign(
-            num_shards=3, shard_executor="inline", tracer=tracer
+            mode="sharded", num_shards=3, shard_executor="inline", tracer=tracer
         )
         tracer.close()
 
@@ -115,6 +114,7 @@ class TestTracedRunsAreIdentical:
         def run(tracer=None):
             seen = []
             result = sharded_deployment().run_campaign(
+                mode="sharded",
                 num_shards=3,
                 shard_executor="inline",
                 progress=seen.append,
@@ -167,23 +167,30 @@ class TestTracedRunsAreIdentical:
 class TestLongitudinalEquivalence:
     TIMELINE_DAY = 2
 
-    def run_engine(self, tmp_path, tag, trace=False, epochs=4):
+    def run_engine(self, tmp_path, tag, trace_tag=None, epochs=4):
+        """A checkpointed run under ``ckpt-<tag>``, traced into
+        ``trace-<trace_tag>`` by a tracer this test opens and closes."""
         timeline = PolicyTimeline().onset(self.TIMELINE_DAY, "DE", "facebook.com")
+        tracer = (
+            Tracer(tmp_path / f"trace-{trace_tag}" / TRACE_FILENAME)
+            if trace_tag is not None
+            else None
+        )
         config = LongitudinalConfig(
             epochs=epochs,
             visits_per_epoch=150,
-            mode="sharded",
-            num_shards=2,
-            shard_executor="inline",
             checkpoint_dir=str(tmp_path / f"ckpt-{tag}"),
-            trace_dir=str(tmp_path / f"trace-{tag}") if trace else None,
+            tracer=tracer,
         )
-        engine = LongitudinalEngine(longitudinal_deployment(), timeline, config)
-        return engine.run()
+        try:
+            return LongitudinalEngine(longitudinal_deployment(), timeline, config).run()
+        finally:
+            if tracer is not None:
+                tracer.close()
 
     def test_traced_run_row_and_event_identical(self, tmp_path):
         untraced = self.run_engine(tmp_path, "off")
-        traced = self.run_engine(tmp_path, "on", trace=True)
+        traced = self.run_engine(tmp_path, "on", trace_tag="on")
 
         assert [dataclasses.astuple(e) for e in traced.events()] == [
             dataclasses.astuple(e) for e in untraced.events()
@@ -206,24 +213,11 @@ class TestLongitudinalEquivalence:
         untraced = self.run_engine(tmp_path, "ref")
 
         # First traced attempt "dies" after epoch 1: run only 2 epochs.
-        self.run_engine(tmp_path, "killed", trace=True, epochs=2)
+        self.run_engine(tmp_path, "killed", trace_tag="killed", epochs=2)
         # Resume from the same checkpoints and trace stream: epochs 0-1
         # are adopted, epochs 2-3 execute fresh, the tracer appends.
-        config_dir = tmp_path / "ckpt-killed"
+        resumed = self.run_engine(tmp_path, "killed", trace_tag="killed")
         trace_dir = tmp_path / "trace-killed"
-        timeline = PolicyTimeline().onset(self.TIMELINE_DAY, "DE", "facebook.com")
-        config = LongitudinalConfig(
-            epochs=4,
-            visits_per_epoch=150,
-            mode="sharded",
-            num_shards=2,
-            shard_executor="inline",
-            checkpoint_dir=str(config_dir),
-            trace_dir=str(trace_dir),
-        )
-        resumed = LongitudinalEngine(
-            longitudinal_deployment(), timeline, config
-        ).run()
 
         assert [dataclasses.astuple(e) for e in resumed.events()] == [
             dataclasses.astuple(e) for e in untraced.events()
@@ -248,12 +242,13 @@ class TestLongitudinalEquivalence:
 class TestKilledWorkerTraces:
     def test_orphan_worker_trace_is_salvaged_as_aborted(self, tmp_path):
         reference = sharded_deployment().run_campaign(
-            num_shards=3, shard_executor="inline"
+            mode="sharded", num_shards=3, shard_executor="inline"
         )
 
         spill = tmp_path / "spill"
         tracer = Tracer(tmp_path / "first.jsonl")
         sharded_deployment().run_campaign(
+            mode="sharded",
             num_shards=3,
             shard_executor="inline",
             worker_spill_dir=str(spill),
@@ -277,6 +272,7 @@ class TestKilledWorkerTraces:
 
         tracer = Tracer(tmp_path / "resume.jsonl")
         resumed = sharded_deployment().run_campaign(
+            mode="sharded",
             num_shards=3,
             shard_executor="inline",
             worker_spill_dir=str(spill),
