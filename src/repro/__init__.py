@@ -11,10 +11,10 @@ offline reproduction needs: a synthetic Web, a network stack with censors, a
 browser model, and a global client population.
 
 Measurements are stored columnar: the collection server keeps the corpus in
-a struct-of-arrays :class:`~repro.core.store.MeasurementStore` (optionally
-spilling column segments to disk via ``CampaignConfig.max_rows_in_memory``),
-and the analysis queries it with row masks and grouped reductions instead
-of looping over row lists.
+a struct-of-arrays :class:`~repro.core.store.MeasurementStore` (in memory,
+or in the ``.npz`` segments a sharded campaign's workers commit), and the
+analysis queries it with row masks and grouped reductions instead of
+looping over row lists.
 
 Quick start::
 

@@ -10,10 +10,9 @@ origin site strips it (the paper notes 3/4 of measurements arrived with the
 Referer stripped, obscuring which origin delivered them).
 
 Internally the server keeps the corpus in a columnar
-:class:`~repro.core.store.MeasurementStore` (struct of arrays, optional disk
-spill) rather than a Python list of records; :class:`Measurement` survives as
-the row view :meth:`~repro.core.store.MeasurementStore.rows` materializes on
-demand.  The server's own surface — :meth:`success_counts`, the distinct
+:class:`~repro.core.store.MeasurementStore` (struct of arrays) rather than a
+Python list of records; :class:`Measurement` survives as the row view
+:meth:`~repro.core.store.MeasurementStore.rows` materializes on demand.  The server's own surface — :meth:`success_counts`, the distinct
 counters and :meth:`summary` — is a handful of ``query()`` calls; anything
 else reads the store.
 """
@@ -154,7 +153,10 @@ class ColumnarRecords:
 
 
 class CollectionServer:
-    """Receives, geolocates, and stores measurement submissions."""
+    """Receives, geolocates, and stores measurement submissions.
+
+    Rows land in ``store``, or in a fresh in-memory store if none is given.
+    """
 
     #: Fraction of origin sites configured to strip the Referer header when
     #: their visitors submit results (paper §7: 3/4 of measurements).
@@ -165,18 +167,12 @@ class CollectionServer:
         submit_url: URL | str,
         geoip: GeoIPDatabase | None = None,
         store: MeasurementStore | None = None,
-        max_rows_in_memory: int | None = None,
-        spill_dir: str | None = None,
     ) -> None:
         self.submit_url = submit_url if isinstance(submit_url, URL) else URL.parse(submit_url)
         self.geoip = geoip or GeoIPDatabase()
         # ``is not None``: a freshly built store is empty and therefore falsy,
         # but it is still the store the caller wants measurements to land in.
-        self.store = (
-            store
-            if store is not None
-            else MeasurementStore(max_rows_in_memory=max_rows_in_memory, spill_dir=spill_dir)
-        )
+        self.store = store if store is not None else MeasurementStore()
         self.unreachable_submissions = 0
 
     # ------------------------------------------------------------------

@@ -85,7 +85,8 @@ class LongitudinalConfig:
     """Parameters of one longitudinal (multi-epoch) run.
 
     Each epoch is a batch campaign, or with a ``checkpoint_dir`` one
-    crash-resumable inline shard; both give the same rows.
+    crash-resumable inline shard; both give the same rows and the same
+    events.
     """
 
     #: How many epochs to run.  ``None`` covers the timeline: enough epochs
@@ -113,7 +114,8 @@ class LongitudinalConfig:
     #: (the default) runs the engine statelessly.
     checkpoint_dir: str | None = None
     #: Seed per-country healthy baselines for the CUSUM from
-    #: ``AdaptiveFilteringDetector.country_priors`` after the first epoch.
+    #: ``AdaptiveFilteringDetector.country_priors`` after the first epoch,
+    #: with or without a ``checkpoint_dir``.
     adaptive_baselines: bool = False
     #: Telemetry (strictly write-only: rows/events are bit-identical with
     #: tracing on or off).  A :class:`~repro.obs.trace.Tracer` the caller
@@ -163,6 +165,9 @@ class LongitudinalResult:
     #: The incremental CUSUM state a checkpointed run maintained (``None``
     #: for stateless runs); its ``events`` are the run's events.
     monitor: CusumState | None = None
+    #: The per-country healthy baselines ``adaptive_baselines`` seeded
+    #: (``None`` without it); every scan of the run uses them.
+    baselines: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
         self._events: list[CensorshipEvent] | None = None
@@ -243,8 +248,7 @@ class LongitudinalResult:
         if self.monitor is not None and key == self._monitor_key:
             return list(self.monitor.events)
         if self._events is None or self._events_key != key:
-            baselines = self.monitor.baselines if self.monitor is not None else None
-            self._events = self.detector.detect_events(self.day_counts(), baselines)
+            self._events = self.detector.detect_events(self.day_counts(), self.baselines)
             self._events_key = key
         return self._events
 
@@ -359,6 +363,7 @@ class LongitudinalEngine:
         if checkpoint_dir is not None:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             monitor = self._restore_monitor(checkpoint_dir)
+        baselines = monitor.baselines if monitor is not None else None
         summaries: list[EpochSummary] = []
         tracer = config.tracer if config.tracer is not None else NULL_TRACER
         try:
@@ -396,6 +401,14 @@ class LongitudinalEngine:
                                 resumed=resumed,
                             )
                         )
+                        if config.adaptive_baselines and baselines is None:
+                            # Seeded once, from the first epoch's rows; a
+                            # restored monitor brings the ones it seeded.
+                            baselines = config.detector.seeded_baselines(
+                                grouped_success_counts(store)
+                            )
+                            if monitor is not None:
+                                monitor.baselines = baselines
                         if monitor is not None:
                             # Seal so the epoch's rows join the store's
                             # persistent fold state (sealed segments fold
@@ -403,14 +416,6 @@ class LongitudinalEngine:
                             # only the new day columns.
                             with tracer.span("seal", epoch=epoch):
                                 store.seal_pending()
-                            if (
-                                config.adaptive_baselines
-                                and monitor.baselines is None
-                                and monitor.days_processed == 0
-                            ):
-                                monitor.baselines = config.detector.seeded_baselines(
-                                    grouped_success_counts(store)
-                                )
                             # The day series comes straight off the fold
                             # accumulator: the epoch folds only its new rows
                             # and the CUSUM scans only the new day columns.
@@ -434,6 +439,7 @@ class LongitudinalEngine:
             collection=deployment.collection,
             epochs=summaries,
             monitor=monitor,
+            baselines=baselines,
         )
 
     @staticmethod

@@ -37,7 +37,7 @@ CAMPAIGN_MODES = ("batch", "serial", "sharded")
 
 @dataclass
 class CampaignConfig:
-    """What one simulated campaign measures, plus the store's spill settings.
+    """What one simulated campaign measures.
 
     How it runs is chosen by :meth:`EncoreDeployment.run_campaign` alone.
     """
@@ -71,13 +71,6 @@ class CampaignConfig:
     #: identity: changing it changes the sampled campaign (batch size does
     #: not).  Also the sharding granularity of ``mode="sharded"``.
     plan_block_visits: int = 2048
-    #: Bound on measurement rows kept resident by the collection store;
-    #: sealed column segments beyond the bound spill to ``.npz`` files
-    #: (``None`` keeps everything in memory).
-    max_rows_in_memory: int | None = None
-    #: Where spilled segments go (a temporary directory, removed with the
-    #: store, if unset).
-    spill_dir: str | None = None
 
 
 @dataclass
@@ -205,8 +198,6 @@ class EncoreDeployment:
         self.collection = CollectionServer(
             submit_url=self.world.collection_url,
             geoip=self.world.geoip,
-            max_rows_in_memory=self.config.max_rows_in_memory,
-            spill_dir=self.config.spill_dir,
         )
 
         # --- Origin sites ----------------------------------------------------

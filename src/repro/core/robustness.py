@@ -66,9 +66,8 @@ from repro.core.shard import (
     MANIFEST_NAME,
     StoreMerger,
     available_cpu_count,
-    manifest_segments_exist,
+    manifest_segments_intact,
     read_manifest,
-    segment_row_counts,
     serialize_value_tables,
     write_manifest,
 )
@@ -645,11 +644,11 @@ class SweepCell:
 def _forge_cell(payload: dict) -> str:
     """Worker entrypoint: forge one cell's corpus, seal it, commit a manifest.
 
-    The forged columns ingest into a cell-private store that spills one or
-    more ``.npz`` segments under the cell directory; the manifest — segment
-    paths, value tables, counters — is written last via an atomic rename,
-    exactly like a campaign shard's, and only its path crosses the process
-    boundary.
+    The forged columns ingest into a cell-private store as one chunk, which
+    spills as one ``.npz`` segment under the cell directory; the manifest —
+    segment path, value tables, counters — is written last via an atomic
+    rename, exactly like a campaign shard's, and only its path crosses the
+    process boundary.
     """
     campaign = PoisoningCampaign(
         target_domain=payload["target_domain"],
@@ -675,9 +674,9 @@ def _forge_cell(payload: dict) -> str:
             {
                 "block": 0,
                 "rows": len(store),
+                # One chunk in, so at most one segment out.
                 "segments": [
-                    {"path": str(path), "rows": rows}
-                    for path, rows in segment_row_counts(store.segment_files, len(store))
+                    {"path": str(path), "rows": len(store)} for path in store.segment_files
                 ],
             }
         ],
@@ -822,7 +821,7 @@ class AdversarySweep:
             if (
                 manifest is not None
                 and manifest.get("signature") == signature
-                and manifest_segments_exist(manifest)
+                and manifest_segments_intact(manifest)
             ):
                 manifests[index] = manifest
             else:

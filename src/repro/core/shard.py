@@ -57,13 +57,12 @@ import numpy as np
 
 from repro.core.collection import CollectionServer
 from repro.core.runner import CampaignRunner
-from repro.core.store import MeasurementStore
+from repro.core.store import MeasurementStore, verify_segment
 from repro.obs.clock import monotonic
 from repro.obs.trace import NULL_TRACER, TRACE_FILENAME, Tracer, progress_listener
 from repro.web.url import URL
 
 MANIFEST_NAME = "manifest.json"
-CAMPAIGN_FILE_NAME = "campaign.json"
 
 #: Cap on the *default* worker count.  Past this, fan-out wins little for
 #: Encore-sized campaigns while multiplying per-worker world-build memory;
@@ -190,26 +189,21 @@ def campaign_signature(deployment, epoch: int, visits: int, visit_base: int = 0)
     """What a manifest must match to belong to this campaign run.
 
     Covers everything that shapes campaign *content* — the full world
-    config and every campaign-config field except the store's memory bound
-    and spill location — so a manifest from a materially different
-    campaign sharing the same seed is rejected rather than silently
-    adopted.  The shard count is deliberately *not* part of the signature:
-    it shapes the partition, not the campaign, and per-shard
+    config and every campaign-config field — so a manifest from a
+    materially different campaign sharing the same seed is rejected rather
+    than silently adopted.  The shard count is deliberately *not* part of
+    the signature: it shapes the partition, not the campaign, and per-shard
     ``block_indices`` checks already reject manifests cut for a different
-    partition.  JSON round-tripped so the in-memory form
-    compares equal to what comes back off disk.
+    partition.  JSON round-tripped so the in-memory form compares equal to
+    what comes back off disk.
     """
     from dataclasses import asdict
 
-    config = deployment.config
-    campaign = asdict(config)
-    for store_setting in ("max_rows_in_memory", "spill_dir"):
-        del campaign[store_setting]
     signature = {
         "epoch": epoch,
         "visits": visits,
         "visit_base": visit_base,
-        "campaign": campaign,
+        "campaign": asdict(deployment.config),
         "world": asdict(deployment.world.config),
         "mode": "batch",
     }
@@ -244,12 +238,13 @@ def execute_shard(
     """Run one shard's blocks and seal the results under ``shard_dir``.
 
     Every block is executed with the vectorized ``BatchExecutor`` and
-    ingested into a shard-private collection server; after each block the
-    store spills, so each block becomes exactly one ``.npz`` segment on
-    disk.  The manifest — segment paths, value tables, counters — is
-    written last via an atomic rename (and returned): its presence is the
-    shard's commit marker, and a worker killed mid-shard leaves no manifest
-    and is simply re-executed on resume.
+    ingested into a shard-private collection server as one chunk; after
+    each block the store spills, so each block with rows becomes exactly
+    one ``.npz`` segment on disk.  The manifest — segment paths, value
+    tables, counters — is written last via an atomic rename (and returned),
+    after every segment it lists is flushed: its presence is the shard's
+    commit marker, and a worker killed mid-shard leaves no manifest and is
+    simply re-executed on resume.
 
     With ``trace`` on, the shard writes its own span stream next to its
     segments; ``run_sharded`` absorbs it into the campaign trace after the
@@ -285,7 +280,6 @@ def execute_shard(
             execution = runner.execute_block(ctx, block_index, collection)
             with tracer.span("seal", block=block_index):
                 store.spill()
-            new_segments = store.segment_files[segments_before:]
             deliveries_attempted += execution.deliveries_attempted
             deliveries_failed += execution.deliveries_failed
             blocks.append(
@@ -293,11 +287,11 @@ def execute_shard(
                     "block": block_index,
                     "visits": execution.visits,
                     "rows": execution.stored,
+                    # One chunk in, so at most one segment out, holding
+                    # every row the block stored.
                     "segments": [
-                        {"path": str(path), "rows": rows}
-                        for path, rows in segment_row_counts(
-                            new_segments, execution.stored
-                        )
+                        {"path": str(path), "rows": execution.stored}
+                        for path in store.segment_files[segments_before:]
                     ],
                 }
             )
@@ -318,6 +312,7 @@ def execute_shard(
         "duration_s": monotonic() - started,
     }
     with tracer.span("manifest", shard=assignment.shard_index):
+        _flush_segments(manifest)
         write_manifest(shard_dir, manifest)
     tracer.record_metrics(scope=f"shard-{assignment.shard_index:03d}")
     tracer.close()
@@ -340,9 +335,9 @@ def write_json_atomic(path: str | Path, payload: dict) -> Path:
     which readers ignore (and which the next write reclaims).  The scratch
     is fsynced before the rename — and the directory entry after it — so
     the committed file survives power loss, not just process death.  Shard
-    manifests, campaign files, and the longitudinal monitor's resume
-    markers all go through here; repro-lint's ``atomic-json-write`` rule
-    keeps it that way.
+    manifests, sweep-cell manifests, the longitudinal monitor's CUSUM
+    checkpoint and the scenario suites' QUALITY files all go through here;
+    repro-lint's ``atomic-json-write`` rule keeps it that way.
     """
     path = Path(path)
     scratch = path.with_suffix(".tmp")
@@ -359,14 +354,14 @@ def write_json_atomic(path: str | Path, payload: dict) -> Path:
         except OSError:
             pass
         raise
-    _fsync_directory(path.parent)
+    _fsync_path(path.parent)
     return path
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Flush a rename's directory entry; best-effort off POSIX."""
+def _fsync_path(path: Path) -> None:
+    """Flush a file's data or a directory's entries; best-effort off POSIX."""
     try:
-        fd = os.open(directory, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - exotic/readonly platforms
         return
     try:
@@ -375,6 +370,22 @@ def _fsync_directory(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _flush_segments(manifest: dict) -> None:
+    """fsync every segment ``manifest`` lists and the directories holding them.
+
+    Run before the manifest is written, so a manifest that survives power
+    loss never names a segment that did not.
+    """
+    paths = [
+        Path(segment["path"]) for block in manifest["blocks"] for segment in block["segments"]
+    ]
+    directories = {path.parent for path in paths}
+    # Each segment directory is itself an entry of the shard directory.
+    directories |= {directory.parent for directory in directories}
+    for path in paths + sorted(directories):
+        _fsync_path(path)
 
 
 def write_manifest(shard_dir: str | Path, manifest: dict) -> Path:
@@ -394,27 +405,21 @@ def read_manifest(path: str | Path) -> dict | None:
         return None
 
 
-def manifest_segments_exist(manifest: dict) -> bool:
-    """Whether every segment file a manifest references is still on disk."""
-    for block in manifest.get("blocks", ()):
-        for segment in block["segments"]:
-            if not Path(segment["path"]).is_file():
-                return False
+def manifest_segments_intact(manifest: dict) -> bool:
+    """Whether every segment a manifest lists is on disk, holding its rows.
+
+    A missing file makes the manifest a cache miss (``False``).  A file
+    that is there but is no readable archive, or holds other than the rows
+    the manifest declares, raises
+    :class:`~repro.core.store.SegmentRowsError` naming it, before anything
+    is adopted.
+    """
+    segments = [segment for block in manifest["blocks"] for segment in block["segments"]]
+    if not all(Path(segment["path"]).is_file() for segment in segments):
+        return False
+    for segment in segments:
+        verify_segment(segment["path"], segment["rows"])
     return True
-
-
-def segment_row_counts(paths: Sequence[Path], total_rows: int):
-    """Pair each new segment with its row count (one segment per block in
-    the normal flow; lengths are read back only in the defensive case)."""
-    if not paths:
-        return []
-    if len(paths) == 1:
-        return [(paths[0], total_rows)]
-    pairs = []
-    for path in paths:
-        with np.load(path) as data:
-            pairs.append((path, int(len(data["day"]))))
-    return pairs
 
 
 #: Deployment inherited by forked worker processes.  Set by the parent just
@@ -497,38 +502,6 @@ class StoreMerger:
         return adopted
 
 
-def establish_campaign_state(
-    campaign_root: Path, signature: dict,
-    requested_num_shards: int | None, block_count: int = 0,
-) -> int:
-    """Pin the campaign's shard partition across restarts; return its count.
-
-    With ``num_shards`` unconfigured the count falls back to
-    :func:`default_num_shards` (affinity-aware CPUs, capped by
-    ``block_count``), which may differ on the resuming host; reusing the
-    count the campaign file recorded keeps the old manifests adoptable
-    instead of silently re-executing the whole campaign.  An *explicitly*
-    requested count wins (the old manifests are then rejected by their
-    ``block_indices``, which is safe, just not a cache hit).
-    """
-    path = campaign_root / CAMPAIGN_FILE_NAME
-    stored = read_manifest(path)
-    if stored is not None and stored.get("signature") == signature:
-        stored_shards = stored.get("num_shards")
-        if requested_num_shards is None:
-            if stored_shards:
-                return int(stored_shards)
-        elif requested_num_shards == stored_shards:
-            return requested_num_shards
-    num_shards = (
-        requested_num_shards
-        if requested_num_shards is not None
-        else default_num_shards(block_count)
-    )
-    write_json_atomic(path, {"signature": signature, "num_shards": num_shards})
-    return num_shards
-
-
 def load_manifest(
     shard_dir: Path, signature: dict, assignment: ShardAssignment
 ) -> dict | None:
@@ -537,7 +510,8 @@ def load_manifest(
     A manifest from a different campaign (seed, epoch, visit count, shard
     layout…) or one whose segment files have gone missing is ignored, which
     makes a stale ``worker_spill_dir`` merely a cache miss, never silent
-    corruption.
+    corruption; a segment that is there but damaged raises
+    :class:`~repro.core.store.SegmentRowsError`.
     """
     manifest = read_manifest(shard_dir / MANIFEST_NAME)
     if manifest is None:
@@ -546,7 +520,7 @@ def load_manifest(
         return None
     if manifest.get("block_indices") != list(assignment.block_indices):
         return None
-    if not manifest_segments_exist(manifest):
+    if not manifest_segments_intact(manifest):
         return None
     return manifest
 
@@ -574,10 +548,13 @@ def run_sharded(
 
     Inside ``worker_spill_dir`` each campaign owns a signature-keyed
     subdirectory (so one spill root is safely shareable across campaigns
-    and deployments), holding the shard directories plus the campaign file
-    that pins the run's shard partition across process restarts.  With
+    and deployments) holding its shard directories, and nothing else.  With
     no directory given, a temporary root is used and reclaimed when the
     merged store is garbage-collected (or at interpreter exit).
+
+    An unset ``num_shards`` resolves to :func:`default_num_shards` on every
+    run, so a resume on a host with another CPU count cuts another
+    partition: it re-executes every shard and gets the same rows.
 
     The deployment's campaign and visit counters advance only when the
     merge begins: a run that raises before then leaves them as they were,
@@ -595,6 +572,14 @@ def run_sharded(
     epoch = deployment.campaigns_run + 1
     visit_base = deployment.visits_claimed
     signature = campaign_signature(deployment, epoch, visits, visit_base)
+    # Planned before anything touches disk, so a rejected partition
+    # leaves no directory behind.
+    if num_shards is None:
+        num_shards = default_num_shards(
+            ShardPlanner(visits, config.plan_block_visits, 1).block_count
+        )
+    planner = ShardPlanner(visits, config.plan_block_visits, num_shards)
+    assignments = planner.plan()
     temporary_root = worker_spill_dir is None
     spill_root = (
         tempfile.mkdtemp(prefix="encore-shards-") if temporary_root else worker_spill_dir
@@ -610,13 +595,6 @@ def run_sharded(
         weakref.finalize(
             deployment.collection.store, shutil.rmtree, str(spill_root), True
         )
-    # A resume keeps the original run's shard partition unless overridden.
-    block_count = ShardPlanner(visits, config.plan_block_visits, 1).block_count
-    num_shards = establish_campaign_state(
-        campaign_root, signature, num_shards, block_count
-    )
-    planner = ShardPlanner(visits, config.plan_block_visits, num_shards)
-    assignments = planner.plan()
 
     started = monotonic()
     # Progress and telemetry share one code path: shard completions are

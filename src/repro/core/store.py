@@ -20,12 +20,13 @@ instead:
   per-(domain, country[, day]) counts, timing quantiles, distinct clients —
   to the one group-by kernel in :mod:`repro.core.query`, whose wrappers
   (``grouped_success_counts`` and friends) are the reduction API.
-* **Bounded memory.**  With ``max_rows_in_memory=`` set, sealed column
-  segments spill to ``.npz`` files under ``spill_dir`` (a temporary
-  directory, removed with the store, if none is given).  Queries
-  transparently concatenate spilled and resident segments — and only load
-  the columns they touch, so the detection pipeline over a spilled store
-  never reads the string columns.
+* **Committed segments.**  :meth:`MeasurementStore.spill` writes every
+  sealed segment to an ``.npz`` file under the store's ``spill_dir``; a
+  shard worker or a sweep cell does so once per block or cell, and the
+  manifest naming those files is its commit.  Stores that adopt the files
+  read them on demand: queries transparently concatenate spilled and
+  resident segments — and only load the columns they touch, so the
+  detection pipeline over a merged store never reads the string columns.
 * **One materializer.**  :meth:`rows` builds
   :class:`~repro.core.collection.Measurement` dataclasses on demand, for
   all rows or given indices, field-for-field identical to what the
@@ -36,9 +37,7 @@ instead:
 
 from __future__ import annotations
 
-import shutil
 import tempfile
-import weakref
 import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -118,10 +117,12 @@ class ColumnAlignmentError(ValueError):
 class SegmentRowsError(ValueError):
     """A spilled segment does not hold the rows its store declared for it.
 
-    Raised when a segment ``.npz`` is read: a column whose length differs
-    from the rows the segment was mounted with (a manifest declaring too
-    many or too few), or a file that is not a readable archive at all
-    (``found`` is then ``None``).  ``path`` names the segment file.
+    Raised when a segment ``.npz`` is read, by a query or by
+    :func:`verify_segment` before a manifest is adopted: a column whose
+    length differs from the rows the segment was mounted with (a manifest
+    declaring too many or too few), or a file that is not a readable
+    archive at all (``found`` is then ``None``).  ``path`` names the
+    segment file.
     """
 
     def __init__(self, path: Path, declared: int, found: int | None) -> None:
@@ -411,13 +412,23 @@ class _Segment:
         get_registry().counter("store.segments_spilled").add(1)
 
 
+def verify_segment(path: str | Path, rows: int) -> None:
+    """Raise :class:`SegmentRowsError` unless ``path`` reads back as ``rows`` rows.
+
+    Reads the ``day`` column, which every query reads, so a damaged segment
+    fails here rather than inside the first query.
+    """
+    _Segment(rows, None, Path(path)).load_columns(("day",))
+
+
 class MeasurementStore:
-    """Struct-of-arrays storage for measurements, with optional disk spill.
+    """Struct-of-arrays storage for measurements.
 
     ``segment_rows`` controls how many pending rows are batched before they
-    are sealed into an immutable segment; ``max_rows_in_memory`` bounds the
-    rows kept resident (sealed segments beyond the bound spill, oldest
-    first, to ``spill_dir``).
+    are sealed into an immutable segment.  Rows stay resident until
+    :meth:`spill` writes them under ``spill_dir``, which only a store given
+    one can do: a shard worker's or a sweep cell's, whose manifest then
+    commits the files.
     """
 
     DEFAULT_SEGMENT_ROWS = 65_536
@@ -425,15 +436,11 @@ class MeasurementStore:
     def __init__(
         self,
         segment_rows: int | None = None,
-        max_rows_in_memory: int | None = None,
         spill_dir: str | Path | None = None,
     ) -> None:
         if segment_rows is not None and segment_rows < 1:
             raise ValueError("segment_rows must be positive")
-        if max_rows_in_memory is not None and max_rows_in_memory < 1:
-            raise ValueError("max_rows_in_memory must be positive")
         self.segment_rows = segment_rows or self.DEFAULT_SEGMENT_ROWS
-        self.max_rows_in_memory = max_rows_in_memory
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         #: Unique per-store directory under ``spill_dir``, created on first
         #: spill, so stores sharing one configured directory (e.g. a sweep's
@@ -501,10 +508,6 @@ class MeasurementStore:
     @property
     def country_values(self) -> Sequence[str]:
         return self._country_values
-
-    @property
-    def spill_dir(self) -> Path | None:
-        return self._spill_dir
 
     @property
     def segment_files(self) -> list[Path]:
@@ -658,16 +661,8 @@ class MeasurementStore:
         self._length += n
         self._version += 1
         get_registry().counter("store.rows_ingested").add(n)
-        if self._pending_rows >= self._seal_threshold:
+        if self._pending_rows >= self.segment_rows:
             self._seal_pending()
-            self._maybe_spill()
-
-    @property
-    def _seal_threshold(self) -> int:
-        """Pending rows that trigger a seal: the most a store buffers in memory."""
-        if self.max_rows_in_memory is None:
-            return self.segment_rows
-        return min(self.segment_rows, self.max_rows_in_memory)
 
     def _seal_pending(self) -> None:
         if not self._pending:
@@ -684,30 +679,10 @@ class MeasurementStore:
         self._pending_rows = 0
         get_registry().counter("store.segments_sealed").add(1)
 
-    def _maybe_spill(self) -> None:
-        if self.max_rows_in_memory is None:
-            return
-        resident = self.rows_in_memory
-        for seg in self._segments:
-            if resident <= self.max_rows_in_memory:
-                break
-            if seg.spilled:
-                continue
-            seg.spill(self._next_spill_path())
-            resident -= seg.length
-
     def _next_spill_path(self) -> Path:
         if self._spill_subdir is None:
-            if self._spill_dir is None:
-                self._spill_subdir = Path(tempfile.mkdtemp(prefix="measurement-store-"))
-                # Nothing else names this directory, so it goes with the
-                # store; adopters hold their sources, keeping it readable.
-                weakref.finalize(self, shutil.rmtree, str(self._spill_subdir), True)
-            else:
-                self._spill_dir.mkdir(parents=True, exist_ok=True)
-                self._spill_subdir = Path(
-                    tempfile.mkdtemp(prefix="store-", dir=self._spill_dir)
-                )
+            self._spill_dir.mkdir(parents=True, exist_ok=True)
+            self._spill_subdir = Path(tempfile.mkdtemp(prefix="store-", dir=self._spill_dir))
         self._spill_count += 1
         return self._spill_subdir / f"segment-{self._spill_count:05d}.npz"
 
@@ -722,10 +697,15 @@ class MeasurementStore:
         to however many epochs fit under ``segment_rows``.
         """
         self._seal_pending()
-        self._maybe_spill()
 
     def spill(self) -> int:
-        """Seal pending rows and spill every resident segment; returns spilled count."""
+        """Seal pending rows and spill every resident segment; returns spilled count.
+
+        Raises :exc:`ValueError`, before sealing or writing anything, on a
+        store built without a ``spill_dir``.
+        """
+        if self._spill_dir is None:
+            raise ValueError("spill() needs a store built with a spill_dir")
         self._seal_pending()
         spilled = 0
         for seg in self._segments:
@@ -962,11 +942,11 @@ class MeasurementStore:
         if start == self._length:
             return clients.codes
         # A resident store encodes in one batch.  A spilled one encodes a
-        # batch whenever the segments read reach its seal threshold, so it
+        # batch whenever the segments read reach ``segment_rows``, so it
         # holds about one segment of its address strings at a time.
         limit = self._length
         if any(seg.spilled for seg in self._segments):
-            limit = self._seal_threshold
+            limit = self.segment_rows
         readers = [(seg.length, seg.column) for seg in self._segments]
         readers += [(len(chunk["day"]), chunk.__getitem__) for chunk in self._pending]
         codes = [clients.codes]

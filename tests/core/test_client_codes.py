@@ -29,12 +29,7 @@ from repro.core.robustness import (
     ReputationFilter,
     SweepCell,
 )
-from repro.core.shard import (
-    StoreMerger,
-    read_manifest,
-    segment_row_counts,
-    serialize_value_tables,
-)
+from repro.core.shard import StoreMerger, read_manifest, serialize_value_tables
 from repro.core.store import MeasurementStore, _ClientCodes
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.obs.metrics import get_registry
@@ -92,6 +87,15 @@ def direct(rows):
     return store
 
 
+def segment_lengths(store: MeasurementStore) -> list[int]:
+    """The rows of each segment file ``store`` spilled, read off disk."""
+    lengths = []
+    for path in store.segment_files:
+        with np.load(path) as data:
+            lengths.append(len(data["day"]))
+    return lengths
+
+
 def merged(rows, directory: Path) -> MeasurementStore:
     """A store mounted from two spilled shard stores, like a sharded campaign."""
     manifests = []
@@ -108,7 +112,7 @@ def merged(rows, directory: Path) -> MeasurementStore:
                 "rows": len(shard),
                 "segments": [
                     {"path": str(path), "rows": length}
-                    for path, length in segment_row_counts(shard.segment_files, len(shard))
+                    for path, length in zip(shard.segment_files, segment_lengths(shard))
                 ],
             }],
             "value_tables": serialize_value_tables(shard.value_tables()),
@@ -122,9 +126,7 @@ def source_store(rows, layout: str, directory: Path) -> MeasurementStore:
     if layout == "merged":
         return merged(rows, directory)
     spilled = layout == "spilled"
-    store = MeasurementStore(
-        segment_rows=7, max_rows_in_memory=7 if spilled else None, spill_dir=directory
-    )
+    store = MeasurementStore(segment_rows=7, spill_dir=directory)
     store.append_rows(rows)
     if spilled:
         store.spill()
@@ -285,10 +287,11 @@ class TestClientCodeCache:
     def test_spilled_store_encodes_a_segment_at_a_time(self, tmp_path, monkeypatch):
         rows = measurements([("facebook.com", "US", a, TaskOutcome.SUCCESS)
                              for a in ADDRESSES * 3], "s")
-        store = MeasurementStore(segment_rows=4, max_rows_in_memory=4, spill_dir=tmp_path)
+        store = MeasurementStore(segment_rows=4, spill_dir=tmp_path)
         for start in range(0, len(rows), 3):
             store.append_rows(rows[start:start + 3])
-        segments = [length for _, length in segment_row_counts(store.segment_files, len(store))]
+        store.spill()
+        segments = segment_lengths(store)
         assert sum(segments) == len(rows) and len(segments) > 1
         batches = []
         encode = _ClientCodes.encode

@@ -628,6 +628,18 @@ class TestCheckpointedMonitor:
         assert restored.baselines == baselines
 
 
+    def test_adaptive_baselines_apply_with_and_without_a_checkpoint(self, tmp_path):
+        # A stateless run seeds the same baselines after its first epoch
+        # and scans with them, so it reports the monitor's events.
+        _, stateless = self.run_deployment(seed=43, adaptive_baselines=True)
+        _, monitored = self.run_deployment(
+            seed=43, checkpoint_dir=str(tmp_path), adaptive_baselines=True
+        )
+        assert stateless.baselines
+        assert stateless.baselines == monitored.baselines == monitored.monitor.baselines
+        assert stateless.events() == monitored.events()
+
+
 class TestTimelineReportAttribution:
     def test_missed_transition_cannot_claim_a_later_detection(self):
         """A missed early onset must not absorb the detection of a later one."""

@@ -10,7 +10,6 @@ arbitrary corpora, with and without spilling segments to disk.
 
 import tempfile
 from collections import Counter, defaultdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +194,7 @@ class TestStoreMatchesRowListSemantics:
     @settings(max_examples=30, deadline=None)
     def test_spilled_store_answers_identically(self, corpus, combo):
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
+            store = MeasurementStore(segment_rows=8, spill_dir=tmp)
             store.append_rows(corpus)
             store.spill()
             if corpus:
@@ -257,7 +256,7 @@ class TestStoreMatchesRowListSemantics:
         # Spill-aware path: per-segment uniques folded into one set, never
         # concatenating the full string column across segments.
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
+            store = MeasurementStore(segment_rows=8, spill_dir=tmp)
             store.append_rows(corpus)
             store.spill()
             assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
@@ -300,7 +299,7 @@ class TestDayBucketedCounts:
     @settings(max_examples=30, deadline=None)
     def test_by_day_streams_spilled_segments(self, corpus, exclude_automated):
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
+            store = MeasurementStore(segment_rows=8, spill_dir=tmp)
             store.append_rows(corpus)
             store.spill()
             if corpus:
@@ -346,23 +345,21 @@ class TestDayBucketedCounts:
     def test_incremental_fold_matches_cold_scan(
         self, corpus, exclude_automated, segment_rows, by_day
     ):
-        """Interleaved append/seal/query folds bit-identical to one cold pass.
+        """Interleaved append/seal/spill/query folds bit-identical to one cold pass.
 
         The incremental path folds each sealed segment exactly once and
-        re-folds pending rows per call; querying between appends (on a
-        spilled store, so segments stream back off disk) must leave the
-        final answer identical to a fresh store's single full scan.
+        re-folds pending rows per call; querying between appends (with
+        segments spilled as they go, so they stream back off disk) must
+        leave the final answer identical to a fresh store's single full scan.
         """
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(
-                segment_rows=segment_rows, max_rows_in_memory=segment_rows, spill_dir=tmp
-            )
+            store = MeasurementStore(segment_rows=segment_rows, spill_dir=tmp)
             step = max(1, len(corpus) // 5)
             for start in range(0, len(corpus), step):
                 store.append_rows(corpus[start:start + step])
                 grouped_success_counts(store, exclude_automated, by_day=by_day)
                 if start % (2 * step) == 0:
-                    store.seal_pending()
+                    store.spill()
                     grouped_success_counts(store, exclude_automated, by_day=by_day)
             cold = MeasurementStore()
             cold.append_rows(corpus)
@@ -576,26 +573,19 @@ class TestStoreAdoption:
         assert not (tmp_path / "reaped").exists()
         assert store.rows() == rows
 
-    def test_temporary_spill_dir_goes_with_its_store(self):
-        # With no spill_dir the store spills under a temp directory that
-        # nothing else names: it must go when the last reader does.
-        import gc
-
-        rows = self.make_corpus(10, "temp")
-        source = MeasurementStore()
-        source.append_rows(rows)
-        source.spill()
-        spill_root = source.segment_files[0].parent
-        assert spill_root.name.startswith("measurement-store-")
-        adopter = MeasurementStore()
-        adopter.adopt_segments_from(source)
-        del source
-        gc.collect()
-        assert spill_root.is_dir()
-        assert adopter.rows() == rows
-        del adopter
-        gc.collect()
-        assert not spill_root.exists()
+    def test_spill_without_a_spill_dir_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        # Only a store given a directory writes to disk: a temp directory
+        # of its own would land under tempfile's root, here tmp_path.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        rows = self.make_corpus(10, "resident")
+        store = MeasurementStore()
+        store.append_rows(rows)
+        with pytest.raises(ValueError, match="spill_dir"):
+            store.spill()
+        assert list(tmp_path.iterdir()) == []
+        assert store.segment_files == []
+        assert store.rows_in_memory == len(rows)
+        assert store.rows() == rows
 
 
 class TestDerivedCaches:
@@ -865,20 +855,6 @@ class TestCampaignBackedStore:
         )
         assert stored == 1
         assert server.store.rows() == [expected]
-
-    def test_campaign_with_spill_matches_in_memory_campaign(self, tmp_path):
-        baseline = small_deployment(seed=23).run_campaign()
-        spilling = small_deployment(
-            seed=23, max_rows_in_memory=150, spill_dir=str(tmp_path)
-        ).run_campaign()
-        store = spilling.collection.store
-        assert store.segment_files and all(p.suffix == ".npz" for p in store.segment_files)
-        assert all(Path(p).is_relative_to(tmp_path) for p in store.segment_files)
-
-        # Identical rows, measurement ids included.
-        assert spilling.collection.store.rows() == baseline.collection.store.rows()
-        assert spilling.detect().detected_pairs() == baseline.detect().detected_pairs()
-        assert spilling.collection.success_counts() == baseline.collection.success_counts()
 
     def test_soundness_report_columnar_path_matches_row_path(self):
         from repro.analysis.reports import build_soundness_report

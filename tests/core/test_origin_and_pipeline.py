@@ -1,9 +1,14 @@
 """Tests for origin-site integration and the end-to-end deployment driver."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 
+from repro.core.collection import CollectionServer
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
+from repro.core.store import MeasurementStore
 from repro.core.tasks import MeasurementTask, TaskType
 from repro.population.world import World, WorldConfig
 
@@ -107,3 +112,28 @@ class TestCampaign:
         deployment = EncoreDeployment(world, CampaignConfig(visits=50, include_testbed=False, seed=5))
         result = deployment.run_campaign(visits=20)
         assert result.visits_simulated == 20
+
+
+class TestSettableValues:
+    """What a caller can set, pinned: an addition or a removal is deliberate."""
+
+    @staticmethod
+    def parameters(function):
+        return [name for name in inspect.signature(function).parameters if name != "self"]
+
+    def test_campaign_config_holds_only_campaign_content(self):
+        assert [field.name for field in dataclasses.fields(CampaignConfig)] == [
+            "visits", "days", "day_offset", "target_domains", "favicons_only",
+            "include_testbed", "testbed_fraction", "seed", "country_code",
+            "plan_block_visits",
+        ]
+
+    def test_store_and_collection_server_parameters(self):
+        assert self.parameters(MeasurementStore.__init__) == ["segment_rows", "spill_dir"]
+        assert self.parameters(CollectionServer.__init__) == ["submit_url", "geoip", "store"]
+
+    def test_run_campaign_parameters(self):
+        assert self.parameters(EncoreDeployment.run_campaign) == [
+            "visits", "mode", "batch_size", "progress", "num_shards",
+            "worker_spill_dir", "shard_executor", "tracer",
+        ]

@@ -110,7 +110,7 @@ def build_store(corpus, **kwargs):
 
 
 def build_spilled_store(corpus, tmp):
-    store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
+    store = MeasurementStore(segment_rows=8, spill_dir=tmp)
     store.append_rows(corpus)
     store.spill()
     return store

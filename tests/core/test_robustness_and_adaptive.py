@@ -117,7 +117,7 @@ class TestForgeColumnsEquivalence:
     def test_forge_columns_ingests_into_spilled_store(self, tmp_path):
         campaign = PoisoningCampaign("facebook.com", "DE", submissions=300, client_identities=6)
         rows = PoisoningAttacker(rng=33).forge_measurements(campaign)
-        store = MeasurementStore(segment_rows=64, max_rows_in_memory=64, spill_dir=tmp_path)
+        store = MeasurementStore(segment_rows=64, spill_dir=tmp_path)
         PoisoningAttacker(rng=33).forge_columns(campaign).append_to(store)
         store.spill()
         assert store.segment_files and store.rows_in_memory == 0
@@ -257,8 +257,9 @@ class TestReputationFilterColumnarEquivalence:
         honest = honest_rows(detection_result)
         campaign = PoisoningCampaign("facebook.com", "DE", submissions=400, client_identities=8)
         reference_corpus = list(honest) + PoisoningAttacker(rng=8).forge_measurements(campaign)
-        store = MeasurementStore(max_rows_in_memory=512, spill_dir=tmp_path)
+        store = MeasurementStore(spill_dir=tmp_path)
         store.append_rows(honest)
+        store.spill()
         PoisoningAttacker(rng=8).forge_columns(campaign).append_to(store)
         store.spill()
         assert store.segment_files and store.rows_in_memory == 0
@@ -348,7 +349,7 @@ class TestAdversarySweep:
 
     def test_sweep_on_a_spilled_honest_store(self, detection_result, tmp_path):
         """Adopting a spilled honest corpus gives identical verdicts."""
-        spilled = MeasurementStore(max_rows_in_memory=512, spill_dir=tmp_path / "honest")
+        spilled = MeasurementStore(spill_dir=tmp_path / "honest")
         spilled.append_rows(honest_rows(detection_result))
         spilled.spill()
         sweep = AdversarySweep(executor="inline", seed=self.SEED)

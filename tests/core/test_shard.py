@@ -220,20 +220,87 @@ class TestShardProgressAndResume:
         (shard_dir / MANIFEST_NAME).write_text(json.dumps(stale))
         assert load_manifest(shard_dir, signature, assignment) is None
 
-    def test_resume_with_unset_shard_count_reuses_recorded_partition(self, tmp_path):
-        # num_shards=None falls back to the host CPU count, which can
-        # differ on the resuming host; the campaign file records the
-        # original partition so a resume adopts the old manifests instead
-        # of silently re-executing everything.
+    def test_resume_with_unset_shard_count_resolves_it_again(self, tmp_path, monkeypatch):
+        # num_shards=None resolves to the host's CPU count on every run.
+        # The same count cuts the same partition, so a resume adopts every
+        # shard; another count re-executes them and gets the same rows.
+        from repro.core import shard as shard_module
+
         reference = small_deployment().run_campaign()
         run = {"mode": "sharded", "shard_executor": "inline",
                "worker_spill_dir": str(tmp_path)}
-        small_deployment().run_campaign(num_shards=3, **run)
+        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 3)
+        small_deployment().run_campaign(**run)
 
         seen = []
         result = small_deployment().run_campaign(progress=seen.append, **run)
         assert len(seen) == 3 and all(p.resumed for p in seen)
         assert measurement_key(result) == measurement_key(reference)
+
+        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 2)
+        seen = []
+        result = small_deployment().run_campaign(progress=seen.append, **run)
+        assert len(seen) == 2 and not any(p.resumed for p in seen)
+        assert measurement_key(result) == measurement_key(reference)
+
+    def test_sharded_campaign_writes_only_segments_and_manifests(self, tmp_path):
+        small_deployment().run_campaign(
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
+        )
+        written = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert sorted(path.name for path in written if path.suffix != ".npz") == (
+            [MANIFEST_NAME] * 3
+        )
+        assert not list(tmp_path.rglob("campaign.json"))
+
+    def test_segments_are_flushed_before_their_manifest_lands(self, tmp_path, monkeypatch):
+        # A manifest that survives power loss must not name a segment that
+        # did not: each segment file, its directory and that directory's
+        # entry are fsynced before the manifest's rename.
+        opened: dict[int, Path] = {}
+        events = []
+        real_open, real_close = os.open, os.close
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened[fd] = Path(path)
+            return fd
+
+        def spy_close(fd):
+            opened.pop(fd, None)
+            real_close(fd)
+
+        def spy_fsync(fd):
+            events.append(("fsync", opened.get(fd)))
+            real_fsync(fd)
+
+        def spy_replace(src, dst):
+            events.append(("replace", Path(dst)))
+            real_replace(src, dst)
+
+        for name, spy in (("open", spy_open), ("close", spy_close),
+                          ("fsync", spy_fsync), ("replace", spy_replace)):
+            monkeypatch.setattr(os, name, spy)
+        small_deployment().run_campaign(
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
+        )
+        monkeypatch.undo()
+        manifests = sorted(tmp_path.rglob(MANIFEST_NAME))
+        assert len(manifests) == 3
+        for manifest_path in manifests:
+            committed = events.index(("replace", manifest_path))
+            flushed = {path for kind, path in events[:committed] if kind == "fsync"}
+            segments = [
+                Path(segment["path"])
+                for block in json.loads(manifest_path.read_text())["blocks"]
+                for segment in block["segments"]
+            ]
+            assert segments
+            for path in segments:
+                assert {path, path.parent, path.parent.parent} <= flushed
 
     def test_repartitioned_campaign_keeps_earlier_merge_readable(self, tmp_path):
         # Same campaign, same spill dir, different explicit shard count:
@@ -276,13 +343,21 @@ class TestShardProgressAndResume:
         assert first.collection.success_counts() == first_counts
         assert len(first.collection.store.rows()) == len(first.collection)
 
-    def test_zero_plan_block_visits_rejected_in_every_mode(self):
+    def test_zero_plan_block_visits_rejected_in_every_mode(self, tmp_path):
         batch = small_deployment(visits=64, plan_block_visits=0)
         with pytest.raises(ValueError, match="plan_block_visits"):
             batch.run_campaign()
         sharded = small_deployment(visits=64, plan_block_visits=0)
         with pytest.raises(ValueError, match="plan_block_visits"):
-            sharded.run_campaign(mode="sharded", num_shards=1, shard_executor="inline")
+            sharded.run_campaign(mode="sharded", num_shards=1, shard_executor="inline",
+                                 worker_spill_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="num_shards"):
+            small_deployment(visits=64).run_campaign(
+                mode="sharded", num_shards=0, shard_executor="inline",
+                worker_spill_dir=str(tmp_path),
+            )
+        # Rejected before anything touches disk.
+        assert list(tmp_path.iterdir()) == []
 
     def test_temporary_spill_root_reclaimed_with_the_store(self):
         import gc
@@ -399,7 +474,9 @@ class TestCrashPoints:
     root, as a restarted process would, or retries on the same deployment.
     It must adopt shard 0, re-execute shards 1 and 2, clear the dead
     attempt's segments, and end with the uninterrupted campaign: rows with
-    their measurement ids, counters and detections.
+    their measurement ids, counters and detections.  A committed segment of
+    shard 1 that is damaged instead fails the resume by name; one that is
+    gone re-executes shard 1 alone.
     """
 
     VICTIM = "shard-001-of003"
@@ -510,6 +587,62 @@ class TestCrashPoints:
         assert deployment.campaigns_run == 1
         assert self.campaign_state(deployment, result) == expected
         assert len(list(spill.glob("campaign-*"))) == 1
+
+    def damaged_resume(self, tmp_path, damage):
+        """Commit the campaign, ``damage`` shard 1's first segment, resume.
+
+        The resume must raise :class:`SegmentRowsError` before it adopts
+        anything; returns the error and the damaged segment's entry.
+        """
+        spill = tmp_path / "spill"
+        small_deployment().run_campaign(worker_spill_dir=str(spill), **self.RUN)
+        (manifest_path,) = spill.glob(f"campaign-*/{self.VICTIM}/{MANIFEST_NAME}")
+        manifest = json.loads(manifest_path.read_text())
+        segment = manifest["blocks"][0]["segments"][0]
+        damage(manifest_path, manifest, segment)
+        resumed = small_deployment()
+        with pytest.raises(SegmentRowsError) as raised:
+            resumed.run_campaign(worker_spill_dir=str(spill), **self.RUN)
+        assert len(resumed.collection) == 0
+        assert resumed.campaigns_run == 0
+        return raised.value, segment
+
+    def test_truncated_segment_fails_the_resume(self, tmp_path):
+        def truncate(manifest_path, manifest, segment):
+            path = Path(segment["path"])
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+        error, segment = self.damaged_resume(tmp_path, truncate)
+        assert (error.path, error.declared, error.found) == (
+            Path(segment["path"]), segment["rows"], None
+        )
+
+    def test_misstated_segment_rows_fail_the_resume(self, tmp_path):
+        def misstate(manifest_path, manifest, segment):
+            segment["rows"] += 1
+            write_json_atomic(manifest_path, manifest)
+
+        error, segment = self.damaged_resume(tmp_path, misstate)
+        assert (error.path, error.declared, error.found) == (
+            Path(segment["path"]), segment["rows"], segment["rows"] - 1
+        )
+
+    def test_missing_segment_re_executes_its_shard(self, tmp_path):
+        # A segment that is gone, not damaged, is a cache miss.
+        expected = self.uninterrupted_state()
+        spill = tmp_path / "spill"
+        small_deployment().run_campaign(worker_spill_dir=str(spill), **self.RUN)
+        (victim,) = spill.glob(f"campaign-*/{self.VICTIM}")
+        next(victim.rglob("*.npz")).unlink()
+        seen = []
+        resumed = small_deployment()
+        result = resumed.run_campaign(
+            worker_spill_dir=str(spill), progress=seen.append, **self.RUN
+        )
+        assert sorted((p.shard_index, p.resumed) for p in seen) == [
+            (0, True), (1, False), (2, True)
+        ]
+        assert self.campaign_state(resumed, result) == expected
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -709,21 +842,13 @@ class TestDefaultShardCount:
         monkeypatch.setattr(shard_module.os, "cpu_count", lambda: None)
         assert shard_module.available_cpu_count() == 1
 
-    def test_unset_shard_count_records_resolved_default(self, tmp_path, monkeypatch):
-        # The campaign file records the resolved default (capped by the
-        # block count), and the <4-core semantics stay what they were: on
-        # this container the default is simply 1.
+    def test_unset_shard_count_matches_batch(self, tmp_path, monkeypatch):
         from repro.core import shard as shard_module
 
         monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 2)
         result = small_deployment().run_campaign(
             mode="sharded", shard_executor="inline", worker_spill_dir=str(tmp_path)
         )
-        campaign_files = list(Path(tmp_path).glob("campaign-*/campaign.json"))
-        assert len(campaign_files) == 1
-        recorded = json.loads(campaign_files[0].read_text())
-        assert set(recorded) == {"signature", "num_shards"}
-        assert recorded["num_shards"] == 2
         reference = small_deployment().run_campaign()
         assert measurement_key(result) == measurement_key(reference)
 
