@@ -57,8 +57,8 @@ def make_corpus(visits: int, seed: int = 2015) -> dict:
 
     Per-visit columns (client attributes) plus per-row columns (task,
     outcome, timing), mirroring what the batch executor produces; the seed
-    baseline consumes the equivalent row tuples in
-    :class:`SubmissionRecord` field order.
+    baseline consumes the equivalent row tuples, one per submission, in
+    the field order its ``submit_batch`` unpacks.
     """
     rng = np.random.default_rng(seed)
     allocator = GeoIPDatabase()

@@ -62,10 +62,6 @@ class PageLoad:
     elapsed_ms: float
     resources_loaded: list[ResourceLoad] = field(default_factory=list)
 
-    @property
-    def loaded_urls(self) -> set[str]:
-        return {str(load.url) for load in self.resources_loaded if load.succeeded}
-
 
 @dataclass(frozen=True)
 class IframeProbe:

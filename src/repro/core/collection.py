@@ -2,12 +2,14 @@
 
 After running a task, a client submits the result — success or failure,
 timing, and the measurement ID — with an AJAX request to the collection
-server.  Submission is itself a network operation the censor can block, so it
-is modelled as a fetch through the client's path.  The server annotates each
-record with what it can observe about the submitter: the source IP (which the
-analysis geolocates), the browser family, and the Referer header unless the
-origin site strips it (the paper notes 3/4 of measurements arrived with the
-Referer stripped, obscuring which origin delivered them).
+server.  Submission is itself a network operation the censor can block, so
+the campaign runner models it as a fetch through the client's path and hands
+the server only the submissions that arrived, as one
+:class:`ColumnarRecords` payload per batch.  Each record carries what the
+server can observe about the submitter: the source IP (which the server
+geolocates), the browser family, and the Referer header unless the origin
+site strips it (the paper notes 3/4 of measurements arrived with the Referer
+stripped, obscuring which origin delivered them).
 
 Internally the server keeps the corpus in a columnar
 :class:`~repro.core.store.MeasurementStore` (struct of arrays) rather than a
@@ -20,7 +22,7 @@ else reads the store.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -65,53 +67,26 @@ class Measurement:
         return self.outcome is TaskOutcome.FAILURE
 
 
-class SubmissionRecord(NamedTuple):
-    """One already-delivered submission, ready for bulk ingestion.
-
-    The batched campaign runner resolves the network path (whether the
-    submission reached the server) itself and streams the survivors into
-    :meth:`CollectionServer.ingest_records`; plain tuples with this field
-    order are accepted too.
-    """
-
-    measurement_id: str
-    task_type: "TaskType"
-    target_url: URL
-    target_domain: str
-    outcome: TaskOutcome
-    elapsed_ms: float
-    probe_time_ms: float | None
-    client_ip: str
-    country_code: str
-    isp: str
-    browser_family: str
-    origin_domain: str | None
-    day: int
-    strip_referer: bool
-    is_automated: bool
-
-
 @dataclass
 class ColumnarRecords:
     """Already-delivered submissions as columns, ready for zero-copy ingestion.
 
-    The batch executor produces this instead of row tuples: repeated values
-    (task attributes, per-visit client attributes, per-origin Referer
-    stripping) travel as :class:`~repro.core.store.DictColumn` value tables
-    plus index arrays, and genuinely per-row quantities (outcome codes,
-    elapsed times) as numpy arrays.  ``client_ip`` and ``country_code`` must
-    share one ``indices`` array (one entry per submitting visit), which is
-    what lets the collection server geolocate each *visit* once instead of
-    each row.  ``origin_domain`` values already have Referer stripping
-    applied (``None`` where the origin strips).  ``measurement_id`` may be a
-    plain per-row array instead of a :class:`DictColumn` when ids are unique
-    per row (forged submissions).
+    The one form in which submissions reach the collection server: both
+    campaign executors and the poisoning attacker produce it.  A column is
+    either a plain per-row sequence or, for values that repeat (task
+    attributes, per-visit client attributes, per-origin Referer stripping),
+    a :class:`~repro.core.store.DictColumn` value table plus index array.
+    ``client_ip`` and ``country_code`` must share one ``indices`` array (one
+    entry per submitting visit), which is what lets the collection server
+    geolocate each *visit* once instead of each row.  ``origin_domain``
+    values already have Referer stripping applied (``None`` where the origin
+    strips).
     """
 
-    measurement_id: DictColumn | np.ndarray
-    task_type: DictColumn
-    target_url: DictColumn
-    target_domain: DictColumn
+    measurement_id: DictColumn | Sequence[str]
+    task_type: DictColumn | Sequence[TaskType]
+    target_url: DictColumn | Sequence[URL]
+    target_domain: DictColumn | Sequence[str]
     outcome: DictColumn
     elapsed_ms: np.ndarray
     probe_time_ms: np.ndarray
@@ -178,51 +153,6 @@ class CollectionServer:
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
-    def ingest_records(
-        self, records: Iterable[SubmissionRecord | tuple], unreachable: int = 0
-    ) -> int:
-        """Columnar bulk ingestion of submissions whose network path succeeded.
-
-        ``records`` follow :class:`SubmissionRecord`'s layout; they are
-        transposed into columns, geolocated with one batched GeoIP pass, and
-        appended to the store without constructing a single
-        :class:`Measurement`.  ``unreachable`` counts submissions the
-        campaign attempted but that never reached the server (censored or
-        lost).  Returns how many records were stored.
-        """
-        if not isinstance(records, (list, tuple)):
-            records = list(records)
-        self.unreachable_submissions += unreachable
-        if not records:
-            return 0
-        (
-            measurement_id, task_type, target_url, target_domain, outcome,
-            elapsed_ms, probe_time_ms, client_ip, country_code, isp,
-            browser_family, origin_domain, day, strip_referer, is_automated,
-        ) = zip(*records)
-        located = self.geoip.lookup_batch(client_ip)
-        return self.store.append_columns(
-            measurement_id=measurement_id,
-            task_type=task_type,
-            target_url=target_url,
-            target_domain=target_domain,
-            outcome=outcome,
-            elapsed_ms=elapsed_ms,
-            probe_time_ms=probe_time_ms,
-            client_ip=client_ip,
-            country_code=[
-                found or fallback for found, fallback in zip(located, country_code)
-            ],
-            isp=isp,
-            browser_family=browser_family,
-            origin_domain=[
-                None if strip else origin
-                for strip, origin in zip(strip_referer, origin_domain)
-            ],
-            day=day,
-            is_automated=is_automated,
-        )
-
     def ingest_columns(self, columns: ColumnarRecords, unreachable: int = 0) -> int:
         """Zero-copy bulk ingestion of an executor's column payload.
 

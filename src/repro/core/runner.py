@@ -1,9 +1,8 @@
 """Batched campaign execution: the fast path for §7-scale experiments.
 
 The paper's value comes from scale — a seven-month deployment collecting
-141,626 measurements from 88,260 clients (§7) — and the per-visit simulation
-loop in :mod:`repro.core.pipeline` is the bottleneck for reproducing it.
-This module executes campaigns in vectorized batches instead:
+141,626 measurements from 88,260 clients (§7).  This module executes
+campaigns in vectorized batches:
 
 1. **Plan.**  A batch of visitors is sampled from the
    :class:`~repro.population.world.World` with one bulk RNG call per client
@@ -32,12 +31,14 @@ This module executes campaigns in vectorized batches instead:
    consume the same pre-drawn randomness, so for a fixed seed they produce
    *identical* measurements — an invariant pinned by
    ``tests/core/test_runner_equivalence.py``.
-5. **Collect.**  Results stream into the
-   :class:`~repro.core.collection.CollectionServer` through its columnar
-   :meth:`ingest_records` path — record tuples are transposed into the
-   struct-of-arrays :class:`~repro.core.store.MeasurementStore` without ever
-   constructing per-row ``Measurement`` objects — and a per-batch
-   progress hook makes long campaigns observable.  A killed campaign is
+5. **Collect.**  Both executors hand the
+   :class:`~repro.core.collection.CollectionServer` the same
+   :class:`~repro.core.collection.ColumnarRecords` payload (per-row columns
+   plus per-visit client columns), which :meth:`ingest_columns` appends to
+   the struct-of-arrays :class:`~repro.core.store.MeasurementStore` without
+   constructing per-row ``Measurement`` objects; the delivery slots' outcomes
+   feed the coordination server's counters, and a per-batch progress hook
+   makes long campaigns observable.  A killed campaign is
    resumed by the sharded path, whose manifests commit each shard's rows
    to disk (:mod:`repro.core.shard`).
 
@@ -66,6 +67,7 @@ from repro.core.store import DictColumn
 from repro.obs.clock import monotonic
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_TRACER, progress_listener
+from repro.population.clients import Client, ClientBatch
 from repro.core.tasks import (
     CACHED_PROBE_THRESHOLD_MS,
     MeasurementTask,
@@ -333,11 +335,12 @@ def compile_program(
     A visit with rows fetches the task script from each delivery URL, then
     runs its rows in order, each laid out by its task's template: the target
     fetch, or an inline frame's page, embedded, and probe fetches, then the
-    result submission.  A visit with no rows contributes no slots (the task
-    script is only fetched when there is a task to deliver, matching
-    :meth:`CoordinationServer.deliver`).  Templates are resolved once per
-    task in order of first appearance, so URL ids register in fetch order;
-    the layout is ``np.repeat``/``cumsum`` arithmetic over the templates.
+    result submission.  A visit with no rows contributes no slots: the task
+    script is only fetched when there is a task to deliver, and these
+    delivery slots are the only place task delivery is modelled.  Templates
+    are resolved once per task in order of first appearance, so URL ids
+    register in fetch order; the layout is ``np.repeat``/``cumsum``
+    arithmetic over the templates.
     """
     # Template 0 is the delivery fetches; template 1 + k is task k's slots.
     kinds = [KIND_COORD] * len(delivery_url_ids)
@@ -470,8 +473,7 @@ class BatchPlan:
     """Everything one batch of visits needs before execution."""
 
     start_visit: int
-    client_batch: object
-    clients: list
+    client_batch: ClientBatch
     origin_indices: np.ndarray
     days: np.ndarray
     program: FetchProgram
@@ -516,8 +518,7 @@ class _BlockPlan:
     index: int
     start: int
     count: int
-    client_batch: object
-    clients: list | None
+    client_batch: ClientBatch
     origin_indices: np.ndarray
     days: np.ndarray
     program: FetchProgram
@@ -540,19 +541,15 @@ class BlockExecution:
 class BatchOutcome:
     """What executing one batch produced.
 
-    The serial reference executor emits row tuples (``records``); the
-    vectorized executor emits a column payload (``columns``) that the
-    collection store ingests without any per-row work.  Exactly one of the
-    two is set.
+    Both executors emit the same column payload, which the collection server
+    ingests without per-row work; a batch that stores no row emits a
+    zero-length one.
     """
 
-    #: Plain tuples in :class:`SubmissionRecord` field order (serial path).
-    records: list[tuple] | None
+    columns: ColumnarRecords
     unreachable_submissions: int
     deliveries_attempted: int
     deliveries_failed: int
-    #: Column payload (batch path).
-    columns: ColumnarRecords | None = None
 
 
 @dataclass(frozen=True)
@@ -611,6 +608,8 @@ class CampaignRunner:
         deployment = self.deployment
         config = deployment.config
         visits = visits if visits is not None else config.visits
+        if visits < 0:
+            raise ValueError("visits must be non-negative")
         batch_count = (visits + self.batch_size - 1) // self.batch_size
         epoch = deployment.next_campaign_epoch()
         ctx = self.plan_context(visits, epoch, deployment.claim_visit_range(visits))
@@ -740,15 +739,13 @@ class CampaignRunner:
         tasks = scoped.all_tasks
         if self.mode == "serial":
             # The scalar reference: one schedule() call per visitor object.
-            clients = batch.clients()
-            decisions = [scoped.schedule(client) for client in clients]
+            decisions = [scoped.schedule(client) for client in batch.clients()]
             index = {id(task): i for i, task in enumerate(tasks)}
             row_visit = [v for v, d in enumerate(decisions) for _ in d.tasks]
             row_task = [index[id(t)] for d in decisions for t in d.tasks]
         else:
             # Batch mode schedules straight off the column arrays into rows;
             # per-visit Client objects are never materialized.
-            clients = None
             row_visit, row_task, _ = scoped.assign_batch(batch)
         ctx.count_assignments(scoped.assignment_counts)
         program = compile_program(
@@ -764,7 +761,6 @@ class CampaignRunner:
             start=start,
             count=count,
             client_batch=batch,
-            clients=clients,
             origin_indices=origin_indices,
             days=days,
             program=program,
@@ -785,12 +781,10 @@ class CampaignRunner:
         l0, l1 = lo - block.start, hi - block.start
         if l0 == 0 and l1 == block.count:
             batch = block.client_batch
-            clients = block.clients
             program = block.program
             uniforms = block.uniforms
         else:
             batch = block.client_batch.slice(l0, l1)
-            clients = block.clients[l0:l1] if block.clients is not None else None
             whole = block.program
             r0, r1 = whole.row_bounds[l0], whole.row_bounds[l1]
             program = compile_program(
@@ -809,7 +803,6 @@ class CampaignRunner:
         return BatchPlan(
             start_visit=lo,
             client_batch=batch,
-            clients=clients,
             origin_indices=block.origin_indices[l0:l1],
             days=block.days[l0:l1],
             program=program,
@@ -840,17 +833,9 @@ class CampaignRunner:
 
     @staticmethod
     def _ingest(collection, outcome: BatchOutcome) -> int:
-        """Columnar ingestion: the batch executor hands over column payloads
-        that append straight into the collection store's arrays (per-visit
-        batched GeoIP lookup, no per-record Measurement construction); the
-        serial path's row tuples are transposed by ``ingest_records``."""
-        if outcome.columns is not None:
-            return collection.ingest_columns(
-                outcome.columns, outcome.unreachable_submissions
-            )
-        return collection.ingest_records(
-            outcome.records, outcome.unreachable_submissions
-        )
+        """Append the outcome's column payload to ``collection``'s store
+        (per-visit batched GeoIP lookup, no per-row Measurement)."""
+        return collection.ingest_columns(outcome.columns, outcome.unreachable_submissions)
 
     def execute_block(self, ctx: PlanContext, block_index: int, collection) -> BlockExecution:
         """Plan, execute, and ingest one whole planning block.
@@ -1005,7 +990,17 @@ class SerialExecutor:
         draws = plan.draws
         world = deployment.world
         origins = deployment.origins
-        records: list[tuple] = []
+        # Per-row columns, and a table of the visits that store a row: a
+        # visit joins it with its first stored row, and ``visit_of_row``
+        # indexes it.
+        row_tasks: list[MeasurementTask] = []
+        outcome_codes: list[int] = []
+        elapsed_ms: list[float] = []
+        probe_ms: list[float] = []
+        days: list[int] = []
+        visit_of_row: list[int] = []
+        stored_clients: list[Client] = []
+        stored_origins: list[str | None] = []
         unreachable = 0
         attempted = 0
         failed = 0
@@ -1015,11 +1010,12 @@ class SerialExecutor:
         main_slots, probe_slots, submit_slots = (
             program.main_slot.tolist(), program.probe_slot.tolist(), program.submit_slot.tolist()
         )
-        for visit, client in enumerate(plan.clients):
+        for visit in range(len(plan.client_batch)):
             rows = range(row_bounds[visit], row_bounds[visit + 1])
             if not rows:
                 continue
             attempted += 1
+            client = plan.client_batch.client(visit)
             interceptors = world.interceptors_for(client)
             cached_urls: set[int] = set()
 
@@ -1052,7 +1048,7 @@ class SerialExecutor:
             for row in rows:
                 task = program.tasks[program.row_task[row]]
                 main_slot, probe_slot = main_slots[row], probe_slots[row]
-                probe_time: float | None = None
+                probe_time = np.nan
                 if task.task_type is TaskType.INLINE_FRAME:
                     page = run_slot(main_slot)
                     page_ok = page.from_cache or (
@@ -1092,16 +1088,39 @@ class SerialExecutor:
                 if not (submission.ok and not submission.is_block):
                     unreachable += 1
                     continue
-                # Plain tuple in SubmissionRecord field order (hot path).
-                records.append((
-                    task.measurement_id, task.task_type, task.target_url,
-                    task.target_domain, _OUTCOMES[outcome_code], elapsed_total,
-                    probe_time, client.ip_address, client.country_code,
-                    client.isp, client.browser.family.value, origin.domain,
-                    day, origin.strips_referer, client.is_automated,
-                ))
+                if not stored_clients or stored_clients[-1] is not client:
+                    stored_clients.append(client)
+                    # An origin that strips the Referer hides itself.
+                    stored_origins.append(None if origin.strips_referer else origin.domain)
+                visit_of_row.append(len(stored_clients) - 1)
+                row_tasks.append(task)
+                outcome_codes.append(outcome_code)
+                elapsed_ms.append(elapsed_total)
+                probe_ms.append(probe_time)
+                days.append(day)
+        visit_index = np.asarray(visit_of_row, dtype=np.int64)
+        columns = ColumnarRecords(
+            measurement_id=[task.measurement_id for task in row_tasks],
+            task_type=[task.task_type for task in row_tasks],
+            target_url=[task.target_url for task in row_tasks],
+            target_domain=[task.target_domain for task in row_tasks],
+            outcome=DictColumn(_OUTCOMES, np.asarray(outcome_codes, dtype=np.int64)),
+            elapsed_ms=np.asarray(elapsed_ms, dtype=np.float64),
+            probe_time_ms=np.asarray(probe_ms, dtype=np.float64),
+            client_ip=DictColumn([c.ip_address for c in stored_clients], visit_index),
+            country_code=DictColumn([c.country_code for c in stored_clients], visit_index),
+            isp=DictColumn([c.isp for c in stored_clients], visit_index),
+            browser_family=DictColumn(
+                [c.browser.family.value for c in stored_clients], visit_index
+            ),
+            origin_domain=DictColumn(stored_origins, visit_index),
+            day=np.asarray(days, dtype=np.int64),
+            is_automated=np.asarray(
+                [c.is_automated for c in stored_clients], dtype=bool
+            )[visit_index],
+        )
         return BatchOutcome(
-            records=records,
+            columns=columns,
             unreachable_submissions=unreachable,
             deliveries_attempted=attempted,
             deliveries_failed=failed,
@@ -1172,8 +1191,6 @@ class BatchExecutor:
         batch = plan.client_batch
         n = len(program)
         attempted = int(np.count_nonzero(np.diff(program.row_bounds)))
-        if n == 0:
-            return BatchOutcome([], 0, attempted, attempted)
 
         visit, kind, url_id = program.visit, program.kind, program.url_id
 
@@ -1321,8 +1338,6 @@ class BatchExecutor:
             )
             out_rows[r0:r1], elapsed_rows[r0:r1], probe_rows[r0:r1] = zip(*walked)
         kept = np.flatnonzero(delivered[program.row_visit])
-        if not len(kept):
-            return BatchOutcome([], 0, attempted, failed)
 
         # The task table: first appearance among delivered rows.
         task_rows = program.row_task[kept]
@@ -1373,7 +1388,6 @@ class BatchExecutor:
             is_automated=np.asarray(batch.automated, dtype=bool)[dv][pos_arr],
         )
         return BatchOutcome(
-            records=None,
             columns=columns,
             unreachable_submissions=unreachable,
             deliveries_attempted=attempted,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.tasks import MeasurementTask, TaskType
-from repro.population.clients import Client
+from repro.population.clients import Client, ClientBatch
 
 
 def capability_key(browser_profile) -> tuple[bool, bool, bool]:
@@ -196,7 +196,7 @@ class Scheduler:
             entry = by_class[key] = (candidates, cumulative)
         return entry
 
-    def assign_batch(self, clients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def assign_batch(self, batch: ClientBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Schedule a whole batch of visiting clients, as columns.
 
         Returns ``(visit, task, pool)``: one row per scheduled task, in visit
@@ -204,26 +204,15 @@ class Scheduler:
         :attr:`all_tasks`), and each visit's index into :attr:`pools`, or -1
         when it runs no task.  The rows, the assignment counts, and the RNG
         position afterwards are exactly those of calling :meth:`schedule`
-        once per client in order (pinned by
+        once per ``batch.client(v)`` in order (pinned by
         ``tests/core/test_runner_equivalence.py``).  Eligibility is one mask
-        over the columns; each pool's runnable list is filtered once per
-        browser capability class; and the uniforms come from one bulk draw,
-        after which the stream is rewound and advanced by the draws consumed.
-
-        ``clients`` is either a :class:`~repro.population.clients.ClientBatch`
-        (whose column arrays avoid per-visitor objects) or a sequence of
-        :class:`Client` objects.
+        over the batch's column arrays, so no per-visitor :class:`Client` is
+        built; each pool's runnable list is filtered once per browser
+        capability class; and the uniforms come from one bulk draw, after
+        which the stream is rewound and advanced by the draws consumed.
         """
-        from repro.population.clients import ClientBatch
-
-        if isinstance(clients, ClientBatch):
-            profiles, profile_idx = clients.browser_profiles, clients.browser_indices
-            dwell, automated = clients.dwell_times_s, clients.automated
-        else:
-            profiles = [client.browser for client in clients]
-            profile_idx = np.arange(len(profiles))
-            dwell = np.array([client.dwell_time_s for client in clients], dtype=float)
-            automated = np.array([client.is_automated for client in clients], dtype=bool)
+        profiles, profile_idx = batch.browser_profiles, batch.browser_indices
+        dwell, automated = batch.dwell_times_s, batch.automated
         task_index = {id(task): index for index, task in enumerate(self.all_tasks)}
         by_class: dict[tuple, tuple] = {}
         #: (pool index, runnable task indices) -> _Drain

@@ -1031,11 +1031,6 @@ class MeasurementStore:
             yield offset, length, {name: chunk[name] for name in names}
             offset += length
 
-    def _segment_parts(self, names: Sequence[str]):
-        """Yield the requested columns segment-by-segment (pending included)."""
-        for _, _, part in self._segment_chunks(names):
-            yield part
-
     def query(
         self,
         keys: Sequence[str] = ("domain", "country"),

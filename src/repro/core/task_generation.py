@@ -61,13 +61,6 @@ class PatternExpander:
         """Concrete URLs matching ``pattern`` (at most ``max_urls``)."""
         return self._search.expand_pattern(pattern, limit=self._max_urls)
 
-    def expand_all(self, patterns: Iterable[URLPattern]) -> dict[str, list[URL]]:
-        """Expand every pattern, keyed by its anchor domain."""
-        result: dict[str, list[URL]] = {}
-        for pattern in patterns:
-            result.setdefault(pattern.anchor_domain, []).extend(self.expand(pattern))
-        return result
-
 
 # ----------------------------------------------------------------------
 # Stage 2: Target Fetcher
@@ -86,10 +79,6 @@ class TargetFetcher:
             if har.ok:
                 hars.append(har)
         return hars
-
-    def fetch_by_domain(self, urls_by_domain: dict[str, list[URL]]) -> dict[str, list[HAR]]:
-        """Fetch every domain's candidate URLs, preserving the grouping."""
-        return {domain: self.fetch(urls) for domain, urls in urls_by_domain.items()}
 
 
 # ----------------------------------------------------------------------
@@ -126,18 +115,6 @@ class DomainAmenability:
         if limit_bytes >= KILOBYTE:
             return self.image_count_under_1kb > 0
         return False
-
-    @property
-    def measurable_pages(self) -> int:
-        """Pages testable by the inline-frame task (Fig. 6 / §6.1)."""
-        return sum(
-            1
-            for stats in self.page_stats
-            if stats.total_size_bytes <= 100 * KILOBYTE
-            and stats.cacheable_image_count > 0
-            and not stats.loads_heavy_media
-            and not stats.has_side_effects
-        )
 
 
 @dataclass

@@ -109,6 +109,11 @@ def _in_benchmarks(file: SourceFile) -> bool:
     return file.relpath.startswith("benchmarks/")
 
 
+def _in_examples(file: SourceFile) -> bool:
+    """Examples print committed stdout goldens, so they must be deterministic too."""
+    return file.relpath.startswith("examples/")
+
+
 class Rule:
     """Base class: subclasses set ``id``/``summary`` and override hooks."""
 
@@ -131,8 +136,9 @@ class RngDisciplineRule(Rule):
 
     id = "rng-discipline"
     summary = (
-        "no unseeded/global RNG or wall-clock reads inside src/repro/; "
-        "block-planning modules must derive seeds as [seed, tag, epoch, block]"
+        "no unseeded/global RNG or wall-clock reads inside src/repro/ or "
+        "examples/; block-planning modules must derive seeds as "
+        "[seed, tag, epoch, block]"
     )
 
     #: Modules whose every ``default_rng`` call must take the derived-seed
@@ -141,7 +147,7 @@ class RngDisciplineRule(Rule):
     BLOCK_KEYED = ("src/repro/core/runner.py", "src/repro/core/shard.py")
 
     def applies(self, file: SourceFile) -> bool:
-        return _in_src(file)
+        return _in_src(file) or _in_examples(file)
 
     def check(self, file: SourceFile, ctx: LintContext) -> Iterator[Finding]:
         block_keyed = file.relpath in self.BLOCK_KEYED
@@ -395,19 +401,20 @@ class AtomicJsonWriteRule(Rule):
 
 # ----------------------------------------------------------------------
 class OrderedIterationRule(Rule):
-    """Iteration order must be deterministic where it can reach stored rows."""
+    """Iteration order must be deterministic where it can reach stored rows
+    or an example's printed output."""
 
     id = "ordered-iteration"
     summary = (
         "no iteration over sets or unsorted directory listings in "
-        "src/repro/core/"
+        "src/repro/core/ or examples/"
     )
 
     _WRAPPERS = {"enumerate", "list", "tuple", "reversed", "iter"}
     _FS_LISTING = {"glob", "rglob", "iterdir"}
 
     def applies(self, file: SourceFile) -> bool:
-        return _in_core(file)
+        return _in_core(file) or _in_examples(file)
 
     def check(self, file: SourceFile, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(file.tree):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.browser.profiles import BrowserProfile
-from repro.core.collection import CollectionServer, SubmissionRecord
+from repro.core.collection import CollectionServer, ColumnarRecords
 from repro.core.inference import (
     BinomialFilteringDetector,
     binomial_cdf,
     binomial_cdf_cells,
 )
+from repro.core.store import DictColumn
 from repro.core.tasks import TaskOutcome, TaskResult, TaskType
 from repro.netsim.latency import LinkQuality
 from repro.population.clients import Client
@@ -45,14 +46,13 @@ def make_result(domain="facebook.com", outcome=TaskOutcome.SUCCESS, measurement_
     )
 
 
-def make_record(result, client, origin_domain=None, day=0, strip_referer=False,
-                country_code=None):
-    """The :class:`SubmissionRecord` a client submits for ``result``.
+def make_record(result, client, origin_domain=None, day=0, country_code=None):
+    """The submission a client makes for ``result``, as one row's fields.
 
     ``country_code`` overrides the client's own claim, which the server only
     falls back on when it cannot geolocate the address.
     """
-    return SubmissionRecord(
+    return dict(
         measurement_id=result.measurement_id,
         task_type=result.task_type,
         target_url=result.target_url,
@@ -66,8 +66,33 @@ def make_record(result, client, origin_domain=None, day=0, strip_referer=False,
         browser_family=client.browser.family.value,
         origin_domain=origin_domain,
         day=day,
-        strip_referer=strip_referer,
         is_automated=client.is_automated,
+    )
+
+
+def make_columns(records):
+    """``records`` as the collection server's payload, one visit per row."""
+    def column(name):
+        return [record[name] for record in records]
+
+    each_row = np.arange(len(records), dtype=np.int64)
+    return ColumnarRecords(
+        measurement_id=column("measurement_id"),
+        task_type=column("task_type"),
+        target_url=column("target_url"),
+        target_domain=column("target_domain"),
+        outcome=DictColumn(column("outcome"), each_row),
+        elapsed_ms=np.asarray(column("elapsed_ms"), dtype=np.float64),
+        probe_time_ms=np.asarray(
+            [np.nan if t is None else t for t in column("probe_time_ms")], dtype=np.float64
+        ),
+        client_ip=DictColumn(column("client_ip"), each_row),
+        country_code=DictColumn(column("country_code"), each_row),
+        isp=DictColumn(column("isp"), each_row),
+        browser_family=DictColumn(column("browser_family"), each_row),
+        origin_domain=DictColumn(column("origin_domain"), each_row),
+        day=np.asarray(column("day"), dtype=np.int64),
+        is_automated=np.asarray(column("is_automated"), dtype=bool),
     )
 
 
@@ -78,14 +103,16 @@ class TestCollectionServer:
 
     def submit(self, server, *pairs):
         """Ingest one record per ``(result, client)`` pair."""
-        return server.ingest_records([make_record(result, client) for result, client in pairs])
+        return server.ingest_columns(
+            make_columns([make_record(result, client) for result, client in pairs])
+        )
 
     def test_ingest_geolocates_from_ip_not_the_claim(self):
         server, geoip = self.make_server()
         client = make_client("IR", geoip=geoip)
-        stored = server.ingest_records([
+        stored = server.ingest_columns(make_columns([
             make_record(make_result(), client, "origin-00.example.edu", country_code="US")
-        ])
+        ]))
         assert stored == 1
         assert len(server) == 1
         assert server.store.rows()[0].country_code == "IR"
@@ -94,35 +121,24 @@ class TestCollectionServer:
         server, _ = self.make_server()
         client = replace(make_client("US"), ip_address="192.0.2.7")
         assert server.geoip.lookup("192.0.2.7") is None
-        server.ingest_records([make_record(make_result(), client, country_code="BR")])
+        server.ingest_columns(
+            make_columns([make_record(make_result(), client, country_code="BR")])
+        )
         [row] = server.store.rows()
         assert (row.client_ip, row.country_code) == ("192.0.2.7", "BR")
 
-    def test_referer_stripping_hides_origin(self):
-        server, geoip = self.make_server()
-        server.ingest_records([
-            make_record(make_result(measurement_id="kept"), make_client(geoip=geoip),
-                        "origin-00.example.edu", strip_referer=False),
-            make_record(make_result(measurement_id="stripped"), make_client(geoip=geoip),
-                        "origin-00.example.edu", strip_referer=True),
-        ])
-        kept, stripped = server.store.rows()
-        assert kept.origin_domain == "origin-00.example.edu"
-        assert stripped.origin_domain is None
-
     def test_unreachable_submissions_are_counted(self):
         server, geoip = self.make_server()
-        assert server.ingest_records(
-            [make_record(make_result(), make_client(geoip=geoip))], unreachable=3
+        assert server.ingest_columns(
+            make_columns([make_record(make_result(), make_client(geoip=geoip))]), unreachable=3
         ) == 1
-        assert server.ingest_records([], unreachable=2) == 0
+        assert server.ingest_columns(make_columns([]), unreachable=2) == 0
         assert server.unreachable_submissions == 5
         assert server.summary()["unreachable_submissions"] == 5
 
     def test_empty_batch_stores_nothing(self):
         server, _ = self.make_server()
-        assert server.ingest_records([]) == 0
-        assert server.ingest_records(iter(())) == 0
+        assert server.ingest_columns(make_columns([])) == 0
         assert len(server) == 0
         assert server.store.version == 0
         assert server.unreachable_submissions == 0
@@ -293,13 +309,13 @@ class TestBinomialFilteringDetector:
     def test_detect_on_a_collection_filters_noise(self):
         geoip = GeoIPDatabase()
         server = CollectionServer("http://collector.encore-measurement.org/submit", geoip)
-        server.ingest_records(
+        server.ingest_columns(make_columns(
             [make_record(make_result("youtube.com", TaskOutcome.FAILURE, f"m{i}"),
                          make_client("PK", client_id=i, geoip=geoip)) for i in range(30)]
             + [make_record(make_result("youtube.com", TaskOutcome.SUCCESS, f"n{i}"),
                            make_client("US", client_id=100 + i, geoip=geoip))
                for i in range(60)]
-        )
+        ))
         detector = BinomialFilteringDetector(min_measurements=10)
         report = detector.detect(server)
         assert report.detected_pairs() == {("youtube.com", "PK")}

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.collection import CollectionServer, Measurement, SubmissionRecord
+from repro.core.collection import CollectionServer, ColumnarRecords, Measurement
 from repro.core.inference import (
     AdaptiveFilteringDetector,
     BinomialFilteringDetector,
@@ -834,18 +834,21 @@ class TestCampaignBackedStore:
         assert collection.success_counts() == reference_success_counts(rows)
         assert collection.distinct_ips() == len({m.client_ip for m in rows})
 
-    def test_ingest_records_stores_seed_identical_measurement(self):
+    def test_ingest_columns_stores_seed_identical_measurement(self):
         geoip = GeoIPDatabase()
         server = CollectionServer("http://collector.encore-measurement.org/submit", geoip)
         ip = geoip.allocate_ip("IR")
         url = URL.parse("http://facebook.com/favicon.ico")
-        stored = server.ingest_records([SubmissionRecord(
-            measurement_id="m1", task_type=TaskType.IMAGE, target_url=url,
-            target_domain="facebook.com", outcome=TaskOutcome.SUCCESS, elapsed_ms=80.0,
-            probe_time_ms=None, client_ip=ip, country_code="IR", isp="ir-isp-1",
-            browser_family="chrome", origin_domain="origin-00.example.edu", day=3,
-            strip_referer=False, is_automated=False,
-        )])
+        one = np.zeros(1, dtype=np.int64)
+        stored = server.ingest_columns(ColumnarRecords(
+            measurement_id=["m1"], task_type=[TaskType.IMAGE], target_url=[url],
+            target_domain=["facebook.com"], outcome=DictColumn([TaskOutcome.SUCCESS], one),
+            elapsed_ms=np.array([80.0]), probe_time_ms=np.array([np.nan]),
+            client_ip=DictColumn([ip], one), country_code=DictColumn(["IR"], one),
+            isp=DictColumn(["ir-isp-1"], one), browser_family=DictColumn(["chrome"], one),
+            origin_domain=DictColumn(["origin-00.example.edu"], one),
+            day=np.array([3]), is_automated=np.array([False]),
+        ))
         expected = Measurement(
             measurement_id="m1", task_type=TaskType.IMAGE, target_url=url,
             target_domain="facebook.com", outcome=TaskOutcome.SUCCESS, elapsed_ms=80.0,

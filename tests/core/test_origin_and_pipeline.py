@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 
 import numpy as np
+import pytest
 
 from repro.core.collection import CollectionServer
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
@@ -112,6 +113,20 @@ class TestCampaign:
         deployment = EncoreDeployment(world, CampaignConfig(visits=50, include_testbed=False, seed=5))
         result = deployment.run_campaign(visits=20)
         assert result.visits_simulated == 20
+
+    @pytest.mark.parametrize("mode", ["batch", "serial", "sharded"])
+    def test_negative_visit_count_is_refused_before_any_counter_moves(self, mode):
+        # A negative count would rewind the visit numbering, so the next
+        # campaign would reuse client identities of the previous one.
+        world = World(WorldConfig(seed=77, target_list_total=12, target_list_online=10,
+                                  origin_site_count=2))
+        deployment = EncoreDeployment(
+            world, CampaignConfig(visits=50, include_testbed=False, seed=5)
+        )
+        sharded = {"shard_executor": "inline"} if mode == "sharded" else {}
+        with pytest.raises(ValueError, match="visits must be non-negative"):
+            deployment.run_campaign(visits=-50, mode=mode, **sharded)
+        assert (deployment.visits_claimed, deployment.campaigns_run) == (0, 0)
 
 
 class TestSettableValues:

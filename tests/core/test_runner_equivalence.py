@@ -288,7 +288,7 @@ class TestSchedulerBatchEquivalence:
         batched = Scheduler(pools, rng=np.random.default_rng(5))
 
         expected = [reference.schedule(c) for c in clients]
-        actual = per_visit(batched, batched.assign_batch(clients), len(clients))
+        actual = per_visit(batched, batched.assign_batch(batch), len(clients))
 
         assert [
             ([t.measurement_id for t in d.tasks], d.pool_name) for d in expected
@@ -296,22 +296,6 @@ class TestSchedulerBatchEquivalence:
         assert reference.assignment_counts == batched.assignment_counts
         # Both consumed the exact same RNG stream.
         assert reference._rng.random() == batched._rng.random()
-
-    def test_assign_batch_accepts_client_batch_columns(self):
-        world = World(WorldConfig(seed=3, target_list_total=12, target_list_online=10))
-        batch = world.sample_client_batch(600)
-        pools = self.make_pools()
-        from_objects = Scheduler(pools, rng=np.random.default_rng(9))
-        from_columns = Scheduler(pools, rng=np.random.default_rng(9))
-
-        expected = from_objects.assign_batch(batch.clients())
-        actual = from_columns.assign_batch(batch)
-
-        assert per_visit(from_objects, expected, len(batch)) == per_visit(
-            from_columns, actual, len(batch)
-        )
-        assert from_objects.assignment_counts == from_columns.assignment_counts
-        assert from_objects._rng.random() == from_columns._rng.random()
 
 
 class TestClientBatchEquivalence:

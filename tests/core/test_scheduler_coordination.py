@@ -1,4 +1,4 @@
-"""Tests for task scheduling and coordination-server delivery."""
+"""Tests for task scheduling and the coordination server."""
 
 import numpy as np
 import pytest
@@ -176,48 +176,6 @@ class TestCoordinationServer:
             collection_url=world.collection_url,
             mirror_urls=mirrors,
         )
-
-    def test_delivers_tasks_to_reachable_client(self, world):
-        server = self.make_server(world)
-        client = world.sample_client("US")
-        browser = world.make_browser(client)
-        decision = server.deliver(client, browser)
-        if client.can_run_task:
-            assert decision.tasks
-        assert server.delivery_log
-
-    def test_blocked_coordination_server_prevents_delivery(self, world):
-        from repro.censor.mechanisms import Censor, FilteringMechanism
-        from repro.censor.policy import BlacklistPolicy
-        from repro.population.world import COORDINATION_DOMAIN
-
-        server = self.make_server(world)
-        censor = Censor("anti-encore", BlacklistPolicy.for_domains([COORDINATION_DOMAIN]),
-                        FilteringMechanism.DNS_NXDOMAIN)
-        client = make_client()
-        browser = world.make_browser(client)
-        browser.interceptors = (censor,)
-        decision = server.deliver(client, browser)
-        assert decision.tasks == []
-        assert server.delivery_failure_rate > 0.0
-
-    def test_mirror_restores_delivery_when_primary_blocked(self, world):
-        from repro.censor.mechanisms import Censor, FilteringMechanism
-        from repro.censor.policy import BlacklistPolicy
-        from repro.population.world import COORDINATION_DOMAIN
-
-        # Mirror the coordination server on an origin site the censor ignores.
-        mirror_domain = world.origin_domains[0]
-        mirror_url = f"http://{mirror_domain}/"
-        server = self.make_server(world, mirrors=[mirror_url])
-        censor = Censor("anti-encore", BlacklistPolicy.for_domains([COORDINATION_DOMAIN]),
-                        FilteringMechanism.DNS_NXDOMAIN)
-        client = make_client()
-        browser = world.make_browser(client)
-        browser.interceptors = (censor,)
-        decision = server.deliver(client, browser)
-        assert decision.tasks
-        assert any(r.mirror_used == mirror_url for r in server.delivery_log if r.tasks_delivered)
 
     def test_render_task_script_concatenates_snippets(self, world):
         server = self.make_server(world, tasks=[image_task("a.com"), image_task("b.com")])

@@ -141,3 +141,27 @@ class TestCleanCorpus:
         assert [(f.rule, f.path) for f in findings] == [
             ("reference-pairing", "src/repro/core/good.py")
         ]
+
+
+class TestExamplesScope:
+    def test_examples_answer_to_the_determinism_rules(self, tmp_path):
+        # An example's stdout is a committed golden: an unseeded generator,
+        # a wall-clock read or a set-ordered loop would make it flaky.
+        example = tmp_path / "examples" / "demo.py"
+        example.parent.mkdir()
+        example.write_text(
+            "import time\n"
+            "\n"
+            "import numpy as np\n"
+            "\n"
+            "rng = np.random.default_rng()\n"
+            "print(time.time())\n"
+            "for country in {\"CN\", \"IR\"}:\n"
+            "    print(country)\n"
+            "print(time.perf_counter())\n"
+        )
+        findings, _ = run_lint(tmp_path, ["examples"])
+        assert {(f.rule, f.line) for f in findings} == {
+            ("rng-discipline", 5), ("rng-discipline", 6), ("ordered-iteration", 7),
+        }
+

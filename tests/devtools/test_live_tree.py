@@ -36,6 +36,11 @@ class TestLiveTree:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "clean" in result.stdout
 
+    def test_examples_are_lint_clean(self):
+        result = run_cli("examples")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "clean" in result.stdout
+
     def test_scenario_harness_is_lint_clean(self):
         # The quality suites are day-one citizens of the rng-discipline /
         # atomic-json-write / telemetry-hygiene contracts; pin the package

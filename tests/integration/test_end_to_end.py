@@ -7,7 +7,8 @@ from repro.censor.mechanisms import FilteringMechanism
 from repro.core.inference import BinomialFilteringDetector
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.tasks import TaskOutcome, TaskType
-from repro.population.world import COORDINATION_DOMAIN, World, WorldConfig
+from repro.population.world import COLLECTION_DOMAIN, COORDINATION_DOMAIN, World, WorldConfig
+from repro.web.url import URL
 
 
 class TestDetectionEndToEnd:
@@ -116,6 +117,62 @@ class TestInfrastructureBlocking:
         assert volume["IR"] == 0
         assert volume["US"] > 0
         assert deployment.coordination.delivery_failure_rate > 0.0
+
+    @staticmethod
+    def blocked_campaign(blocked, mirrors=(), batch_size=None, visits=800, country_code=None):
+        """Iran's rows, unreachable submissions and delivery failure rate of
+        one campaign in which Iran blocks ``blocked``, checked equal in batch
+        and serial mode (rows, ids included, too)."""
+        outcomes = []
+        for mode in ("batch", "serial"):
+            world = World(
+                WorldConfig(
+                    seed=41, target_list_total=12, target_list_online=10, origin_site_count=3,
+                    extra_censored_domains={"IR": list(blocked)},
+                )
+            )
+            deployment = EncoreDeployment(
+                world,
+                CampaignConfig(
+                    visits=visits, include_testbed=False, seed=41, country_code=country_code
+                ),
+            )
+            deployment.coordination.mirrors = [URL.parse(url) for url in mirrors]
+            deployment.run_campaign(mode=mode, batch_size=batch_size)
+            store = deployment.collection.store
+            outcomes.append((
+                store.rows(),
+                int(np.count_nonzero(store.row_mask(
+                    country_code="IR", exclude_automated=False, exclude_inconclusive=False
+                ))),
+                deployment.collection.unreachable_submissions,
+                deployment.coordination.delivery_failure_rate,
+            ))
+        batch, serial = outcomes
+        assert batch == serial
+        return batch[1:]
+
+    def test_a_mirror_restores_task_delivery(self):
+        # §8: mirroring the coordination server on an origin site raises the
+        # collateral damage of blocking it.
+        ir_rows, _, failure_rate = self.blocked_campaign(
+            [COORDINATION_DOMAIN], mirrors=["http://origin-00.example.edu/"]
+        )
+        assert (ir_rows, failure_rate) == (12, 0.0)
+        ir_rows, _, failure_rate = self.blocked_campaign([COORDINATION_DOMAIN])
+        assert ir_rows == 0
+        assert round(failure_rate, 3) == 0.012
+        # An Iran-only campaign stores no row at all; batches of one visit
+        # also include visits that run no task and fetch nothing.
+        assert self.blocked_campaign(
+            [COORDINATION_DOMAIN], batch_size=1, visits=60, country_code="IR"
+        ) == (0, 0, 1.0)
+
+    def test_blocking_the_collection_server_loses_the_submissions(self):
+        ir_rows, unreachable, _ = self.blocked_campaign([COLLECTION_DOMAIN])
+        assert (ir_rows, unreachable) == (0, 18)
+        ir_rows, unreachable, _ = self.blocked_campaign([])
+        assert (ir_rows, unreachable) == (12, 6)
 
 
 class TestDeterminism:
