@@ -16,7 +16,6 @@ the runner's delivery outcomes.
 
 from __future__ import annotations
 
-from repro.core.scheduler import Scheduler
 from repro.core.tasks import MeasurementTask, measurement_snippet_js
 from repro.web.url import URL
 
@@ -26,12 +25,10 @@ class CoordinationServer:
 
     def __init__(
         self,
-        scheduler: Scheduler,
         task_url: URL | str,
         collection_url: URL | str,
         mirror_urls: list[URL | str] | None = None,
     ) -> None:
-        self.scheduler = scheduler
         self.task_url = task_url if isinstance(task_url, URL) else URL.parse(task_url)
         self.collection_url = (
             collection_url if isinstance(collection_url, URL) else URL.parse(collection_url)

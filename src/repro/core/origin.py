@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.tasks import MeasurementTask, TaskType, origin_embed_html
+from repro.web.resources import total_page_weight
 from repro.web.sites import Site
 from repro.web.url import URL
 
@@ -55,14 +56,7 @@ class OriginSite:
         pages = self.site.pages
         if not pages:
             return 0.0
-        weights = sorted(
-            sum(
-                (self.site.lookup(u).size_bytes if self.site.lookup(u) else 0)
-                for u in page.embedded_urls
-            )
-            + page.size_bytes
-            for page in pages
-        )
+        weights = sorted(total_page_weight(page, self.site.lookup) for page in pages)
         median = weights[len(weights) // 2]
         if median == 0:
             return 0.0

@@ -191,7 +191,6 @@ class EncoreDeployment:
             )
         self.scheduler = Scheduler(pools, rng=np.random.default_rng(self.config.seed + 11))
         self.coordination = CoordinationServer(
-            scheduler=self.scheduler,
             task_url=self.world.coordination_url,
             collection_url=self.world.collection_url,
         )

@@ -1127,6 +1127,16 @@ class SerialExecutor:
         )
 
 
+def _first_appearances(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``codes`` (each below ``size``) in order of first
+    appearance, and each code's position in that order."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    position = np.empty(size, dtype=np.int64)
+    position[order] = np.arange(len(order))
+    return order, position
+
+
 def _scalar_task_outcome(task_type: TaskType, load: _SlotResult, urls: UrlTable,
                          url_id: int, browser_profile) -> int:
     """Outcome of an explicit-feedback task, mirroring ``execute_task``."""
@@ -1339,26 +1349,32 @@ class BatchExecutor:
             out_rows[r0:r1], elapsed_rows[r0:r1], probe_rows[r0:r1] = zip(*walked)
         kept = np.flatnonzero(delivered[program.row_visit])
 
-        # The task table: first appearance among delivered rows.
-        task_rows = program.row_task[kept]
-        used, first = np.unique(task_rows, return_index=True)
-        order = used[np.argsort(first)]
-        table_index = np.empty(len(program.tasks), dtype=np.int64)
-        table_index[order] = np.arange(len(order))
-        table = [program.tasks[k] for k in order.tolist()]
-
         # A submission reaches the server iff its fetch succeeded; the rest
         # are tallied as unreachable, exactly like the serial walk.
         sent = ok[program.submit_slot[kept]]
         unreachable = int(len(sent) - np.count_nonzero(sent))
-        kept, task_arr = kept[sent], table_index[task_rows[sent]]
-        dv = np.flatnonzero(delivered)
-        pos_arr = (np.cumsum(delivered) - 1)[program.row_visit[kept]]
-        delivered_visits = dv.tolist()
+        kept = kept[sent]
+
+        # The value tables hold only what stored rows use, in the serial
+        # walk's order: tasks and origins by first stored row, client values
+        # per visit that stored a row, in visit order.
+        task_rows = program.row_task[kept]
+        order, table_index = _first_appearances(task_rows, len(program.tasks))
+        table = [program.tasks[k] for k in order.tolist()]
+        task_arr = table_index[task_rows]
+        row_visits = program.row_visit[kept]
+        stores = np.zeros(len(delivered), dtype=bool)
+        stores[row_visits] = True
+        stored = np.flatnonzero(stores)
+        pos_arr = (np.cumsum(stores) - 1)[row_visits]
+        stored_visits = stored.tolist()
         origins = self.deployment.origins
         family_names = [p.family.value for p in batch.browser_profiles]
+        row_origins = np.asarray(plan.origin_indices, dtype=np.int64)[row_visits]
+        origin_order, origin_index = _first_appearances(row_origins, len(origins))
         origin_values = [
-            None if origin.strips_referer else origin.domain for origin in origins
+            None if origins[k].strips_referer else origins[k].domain
+            for k in origin_order.tolist()
         ]
         columns = ColumnarRecords(
             measurement_id=DictColumn([t.measurement_id for t in table], task_arr),
@@ -1369,23 +1385,21 @@ class BatchExecutor:
             elapsed_ms=elapsed_rows[kept],
             probe_time_ms=probe_rows[kept],
             client_ip=DictColumn(
-                np.asarray(batch.ip_addresses, dtype=np.str_)[dv], pos_arr
+                np.asarray(batch.ip_addresses, dtype=np.str_)[stored], pos_arr
             ),
             country_code=DictColumn(
-                [batch.country_codes[v] for v in delivered_visits], pos_arr
+                [batch.country_codes[v] for v in stored_visits], pos_arr
             ),
-            isp=DictColumn([batch.isp(v) for v in delivered_visits], pos_arr),
+            isp=DictColumn([batch.isp(v) for v in stored_visits], pos_arr),
             browser_family=DictColumn(
                 np.asarray(family_names, dtype=np.str_)[
-                    np.asarray(batch.browser_indices, dtype=np.int64)[dv]
+                    np.asarray(batch.browser_indices, dtype=np.int64)[stored]
                 ],
                 pos_arr,
             ),
-            origin_domain=DictColumn(
-                origin_values, np.asarray(plan.origin_indices, dtype=np.int64)[dv][pos_arr]
-            ),
-            day=np.asarray(plan.days, dtype=np.int64)[dv][pos_arr],
-            is_automated=np.asarray(batch.automated, dtype=bool)[dv][pos_arr],
+            origin_domain=DictColumn(origin_values, origin_index[row_origins]),
+            day=np.asarray(plan.days, dtype=np.int64)[stored][pos_arr],
+            is_automated=np.asarray(batch.automated, dtype=bool)[stored][pos_arr],
         )
         return BatchOutcome(
             columns=columns,

@@ -105,6 +105,19 @@ def _in_core(file: SourceFile) -> bool:
     return file.relpath.startswith("src/repro/core/")
 
 
+#: The simulation substrate: packages whose iteration order reaches the
+#: synthetic Web, the client population or the censors' verdicts, and
+#: through them stored rows.
+_SUBSTRATE_PREFIXES = tuple(
+    f"src/repro/{package}/"
+    for package in ("web", "population", "censor", "datasets", "netsim", "browser")
+)
+
+
+def _in_substrate(file: SourceFile) -> bool:
+    return file.relpath.startswith(_SUBSTRATE_PREFIXES)
+
+
 def _in_benchmarks(file: SourceFile) -> bool:
     return file.relpath.startswith("benchmarks/")
 
@@ -407,14 +420,15 @@ class OrderedIterationRule(Rule):
     id = "ordered-iteration"
     summary = (
         "no iteration over sets or unsorted directory listings in "
-        "src/repro/core/ or examples/"
+        "src/repro/core/, the simulation substrate (src/repro/{web,population,"
+        "censor,datasets,netsim,browser}/) or examples/"
     )
 
     _WRAPPERS = {"enumerate", "list", "tuple", "reversed", "iter"}
     _FS_LISTING = {"glob", "rglob", "iterdir"}
 
     def applies(self, file: SourceFile) -> bool:
-        return _in_core(file) or _in_examples(file)
+        return _in_core(file) or _in_substrate(file) or _in_examples(file)
 
     def check(self, file: SourceFile, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(file.tree):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.collection import CollectionServer
+from repro.core.coordination import CoordinationServer
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.store import MeasurementStore
@@ -146,6 +147,11 @@ class TestSettableValues:
     def test_store_and_collection_server_parameters(self):
         assert self.parameters(MeasurementStore.__init__) == ["segment_rows", "spill_dir"]
         assert self.parameters(CollectionServer.__init__) == ["submit_url", "geoip", "store"]
+
+    def test_coordination_server_parameters(self):
+        assert self.parameters(CoordinationServer.__init__) == [
+            "task_url", "collection_url", "mirror_urls",
+        ]
 
     def test_run_campaign_parameters(self):
         assert self.parameters(EncoreDeployment.run_campaign) == [

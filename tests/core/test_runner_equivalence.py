@@ -20,6 +20,7 @@ from repro.core.runner import (
     BatchProgress, CampaignRunner,
 )
 from repro.core.scheduler import Scheduler, TaskPool
+from repro.core.store import MeasurementStore
 from repro.core.tasks import MeasurementTask, TaskType
 from repro.population.world import World, WorldConfig
 
@@ -80,6 +81,23 @@ class TestSerialBatchEquivalence:
         batch = small_deployment(include_testbed, seed=23).run_campaign()
         assert serial.detect().detected_pairs() == batch.detect().detected_pairs()
         assert serial.collection.success_counts() == batch.collection.success_counts()
+
+    @pytest.mark.parametrize(
+        "include_testbed, visits, batch_size", [(True, 1500, 300), (False, 900, 137)]
+    )
+    def test_identical_value_tables_and_codes(self, include_testbed, visits, batch_size):
+        # Value tables hold only what stored rows use, in the same order, so
+        # every dictionary code column matches too.
+        serial = small_deployment(include_testbed, visits=visits).run_campaign(
+            mode="serial", batch_size=batch_size
+        )
+        batch = small_deployment(include_testbed, visits=visits).run_campaign(
+            batch_size=batch_size
+        )
+        serial_store, batch_store = serial.collection.store, batch.collection.store
+        assert serial_store.value_tables() == batch_store.value_tables()
+        for kind in MeasurementStore.DICT_KINDS:
+            assert np.array_equal(serial_store.column(kind), batch_store.column(kind)), kind
 
     def test_equivalence_with_pinned_country(self):
         serial = small_deployment(country="CN", visits=400).run_campaign(mode="serial")

@@ -168,16 +168,9 @@ class TestCoordinationServer:
         return World(WorldConfig(seed=55, target_list_total=12, target_list_online=10,
                                  origin_site_count=2))
 
-    def make_server(self, world, tasks=None, mirrors=None):
-        scheduler = Scheduler([TaskPool("p", tasks or [image_task("facebook.com")])], rng=3)
-        return CoordinationServer(
-            scheduler,
-            task_url=world.coordination_url,
-            collection_url=world.collection_url,
-            mirror_urls=mirrors,
-        )
-
     def test_render_task_script_concatenates_snippets(self, world):
-        server = self.make_server(world, tasks=[image_task("a.com"), image_task("b.com")])
-        script = server.render_task_script(server.scheduler.all_tasks)
+        server = CoordinationServer(
+            task_url=world.coordination_url, collection_url=world.collection_url
+        )
+        script = server.render_task_script([image_task("a.com"), image_task("b.com")])
         assert "a.com" in script and "b.com" in script

@@ -28,6 +28,8 @@ class TestViolationsCorpus:
         ("ordered-iteration", "src/repro/core/order_violations.py", 11),
         ("ordered-iteration", "src/repro/core/order_violations.py", 17),
         ("ordered-iteration", "src/repro/core/order_violations.py", 18),
+        # The simulation substrate answers to the same rule.
+        ("ordered-iteration", "src/repro/web/order_violations.py", 6),
         ("worker-pickle-safety", "src/repro/core/pool_violations.py", 12),
         ("worker-pickle-safety", "src/repro/core/pool_violations.py", 13),
         ("worker-pickle-safety", "src/repro/core/pool_violations.py", 14),

@@ -27,6 +27,21 @@ class TestSite:
         site.add(resource)
         assert site.lookup(resource.url) is resource
 
+    def test_add_rejects_a_url_already_hosted(self):
+        site = Site("example.com")
+        site.add(Resource(URL.parse("http://example.com/a.html"), ContentType.HTML, 100))
+        with pytest.raises(ValueError, match="http://example.com/a.html"):
+            site.add(Resource(URL.parse("http://example.com/a.html"), ContentType.HTML, 200))
+        assert [page.size_bytes for page in site.pages] == [100]
+        assert len(site.page_urls) == 1
+
+    def test_resources_are_read_only(self):
+        site = Site("example.com")
+        resource = site.add(Resource(URL.parse("http://example.com/x.png"), ContentType.IMAGE, 1))
+        with pytest.raises(TypeError):
+            site.resources["http://example.com/y.png"] = resource
+        assert dict(site.resources) == {"http://example.com/x.png": resource}
+
     def test_pages_and_images_views(self):
         site = Site("example.com")
         site.add(Resource(URL.parse("http://example.com/a.png"), ContentType.IMAGE, 100))
@@ -96,6 +111,18 @@ class TestSiteGenerator:
         assert [r.size_bytes for r in a.resources.values()] == [
             r.size_bytes for r in b.resources.values()
         ]
+
+    def test_lookups_build_one_resource_per_url(self, generated):
+        site = generated["facebook.com"]
+        home = site.lookup(site.page_urls[0])
+        assert home is site.lookup(str(site.page_urls[0])) is site.pages[0]
+        for url in home.embedded_urls:
+            assert site.lookup(url) is site.resources[str(url)]
+            assert site.lookup(url).url is url
+
+    def test_host_is_checked_once_for_a_generated_site(self):
+        with pytest.raises(ValueError, match="Example.com"):
+            SiteGenerator(rng=np.random.default_rng(0)).generate_site("Example.com")
 
     def test_different_seeds_differ(self):
         a = SiteGenerator(rng=np.random.default_rng(1)).generate_site("x.org")
