@@ -2,8 +2,9 @@
 """Run a traced sharded smoke campaign and write its merged span stream.
 
 The campaign is small: 600 visits over two inline shards, testbed
-included.  Its merged stream lands in ``trace-smoke/trace.jsonl`` under the
-working directory.  The trace gate is the step after this one,
+included, committed into a temporary directory that is removed when the
+campaign ends.  Its merged stream lands in ``trace-smoke/trace.jsonl``
+under the working directory.  The trace gate is the step after this one,
 ``python -m repro.obs summarize trace-smoke/trace.jsonl --json``, which
 exits 1 on a malformed stream (docs/observability.md).
 
@@ -12,6 +13,7 @@ exits 1 on a malformed stream (docs/observability.md).
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
@@ -29,9 +31,11 @@ def main() -> None:
         plan_block_visits=128, seed=11,
     )
     tracer = Tracer(Path("trace-smoke") / "trace.jsonl")
-    EncoreDeployment(world, config).run_campaign(
-        mode="sharded", num_shards=2, shard_executor="inline", tracer=tracer,
-    )
+    with tempfile.TemporaryDirectory() as spill_dir:
+        EncoreDeployment(world, config).run_campaign(
+            mode="sharded", num_shards=2, shard_executor="inline",
+            worker_spill_dir=spill_dir, tracer=tracer,
+        )
     tracer.close()
 
 

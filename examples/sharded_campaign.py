@@ -16,11 +16,14 @@ only missing ones.
 Run with::
 
     python examples/sharded_campaign.py
+
+It exits non-zero when the merged campaign differs from the batch one.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import time
 
@@ -43,7 +46,8 @@ def build_deployment(seed: int, visits: int) -> EncoreDeployment:
     return EncoreDeployment(world, config)
 
 
-def main(spill_dir: str, seed: int = 3, visits: int = 20_000) -> None:
+def main(spill_dir: str, seed: int = 3, visits: int = 20_000) -> bool:
+    """Run both campaigns and report; True when they are identical."""
     num_shards = min(4, os.cpu_count() or 1)
 
     print(f"Running {visits} visits single-process (mode='batch')...")
@@ -91,8 +95,10 @@ def main(spill_dir: str, seed: int = 3, visits: int = 20_000) -> None:
     for detection in sorted(report.detections, key=lambda d: (d.domain, d.country_code)):
         print(f"  {detection.domain:14s} filtered in {detection.country_code} "
               f"(p={detection.p_value:.2e})")
+    return identical
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory(prefix="encore-sharded-example-") as spill_dir:
-        main(spill_dir)
+        identical = main(spill_dir)
+    sys.exit(0 if identical else 1)

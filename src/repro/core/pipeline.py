@@ -317,15 +317,15 @@ class EncoreDeployment:
         batch, and ``progress`` is invoked with a
         :class:`~repro.core.runner.BatchProgress` after every batch.
 
-        ``mode="sharded"`` fans the batch path out across worker processes
-        (:func:`repro.core.shard.run_sharded`) and merges the workers'
-        spilled segments back into this deployment's store; for a fixed seed
-        the merged campaign is identical to ``mode="batch"`` at any
-        ``num_shards`` (unset: :func:`repro.core.shard.default_num_shards`).
-        ``shard_executor`` is ``"process"`` (the default) or ``"inline"``,
-        which runs the shards one after another in this process.
-        ``progress`` then receives a :class:`~repro.core.shard.ShardProgress`
-        per completed shard.
+        ``mode="sharded"`` commits the campaign into ``worker_spill_dir``,
+        which it requires, and merges the committed segments back into this
+        deployment's store (:func:`repro.core.shard.run_sharded`); for a
+        fixed seed the merged campaign is identical to ``mode="batch"`` at
+        any ``num_shards`` (unset: one shard).  ``shard_executor`` is
+        ``"process"`` (the default), which runs the shards in worker
+        processes, or ``"inline"``, which runs them one after another in
+        this process.  ``progress`` then receives a
+        :class:`~repro.core.shard.ShardProgress` per completed shard.
 
         Only the sharded path resumes a killed campaign: a freshly built
         deployment pointed at the same ``worker_spill_dir`` adopts the

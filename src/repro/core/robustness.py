@@ -65,6 +65,7 @@ from repro.core.query import (
 from repro.core.shard import (
     MANIFEST_NAME,
     StoreMerger,
+    _flush_segments,
     available_cpu_count,
     manifest_segments_intact,
     read_manifest,
@@ -647,8 +648,8 @@ def _forge_cell(payload: dict) -> str:
     The forged columns ingest into a cell-private store as one chunk, which
     spills as one ``.npz`` segment under the cell directory; the manifest —
     segment path, value tables, counters — is written last via an atomic
-    rename, exactly like a campaign shard's, and only its path crosses the
-    process boundary.
+    rename after the segment is flushed, exactly like a campaign shard's,
+    and only its path crosses the process boundary.
     """
     campaign = PoisoningCampaign(
         target_domain=payload["target_domain"],
@@ -683,6 +684,7 @@ def _forge_cell(payload: dict) -> str:
         "value_tables": serialize_value_tables(store.value_tables()),
         "counters": {"stored": len(store)},
     }
+    _flush_segments(manifest)
     return str(write_manifest(cell_dir, manifest))
 
 

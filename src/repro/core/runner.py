@@ -38,9 +38,10 @@ campaigns in vectorized batches:
    the struct-of-arrays :class:`~repro.core.store.MeasurementStore` without
    constructing per-row ``Measurement`` objects; the delivery slots' outcomes
    feed the coordination server's counters, and a per-batch progress hook
-   makes long campaigns observable.  A killed campaign is
-   resumed by the sharded path, whose manifests commit each shard's rows
-   to disk (:mod:`repro.core.shard`).
+   makes long campaigns observable.  A killed campaign is resumed by the
+   sharded path (:mod:`repro.core.shard`): its workers drive this same
+   plan → execute → ingest loop one planning block at a time and commit
+   each shard's rows into the directory the caller names.
 
 Planning is **block-keyed**: visits are planned in fixed-size blocks
 (``CampaignConfig.plan_block_visits``) whose randomness — client sampling,
@@ -155,7 +156,6 @@ class UrlTable:
         self.size_bytes: list[int] = []
         self.cacheable: list[bool] = []
         self.is_page: list[bool] = []
-        self.valid_syntax: list[bool] = []
         self.embedded: list[tuple[URL, ...]] = []
 
     def __len__(self) -> int:
@@ -184,7 +184,6 @@ class UrlTable:
             self.size_bytes.append(0)
             self.cacheable.append(False)
             self.is_page.append(False)
-            self.valid_syntax.append(False)
             self.embedded.append(())
         else:
             resource = response.resource
@@ -194,7 +193,6 @@ class UrlTable:
             self.size_bytes.append(response.size_bytes)
             self.cacheable.append(response.cacheable)
             self.is_page.append(resource is not None and resource.is_page)
-            self.valid_syntax.append(resource is not None and resource.valid_syntax)
             self.embedded.append(tuple(resource.embedded_urls) if resource is not None else ())
         return index
 
@@ -526,18 +524,6 @@ class _BlockPlan:
 
 
 @dataclass
-class BlockExecution:
-    """What executing one planning block produced (shard workers consume this)."""
-
-    block_index: int
-    visits: int
-    stored: int
-    deliveries_attempted: int
-    deliveries_failed: int
-    unreachable_submissions: int
-
-
-@dataclass
 class BatchOutcome:
     """What executing one batch produced.
 
@@ -632,8 +618,8 @@ class CampaignRunner:
                     with self.tracer.span("execute", batch=batch_index):
                         outcome = self.execute_plan(ctx, plan)
                     with self.tracer.span("ingest", batch=batch_index):
-                        stored_in_batch += self._ingest(
-                            deployment.collection, outcome
+                        stored_in_batch += deployment.collection.ingest_columns(
+                            outcome.columns, outcome.unreachable_submissions
                         )
                     deployment.coordination.note_batch_deliveries(
                         outcome.deliveries_attempted, outcome.deliveries_failed
@@ -820,7 +806,7 @@ class CampaignRunner:
             visit = hi
 
     # ------------------------------------------------------------------
-    # Execution + ingestion
+    # Execution
     # ------------------------------------------------------------------
     def execute_plan(self, ctx: PlanContext, plan: BatchPlan) -> BatchOutcome:
         if self.mode == "serial":
@@ -830,35 +816,6 @@ class CampaignRunner:
         return BatchExecutor(
             self.deployment, ctx.urls, ctx.verdicts, ctx.submit_url_id
         ).execute(plan)
-
-    @staticmethod
-    def _ingest(collection, outcome: BatchOutcome) -> int:
-        """Append the outcome's column payload to ``collection``'s store
-        (per-visit batched GeoIP lookup, no per-row Measurement)."""
-        return collection.ingest_columns(outcome.columns, outcome.unreachable_submissions)
-
-    def execute_block(self, ctx: PlanContext, block_index: int, collection) -> BlockExecution:
-        """Plan, execute, and ingest one whole planning block.
-
-        The shard worker's unit of work: results go to the worker's own
-        ``collection`` and delivery/assignment counters are *returned*, not
-        applied to the deployment, so the parent process can absorb exactly
-        one copy of each shard's counters from its manifest.
-        """
-        block = self._plan_block(ctx, block_index)
-        plan = self._slice_block(ctx, block, block.start, block.start + block.count)
-        with self.tracer.span("execute", block=block_index):
-            outcome = self.execute_plan(ctx, plan)
-        with self.tracer.span("ingest", block=block_index):
-            stored = self._ingest(collection, outcome)
-        return BlockExecution(
-            block_index=block_index,
-            visits=block.count,
-            stored=stored,
-            deliveries_attempted=outcome.deliveries_attempted,
-            deliveries_failed=outcome.deliveries_failed,
-            unreachable_submissions=outcome.unreachable_submissions,
-        )
 
 
 # ----------------------------------------------------------------------

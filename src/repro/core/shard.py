@@ -14,7 +14,7 @@ single coherent :class:`~repro.core.store.MeasurementStore`:
    to the single-process ``mode="batch"`` campaign, for any shard count.
 2. **Execute.**  Each worker (:func:`shard_worker` — forked when the
    platform allows, rebuilt from the pickled configs otherwise, or run
-   inline for tests) drives the vectorized ``BatchExecutor`` over its
+   inline) drives the runner's plan → execute → ingest loop over its
    blocks, ingesting into a private collection server whose store seals and
    spills one ``.npz`` segment per block into the worker's shard directory.
    No measurement row ever crosses a process boundary: the only thing a
@@ -30,10 +30,11 @@ single coherent :class:`~repro.core.store.MeasurementStore`:
 
 ``EncoreDeployment.run_campaign(mode="sharded")`` is the front door, and
 its ``num_shards``, ``worker_spill_dir`` and ``shard_executor`` arguments
-configure it.  Re-running a sharded campaign with the same
-``worker_spill_dir`` adopts the manifests of shards that already completed
-and re-executes only the missing ones (the crash-resume path).  Nothing
-about task identity needs carrying across: a deployment mints its
+configure it: a campaign commits into the ``worker_spill_dir`` it must be
+given, as one shard unless ``num_shards`` asks for more.  Re-running it
+with the same directory adopts the manifests of shards that already
+completed and re-executes only the missing ones (the crash-resume path).
+Nothing about task identity needs carrying across: a deployment mints its
 measurement ids from its configuration, so a worker or a restarted process
 that builds the same deployment writes rows in the same id space.
 """
@@ -44,8 +45,6 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
-import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,11 +63,6 @@ from repro.web.url import URL
 
 MANIFEST_NAME = "manifest.json"
 
-#: Cap on the *default* worker count.  Past this, fan-out wins little for
-#: Encore-sized campaigns while multiplying per-worker world-build memory;
-#: an explicit ``num_shards`` is never capped.
-MAX_DEFAULT_SHARDS = 16
-
 
 def available_cpu_count() -> int:
     """CPUs actually usable by this process, not merely present in the box.
@@ -85,16 +79,6 @@ def available_cpu_count() -> int:
         except OSError:  # pragma: no cover - platform-specific failure
             pass
     return max(1, os.cpu_count() or 1)
-
-
-def default_num_shards(block_count: int) -> int:
-    """The worker count used when ``run_campaign``'s ``num_shards`` is unset.
-
-    The available-CPU count (affinity-aware), capped by the number of
-    planning blocks (extra workers would receive empty assignments) and by
-    :data:`MAX_DEFAULT_SHARDS`, never below 1.
-    """
-    return max(1, min(available_cpu_count(), MAX_DEFAULT_SHARDS, max(1, block_count)))
 
 
 # ----------------------------------------------------------------------
@@ -237,14 +221,14 @@ def execute_shard(
 ) -> dict:
     """Run one shard's blocks and seal the results under ``shard_dir``.
 
-    Every block is executed with the vectorized ``BatchExecutor`` and
-    ingested into a shard-private collection server as one chunk; after
-    each block the store spills, so each block with rows becomes exactly
-    one ``.npz`` segment on disk.  The manifest — segment paths, value
-    tables, counters — is written last via an atomic rename (and returned),
-    after every segment it lists is flushed: its presence is the shard's
-    commit marker, and a worker killed mid-shard leaves no manifest and is
-    simply re-executed on resume.
+    Every block runs the runner's plan → execute → ingest loop into a
+    shard-private collection server; a whole block is one plan, so one
+    chunk, and the store spills after each block, so each block with rows
+    becomes exactly one ``.npz`` segment on disk.  The manifest — segment
+    paths, value tables, counters — is written last via an atomic rename
+    (and returned), after every segment it lists is flushed: its presence
+    is the shard's commit marker, and a worker killed mid-shard leaves no
+    manifest and is simply re-executed on resume.
 
     With ``trace`` on, the shard writes its own span stream next to its
     segments; ``run_sharded`` absorbs it into the campaign trace after the
@@ -276,21 +260,30 @@ def execute_shard(
         blocks=len(assignment.block_indices),
     ):
         for block_index in assignment.block_indices:
+            start = block_index * ctx.block_visits
+            end = min(start + ctx.block_visits, visits)
             segments_before = len(store.segment_files)
-            execution = runner.execute_block(ctx, block_index, collection)
+            stored = 0
+            for plan in runner.plan_parts(ctx, start, end):
+                with tracer.span("execute", block=block_index):
+                    outcome = runner.execute_plan(ctx, plan)
+                with tracer.span("ingest", block=block_index):
+                    stored += collection.ingest_columns(
+                        outcome.columns, outcome.unreachable_submissions
+                    )
+                deliveries_attempted += outcome.deliveries_attempted
+                deliveries_failed += outcome.deliveries_failed
             with tracer.span("seal", block=block_index):
                 store.spill()
-            deliveries_attempted += execution.deliveries_attempted
-            deliveries_failed += execution.deliveries_failed
             blocks.append(
                 {
                     "block": block_index,
-                    "visits": execution.visits,
-                    "rows": execution.stored,
+                    "visits": end - start,
+                    "rows": stored,
                     # One chunk in, so at most one segment out, holding
                     # every row the block stored.
                     "segments": [
-                        {"path": str(path), "rows": execution.stored}
+                        {"path": str(path), "rows": stored}
                         for path in store.segment_files[segments_before:]
                     ],
                 }
@@ -546,15 +539,11 @@ def run_sharded(
     scheduling / unreachable counters back so the deployment looks exactly
     as if the campaign had run in-process.
 
-    Inside ``worker_spill_dir`` each campaign owns a signature-keyed
-    subdirectory (so one spill root is safely shareable across campaigns
-    and deployments) holding its shard directories, and nothing else.  With
-    no directory given, a temporary root is used and reclaimed when the
-    merged store is garbage-collected (or at interpreter exit).
-
-    An unset ``num_shards`` resolves to :func:`default_num_shards` on every
-    run, so a resume on a host with another CPU count cuts another
-    partition: it re-executes every shard and gets the same rows.
+    Inside ``worker_spill_dir``, which the caller must name, each campaign
+    owns a signature-keyed subdirectory (so one spill root is safely
+    shareable across campaigns and deployments) holding its shard
+    directories, and nothing else.  An unset ``num_shards`` means one
+    shard, so the partition on disk never depends on the host.
 
     The deployment's campaign and visit counters advance only when the
     merge begins: a run that raises before then leaves them as they were,
@@ -563,9 +552,12 @@ def run_sharded(
     """
     from repro.core.pipeline import CampaignResult  # local: avoids a cycle
 
+    if worker_spill_dir is None:
+        raise ValueError("mode='sharded' commits into the worker_spill_dir it must be given")
     tracer = tracer if tracer is not None else NULL_TRACER
     config = deployment.config
     visits = visits if visits is not None else config.visits
+    num_shards = 1 if num_shards is None else num_shards
     executor_kind = shard_executor or "process"
     if executor_kind not in ("process", "inline"):
         raise ValueError(f"unknown shard executor {executor_kind!r}")
@@ -574,27 +566,12 @@ def run_sharded(
     signature = campaign_signature(deployment, epoch, visits, visit_base)
     # Planned before anything touches disk, so a rejected partition
     # leaves no directory behind.
-    if num_shards is None:
-        num_shards = default_num_shards(
-            ShardPlanner(visits, config.plan_block_visits, 1).block_count
-        )
     planner = ShardPlanner(visits, config.plan_block_visits, num_shards)
     assignments = planner.plan()
-    temporary_root = worker_spill_dir is None
-    spill_root = (
-        tempfile.mkdtemp(prefix="encore-shards-") if temporary_root else worker_spill_dir
-    )
     # Every campaign gets its own signature-keyed subdirectory, so spill
     # roots are safely shareable across campaigns and deployments.
-    campaign_root = Path(spill_root) / campaign_directory_name(signature)
+    campaign_root = Path(worker_spill_dir) / campaign_directory_name(signature)
     campaign_root.mkdir(parents=True, exist_ok=True)
-    if temporary_root:
-        # The merged store reads the adopted segments lazily for as long as
-        # it lives; reclaim the unnamed temp root when the store goes away
-        # (or at interpreter exit) instead of leaking a campaign per run.
-        weakref.finalize(
-            deployment.collection.store, shutil.rmtree, str(spill_root), True
-        )
 
     started = monotonic()
     # Progress and telemetry share one code path: shard completions are

@@ -447,9 +447,6 @@ class MeasurementStore:
         #: campaigns) never overwrite each other's segment files.
         self._spill_subdir: Path | None = None
         self._segments: list[_Segment] = []
-        #: Stores whose segments were adopted wholesale; held strongly so
-        #: their lifetime-keyed cleanup (temp spill roots) cannot outrun ours.
-        self._adopted_sources: list["MeasurementStore"] = []
         self._pending: list[dict[str, np.ndarray]] = []
         self._pending_rows = 0
         self._length = 0
@@ -836,12 +833,6 @@ class MeasurementStore:
             length = len(chunk["day"])
             self._segments.append(_Segment(length, chunk, None, remap=composed_remap(None)))
             adopted += length
-        # Keep the source alive for as long as this store can read its
-        # segments: cleanup hooks keyed to the source's lifetime (e.g. the
-        # sharded runner reclaiming an unnamed temp spill root via
-        # weakref.finalize) must not fire while adopted paths are still
-        # referenced here.
-        self._adopted_sources.append(other)
         if not self._length and adopted:
             # Our rows now begin with all of other's: take its client codes.
             self._clients_source = (other, adopted)

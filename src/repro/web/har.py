@@ -104,14 +104,14 @@ class HAR:
         )
 
 
-def merge_domain_images(hars: Iterable[HAR]) -> dict[str, HAREntry]:
+def merge_domain_images(hars: Iterable[HAR]) -> dict[URL, HAREntry]:
     """Collect the distinct images observed across ``hars``, keyed by URL.
 
     Used to compute per-domain image counts for Fig. 4: the same icon embedded
     by fifty pages counts once.
     """
-    images: dict[str, HAREntry] = {}
+    images: dict[URL, HAREntry] = {}
     for har in hars:
         for entry in har.images:
-            images.setdefault(str(entry.url), entry)
+            images.setdefault(entry.url, entry)
     return images

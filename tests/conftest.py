@@ -9,6 +9,7 @@ that only reads them.  Tests that mutate state build their own objects.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -106,3 +107,44 @@ def orphan_segments():
         return set(root.rglob("*.npz")) - committed
 
     return find
+
+
+@pytest.fixture
+def flushed_before(monkeypatch):
+    """Spies on ``os.fsync`` and ``os.replace`` for the rest of the test.
+
+    Returns a function of a committed file's path: the paths fsynced before
+    that file was renamed into place.  ``os.open`` and ``os.close`` are
+    spied on too, to name the file or directory behind each descriptor.
+    """
+    opened: dict[int, Path] = {}
+    events = []
+    real_open, real_close = os.open, os.close
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def spy_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened[fd] = Path(path)
+        return fd
+
+    def spy_close(fd):
+        opened.pop(fd, None)
+        real_close(fd)
+
+    def spy_fsync(fd):
+        events.append(("fsync", opened.get(fd)))
+        real_fsync(fd)
+
+    def spy_replace(src, dst):
+        events.append(("replace", Path(dst)))
+        real_replace(src, dst)
+
+    for name, spy in (("open", spy_open), ("close", spy_close),
+                      ("fsync", spy_fsync), ("replace", spy_replace)):
+        monkeypatch.setattr(os, name, spy)
+
+    def flushed(path: Path) -> set[Path]:
+        committed = events.index(("replace", Path(path)))
+        return {flushed for kind, flushed in events[:committed] if kind == "fsync"}
+
+    return flushed

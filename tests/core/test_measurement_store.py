@@ -553,26 +553,6 @@ class TestStoreAdoption:
         with pytest.raises(ValueError):
             store.adopt_segments_from(store)
 
-    def test_adopter_outlives_source_store_cleanup(self, tmp_path):
-        # Regression: cleanup hooks keyed to the source store's lifetime
-        # (the sharded runner reclaims unnamed temp spill roots when its
-        # store is collected) must not delete segments an adopter still
-        # reads — the adopter holds the source alive.
-        import gc
-        import weakref
-
-        rows = self.make_corpus(10, "src")
-        source = MeasurementStore(spill_dir=tmp_path)
-        source.append_rows(rows)
-        source.spill()
-        weakref.finalize(source, lambda: (tmp_path / "reaped").touch())
-        store = MeasurementStore()
-        store.adopt_segments_from(source)
-        del source
-        gc.collect()
-        assert not (tmp_path / "reaped").exists()
-        assert store.rows() == rows
-
     def test_spill_without_a_spill_dir_raises_and_writes_nothing(self, tmp_path, monkeypatch):
         # Only a store given a directory writes to disk: a temp directory
         # of its own would land under tempfile's root, here tmp_path.

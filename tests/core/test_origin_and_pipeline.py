@@ -8,8 +8,11 @@ import pytest
 
 from repro.core.collection import CollectionServer
 from repro.core.coordination import CoordinationServer
+from repro.core.longitudinal import LongitudinalConfig
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
+from repro.core.robustness import AdversarySweep
+from repro.core.shard import run_sharded
 from repro.core.store import MeasurementStore
 from repro.core.tasks import MeasurementTask, TaskType
 from repro.population.world import World, WorldConfig
@@ -116,7 +119,7 @@ class TestCampaign:
         assert result.visits_simulated == 20
 
     @pytest.mark.parametrize("mode", ["batch", "serial", "sharded"])
-    def test_negative_visit_count_is_refused_before_any_counter_moves(self, mode):
+    def test_negative_visit_count_is_refused_before_any_counter_moves(self, mode, tmp_path):
         # A negative count would rewind the visit numbering, so the next
         # campaign would reuse client identities of the previous one.
         world = World(WorldConfig(seed=77, target_list_total=12, target_list_online=10,
@@ -124,7 +127,10 @@ class TestCampaign:
         deployment = EncoreDeployment(
             world, CampaignConfig(visits=50, include_testbed=False, seed=5)
         )
-        sharded = {"shard_executor": "inline"} if mode == "sharded" else {}
+        sharded = (
+            {"shard_executor": "inline", "worker_spill_dir": str(tmp_path / "spill")}
+            if mode == "sharded" else {}
+        )
         with pytest.raises(ValueError, match="visits must be non-negative"):
             deployment.run_campaign(visits=-50, mode=mode, **sharded)
         assert (deployment.visits_claimed, deployment.campaigns_run) == (0, 0)
@@ -157,4 +163,23 @@ class TestSettableValues:
         assert self.parameters(EncoreDeployment.run_campaign) == [
             "visits", "mode", "batch_size", "progress", "num_shards",
             "worker_spill_dir", "shard_executor", "tracer",
+        ]
+
+    def test_run_sharded_parameters(self):
+        assert self.parameters(run_sharded) == [
+            "deployment", "visits", "num_shards", "worker_spill_dir",
+            "shard_executor", "progress", "tracer",
+        ]
+
+    def test_longitudinal_config_fields(self):
+        assert [field.name for field in dataclasses.fields(LongitudinalConfig)] == [
+            "epochs", "days_per_epoch", "visits_per_epoch", "trailing_epochs",
+            "detector", "timing_detector", "timing_quantile", "checkpoint_dir",
+            "adaptive_baselines", "tracer",
+        ]
+
+    def test_adversary_sweep_parameters(self):
+        assert self.parameters(AdversarySweep.__init__) == [
+            "detector", "reputation", "fabricate_blocking", "executor",
+            "spill_dir", "seed", "tracer",
         ]

@@ -347,6 +347,22 @@ class TestAdversarySweep:
         )
         assert [path.stat().st_mtime_ns for path in manifests] != stamps
 
+    def test_cell_segments_are_flushed_before_their_manifest_lands(
+        self, detection_result, tmp_path, flushed_before
+    ):
+        # As for a campaign shard: a cell manifest that survives power loss
+        # must not name a segment that did not, or a re-run would adopt a
+        # truncated segment instead of forging the cell again.
+        root = tmp_path / "sweep"
+        detection_result.adversary_sweep(
+            "facebook.com", "DE", [(50, 4)], executor="inline", seed=self.SEED,
+            spill_dir=str(root),
+        )
+        (manifest_path,) = root.glob("cell-*/manifest.json")
+        (segment,) = json.loads(manifest_path.read_text())["blocks"][0]["segments"]
+        path = Path(segment["path"])
+        assert {path, path.parent, path.parent.parent} <= flushed_before(manifest_path)
+
     def test_sweep_on_a_spilled_honest_store(self, detection_result, tmp_path):
         """Adopting a spilled honest corpus gives identical verdicts."""
         spilled = MeasurementStore(spill_dir=tmp_path / "honest")

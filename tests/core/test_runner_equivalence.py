@@ -132,7 +132,8 @@ class TestGeneratedEquivalence:
         country=st.sampled_from([None, "CN", "IR", "US"]),
     )
     @settings(max_examples=10, deadline=None)
-    def test_serial_batch_sharded_agree(self, seed, visits, plan_block_visits, batch_size,
+    def test_serial_batch_sharded_agree(self, tmp_path_factory, seed, visits,
+                                        plan_block_visits, batch_size,
                                         favicons_only, include_testbed, country):
         def run(mode, **run_kw):
             deployment = small_deployment(
@@ -149,7 +150,10 @@ class TestGeneratedEquivalence:
 
         serial = run("serial", batch_size=batch_size)
         assert serial == run("batch", batch_size=batch_size)
-        assert serial == run("sharded", num_shards=2, shard_executor="inline")
+        assert serial == run(
+            "sharded", num_shards=2, shard_executor="inline",
+            worker_spill_dir=str(tmp_path_factory.mktemp("shards")),
+        )
 
 
 class TestMeasurementIds:
@@ -242,25 +246,29 @@ class TestShardedBatchEquivalence:
     subsystem's core guarantee (tests/core/test_shard.py pins it in depth)."""
 
     @pytest.mark.parametrize("include_testbed", [False, True])
-    def test_sharded_matches_batch(self, include_testbed):
+    def test_sharded_matches_batch(self, include_testbed, tmp_path):
         batch = small_deployment(
             include_testbed, visits=600, plan_block_visits=100
         ).run_campaign()
         sharded = small_deployment(
             include_testbed, visits=600, plan_block_visits=100
-        ).run_campaign(mode="sharded", num_shards=3, shard_executor="inline")
+        ).run_campaign(
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
+        )
         assert sharded.mode == "sharded"
         assert measurement_key(sharded) == measurement_key(batch)
         assert sharded.detect().detected_pairs() == batch.detect().detected_pairs()
 
-    def test_sharding_is_batch_size_invariant(self):
+    def test_sharding_is_batch_size_invariant(self, tmp_path):
         # Shards partition planning blocks, batches slice them: neither may
         # change the campaign.
         fine = small_deployment(visits=600, plan_block_visits=100).run_campaign(
             batch_size=97
         )
         sharded = small_deployment(visits=600, plan_block_visits=100).run_campaign(
-            mode="sharded", num_shards=2, shard_executor="inline"
+            mode="sharded", num_shards=2, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
         )
         assert measurement_key(sharded) == measurement_key(fine)
 

@@ -12,6 +12,7 @@ translation, and the manifest-based crash-resume path.
 import json
 import multiprocessing
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -97,9 +98,12 @@ class TestShardedEqualsBatch:
         return small_deployment().run_campaign()
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
-    def test_merged_rows_identical_for_any_shard_count(self, batch_reference, num_shards):
+    def test_merged_rows_identical_for_any_shard_count(
+        self, batch_reference, num_shards, tmp_path
+    ):
         sharded = small_deployment().run_campaign(
-            mode="sharded", num_shards=num_shards, shard_executor="inline"
+            mode="sharded", num_shards=num_shards, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
         )
         assert sharded.mode == "sharded"
         # Not just the same multiset: the merger adopts blocks in campaign
@@ -107,10 +111,11 @@ class TestShardedEqualsBatch:
         assert measurement_key(sharded) == measurement_key(batch_reference)
         assert sharded.task_executions == batch_reference.task_executions
 
-    def test_counters_and_verdicts_match(self, batch_reference):
+    def test_counters_and_verdicts_match(self, batch_reference, tmp_path):
         deployment = small_deployment()
         sharded = deployment.run_campaign(
-            mode="sharded", num_shards=3, shard_executor="inline"
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
         )
         assert (
             sharded.collection.unreachable_submissions
@@ -127,15 +132,20 @@ class TestShardedEqualsBatch:
         )
         assert sharded.collection.distinct_ips() == batch_reference.collection.distinct_ips()
 
-    def test_process_pool_matches_batch(self, batch_reference):
-        sharded = small_deployment().run_campaign(mode="sharded", num_shards=2)
+    def test_process_pool_matches_batch(self, batch_reference, tmp_path):
+        sharded = small_deployment().run_campaign(
+            mode="sharded", num_shards=2, worker_spill_dir=str(tmp_path)
+        )
         assert measurement_key(sharded) == measurement_key(batch_reference)
 
-    def test_replication_counts_survive_the_merge(self):
+    def test_replication_counts_survive_the_merge(self, tmp_path):
         # Worker-side scheduling counts are folded back through manifests,
         # so the campaign-wide replication report equals the in-process run's.
         sharded_deployment = small_deployment()
-        sharded_deployment.run_campaign(mode="sharded", num_shards=3, shard_executor="inline")
+        sharded_deployment.run_campaign(
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path),
+        )
         batch_deployment = small_deployment()
         batch_deployment.run_campaign()
         assert (
@@ -220,29 +230,6 @@ class TestShardProgressAndResume:
         (shard_dir / MANIFEST_NAME).write_text(json.dumps(stale))
         assert load_manifest(shard_dir, signature, assignment) is None
 
-    def test_resume_with_unset_shard_count_resolves_it_again(self, tmp_path, monkeypatch):
-        # num_shards=None resolves to the host's CPU count on every run.
-        # The same count cuts the same partition, so a resume adopts every
-        # shard; another count re-executes them and gets the same rows.
-        from repro.core import shard as shard_module
-
-        reference = small_deployment().run_campaign()
-        run = {"mode": "sharded", "shard_executor": "inline",
-               "worker_spill_dir": str(tmp_path)}
-        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 3)
-        small_deployment().run_campaign(**run)
-
-        seen = []
-        result = small_deployment().run_campaign(progress=seen.append, **run)
-        assert len(seen) == 3 and all(p.resumed for p in seen)
-        assert measurement_key(result) == measurement_key(reference)
-
-        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 2)
-        seen = []
-        result = small_deployment().run_campaign(progress=seen.append, **run)
-        assert len(seen) == 2 and not any(p.resumed for p in seen)
-        assert measurement_key(result) == measurement_key(reference)
-
     def test_sharded_campaign_writes_only_segments_and_manifests(self, tmp_path):
         small_deployment().run_campaign(
             mode="sharded", num_shards=3, shard_executor="inline",
@@ -254,45 +241,18 @@ class TestShardProgressAndResume:
         )
         assert not list(tmp_path.rglob("campaign.json"))
 
-    def test_segments_are_flushed_before_their_manifest_lands(self, tmp_path, monkeypatch):
+    def test_segments_are_flushed_before_their_manifest_lands(self, tmp_path, flushed_before):
         # A manifest that survives power loss must not name a segment that
         # did not: each segment file, its directory and that directory's
         # entry are fsynced before the manifest's rename.
-        opened: dict[int, Path] = {}
-        events = []
-        real_open, real_close = os.open, os.close
-        real_fsync, real_replace = os.fsync, os.replace
-
-        def spy_open(path, flags, *args, **kwargs):
-            fd = real_open(path, flags, *args, **kwargs)
-            opened[fd] = Path(path)
-            return fd
-
-        def spy_close(fd):
-            opened.pop(fd, None)
-            real_close(fd)
-
-        def spy_fsync(fd):
-            events.append(("fsync", opened.get(fd)))
-            real_fsync(fd)
-
-        def spy_replace(src, dst):
-            events.append(("replace", Path(dst)))
-            real_replace(src, dst)
-
-        for name, spy in (("open", spy_open), ("close", spy_close),
-                          ("fsync", spy_fsync), ("replace", spy_replace)):
-            monkeypatch.setattr(os, name, spy)
         small_deployment().run_campaign(
             mode="sharded", num_shards=3, shard_executor="inline",
             worker_spill_dir=str(tmp_path),
         )
-        monkeypatch.undo()
         manifests = sorted(tmp_path.rglob(MANIFEST_NAME))
         assert len(manifests) == 3
         for manifest_path in manifests:
-            committed = events.index(("replace", manifest_path))
-            flushed = {path for kind, path in events[:committed] if kind == "fsync"}
+            flushed = flushed_before(manifest_path)
             segments = [
                 Path(segment["path"])
                 for block in json.loads(manifest_path.read_text())["blocks"]
@@ -359,22 +319,19 @@ class TestShardProgressAndResume:
         # Rejected before anything touches disk.
         assert list(tmp_path.iterdir()) == []
 
-    def test_temporary_spill_root_reclaimed_with_the_store(self):
-        import gc
-
+    def test_sharded_run_without_a_directory_raises_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # A sharded campaign commits into the directory its caller names;
+        # no temporary root stands in when none is given.
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
         deployment = small_deployment(visits=256)
-        result = deployment.run_campaign(
-            mode="sharded", num_shards=2, shard_executor="inline"
-        )
-        segment = Path(result.collection.store.segment_files[0])
-        # <temp root>/campaign-XX-xxxx/shard-XXX/store-XXXX/segment-XXXXX.npz
-        temp_root = segment.parents[3]
-        assert temp_root.name.startswith("encore-shards-")
-        del result
-        deployment.collection = None
-        del deployment
-        gc.collect()
-        assert not temp_root.exists()
+        with pytest.raises(ValueError, match="worker_spill_dir"):
+            deployment.run_campaign(mode="sharded", num_shards=2, shard_executor="inline")
+        assert list(tmp_path.iterdir()) == []
+        assert (deployment.campaigns_run, deployment.visits_claimed) == (0, 0)
+        assert len(deployment.collection) == 0
 
     def test_signature_covers_campaign_content(self):
         # Same seed/visits but different campaign content (days, testbed,
@@ -494,12 +451,15 @@ class TestCrashPoints:
             result.detect().detected_pairs(),
         )
 
-    def uninterrupted_state(self):
+    def uninterrupted_state(self, tmp_path):
         reference = small_deployment()
-        return self.campaign_state(reference, reference.run_campaign(**self.RUN))
+        return self.campaign_state(
+            reference,
+            reference.run_campaign(worker_spill_dir=str(tmp_path / "reference"), **self.RUN),
+        )
 
     def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, inject):
-        expected = self.uninterrupted_state()
+        expected = self.uninterrupted_state(tmp_path)
         spill = tmp_path / "spill"
         inject(monkeypatch)
         with pytest.raises(OSError, match="injected crash"):
@@ -568,7 +528,7 @@ class TestCrashPoints:
     ):
         # The failed run claimed neither the campaign epoch nor the visit
         # range, so the retry is the same campaign, in the same directory.
-        expected = self.uninterrupted_state()
+        expected = self.uninterrupted_state(tmp_path)
         spill = tmp_path / "spill"
         deployment = small_deployment()
         self.fail_manifest_write(monkeypatch, self.injected_crash)
@@ -629,7 +589,7 @@ class TestCrashPoints:
 
     def test_missing_segment_re_executes_its_shard(self, tmp_path):
         # A segment that is gone, not damaged, is a cache miss.
-        expected = self.uninterrupted_state()
+        expected = self.uninterrupted_state(tmp_path)
         spill = tmp_path / "spill"
         small_deployment().run_campaign(worker_spill_dir=str(spill), **self.RUN)
         (victim,) = spill.glob(f"campaign-*/{self.VICTIM}")
@@ -654,7 +614,7 @@ class TestCrashPoints:
         # so only shard 1's re-execution is asserted.
         from concurrent.futures.process import BrokenProcessPool
 
-        expected = self.uninterrupted_state()
+        expected = self.uninterrupted_state(tmp_path)
         run = {**self.RUN, "shard_executor": "process",
                "worker_spill_dir": str(tmp_path / "spill")}
         self.fail_manifest_write(monkeypatch, lambda: os._exit(1))
@@ -819,18 +779,23 @@ class TestCollectionServerStoreArgument:
 
 
 class TestDefaultShardCount:
-    """``num_shards=None`` resolves CPU- and topology-aware (ROADMAP item)."""
+    """``num_shards=None`` means one shard, whatever the host's CPU count."""
 
-    def test_default_caps_by_blocks_and_ceiling(self, monkeypatch):
-        from repro.core import shard as shard_module
-
-        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 6)
-        assert shard_module.default_num_shards(block_count=40) == 6
-        assert shard_module.default_num_shards(block_count=3) == 3
-        assert shard_module.default_num_shards(block_count=0) == 1
-        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 128)
-        assert shard_module.default_num_shards(block_count=10_000) == \
-            shard_module.MAX_DEFAULT_SHARDS
+    def test_unset_shard_count_commits_one_shard_and_resumes_it(self, tmp_path):
+        # The partition on disk never depends on the host, so a second run
+        # anywhere adopts the shard the first one committed.
+        reference = small_deployment().run_campaign()
+        run = {"mode": "sharded", "shard_executor": "inline",
+               "worker_spill_dir": str(tmp_path)}
+        first = small_deployment().run_campaign(**run)
+        assert [path.name for path in tmp_path.glob("campaign-*/shard-*")] == [
+            "shard-000-of001"
+        ]
+        seen = []
+        second = small_deployment().run_campaign(progress=seen.append, **run)
+        assert [p.resumed for p in seen] == [True]
+        assert measurement_key(first) == measurement_key(reference)
+        assert measurement_key(second) == measurement_key(reference)
 
     def test_available_cpu_count_prefers_affinity(self, monkeypatch):
         from repro.core import shard as shard_module
@@ -842,12 +807,11 @@ class TestDefaultShardCount:
         monkeypatch.setattr(shard_module.os, "cpu_count", lambda: None)
         assert shard_module.available_cpu_count() == 1
 
-    def test_unset_shard_count_matches_batch(self, tmp_path, monkeypatch):
-        from repro.core import shard as shard_module
-
-        monkeypatch.setattr(shard_module, "available_cpu_count", lambda: 2)
+    def test_unset_shard_count_matches_batch(self, tmp_path):
+        # Neither a count nor an executor given: one shard, in one worker
+        # process.
         result = small_deployment().run_campaign(
-            mode="sharded", shard_executor="inline", worker_spill_dir=str(tmp_path)
+            mode="sharded", worker_spill_dir=str(tmp_path)
         )
         reference = small_deployment().run_campaign()
         assert measurement_key(result) == measurement_key(reference)

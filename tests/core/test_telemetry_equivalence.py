@@ -82,12 +82,14 @@ def assert_well_formed(trace):
 class TestTracedRunsAreIdentical:
     def test_sharded_campaign_rows_identical_with_tracing(self, tmp_path):
         untraced = sharded_deployment().run_campaign(
-            mode="sharded", num_shards=3, shard_executor="inline"
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path / "untraced"),
         )
 
         tracer = Tracer(tmp_path / TRACE_FILENAME)
         traced = sharded_deployment().run_campaign(
-            mode="sharded", num_shards=3, shard_executor="inline", tracer=tracer
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path / "traced"), tracer=tracer,
         )
         tracer.close()
 
@@ -111,20 +113,21 @@ class TestTracedRunsAreIdentical:
         assert all(s["peak_rss_kb"] and s["peak_rss_kb"] > 0 for s in summary["shards"])
 
     def test_progress_stream_identical_with_tracing(self, tmp_path):
-        def run(tracer=None):
+        def run(spill, tracer=None):
             seen = []
             result = sharded_deployment().run_campaign(
                 mode="sharded",
                 num_shards=3,
                 shard_executor="inline",
+                worker_spill_dir=str(tmp_path / spill),
                 progress=seen.append,
                 tracer=tracer,
             )
             return result, [progress_key(p) for p in seen]
 
-        untraced_result, untraced_progress = run()
+        untraced_result, untraced_progress = run("untraced")
         tracer = Tracer(tmp_path / TRACE_FILENAME)
-        traced_result, traced_progress = run(tracer)
+        traced_result, traced_progress = run("traced", tracer)
         tracer.close()
 
         # The legacy callback rides the trace event stream: same payloads
@@ -242,7 +245,8 @@ class TestLongitudinalEquivalence:
 class TestKilledWorkerTraces:
     def test_orphan_worker_trace_is_salvaged_as_aborted(self, tmp_path):
         reference = sharded_deployment().run_campaign(
-            mode="sharded", num_shards=3, shard_executor="inline"
+            mode="sharded", num_shards=3, shard_executor="inline",
+            worker_spill_dir=str(tmp_path / "reference"),
         )
 
         spill = tmp_path / "spill"
