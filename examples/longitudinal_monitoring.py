@@ -16,12 +16,12 @@ onset/offset events with their detection lag.  The final scorecard
 grades the detector against the scripted ground truth.
 
 The second half turns the same run into an *always-on monitor*: with
-``LongitudinalConfig(checkpoint_dir=...)`` each epoch folds only its new
-rows into the day-bucketed aggregate, advances a resumable CUSUM state over
-only the new day columns, and checkpoints that state — so a killed monitor
+``LongitudinalConfig(checkpoint_dir=...)`` each epoch commits its rows to
+the directory, folds only them into the day-bucketed aggregate, and
+advances a CUSUM state over only the new day columns — so a killed monitor
 restarted on the same checkpoint directory re-adopts the completed epochs'
-rows from their manifests, picks the scan up mid-series, and ends with
-events identical to a never-interrupted run.
+rows from their manifests, rebuilds the CUSUM state over them, and ends
+with events identical to a never-interrupted run.
 
 Run with::
 
@@ -91,9 +91,8 @@ def always_on_monitor(reference_events) -> None:
             ),
         )
         # A fresh process: new deployment, same seeds, same checkpoint
-        # directory, full horizon.  The directory's checkpoint restores the
-        # CUSUM state, and completed epochs are re-adopted from their
-        # manifests.
+        # directory, full horizon.  Completed epochs are re-adopted from
+        # their manifests, and the CUSUM state is rebuilt over their rows.
         resumed = build_deployment().run_longitudinal(
             build_timeline(),
             LongitudinalConfig(

@@ -18,7 +18,7 @@ import numpy as np
 from repro.censor.policy import PolicyTimeline
 from repro.censor.testbed import CensorshipTestbed
 from repro.core.collection import Measurement
-from repro.core.inference import CensorshipEvent, CusumState
+from repro.core.inference import CensorshipEvent
 from repro.core.store import OUTCOME_FAILURE, TASK_TYPES, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 
@@ -298,22 +298,18 @@ class TimelineReport:
 
 
 def build_timeline_report(
-    events: "Iterable[CensorshipEvent] | CusumState", timeline: PolicyTimeline
+    events: Iterable[CensorshipEvent], timeline: PolicyTimeline
 ) -> TimelineReport:
     """Match detected events against a timeline's scripted transitions.
 
-    ``events`` is any iterable of :class:`CensorshipEvent` — or a monitor's
-    :class:`~repro.core.inference.CusumState`, whose accumulated ``events``
-    are graded directly, so an always-on monitor can be scored straight off
-    its checkpoint.  Transitions are matched greedily in day order: each
-    takes the earliest unclaimed event of the same (country, domain, kind)
-    detected on or after its scripted day — and before the pair's *next*
-    same-kind transition, so a missed early transition cannot claim the
-    detection of a later one and corrupt the lag statistics.  Events
-    claiming no transition are reported as false alarms.
+    ``events`` is any iterable of :class:`CensorshipEvent`.  Transitions are
+    matched greedily in day order: each takes the earliest unclaimed event
+    of the same (country, domain, kind) detected on or after its scripted
+    day — and before the pair's *next* same-kind transition, so a missed
+    early transition cannot claim the detection of a later one and corrupt
+    the lag statistics.  Events claiming no transition are reported as
+    false alarms.
     """
-    if isinstance(events, CusumState):
-        events = events.events
     return _match_transitions(events, timeline.transitions(), {})
 
 

@@ -370,8 +370,7 @@ class CusumState:
     cells; ``events`` accumulates everything emitted so far, in the same
     ``(detected_day, domain, country, kind)`` order a cold full scan
     produces.  The state round-trips through JSON bit-exactly (Python's
-    ``repr``-based float serialization is lossless), so a monitor killed
-    mid-series resumes and emits identical events to an uninterrupted run.
+    ``repr``-based float serialization is lossless).
     """
 
     days_processed: int = 0
@@ -567,13 +566,13 @@ class CusumChangePointDetector:
     statistics and confidences bit-for-bit — an equivalence the tests pin.
 
     The scan is resumable: :meth:`initial_state` builds a
-    :class:`CusumState`, :meth:`resume` advances it over only the day
-    columns it has not seen yet, and the state checkpoints to JSON
-    (:meth:`CusumState.save` / :meth:`CusumState.load`).  Because each day's
-    update is the same float64 operation sequence either way, a scan split
-    across any number of resume calls emits events bit-identical to one
-    cold full scan — the property that lets an always-on monitor fold in
-    one epoch per wakeup and survive being killed between epochs.
+    :class:`CusumState` and :meth:`resume` advances it over only the day
+    columns it has not seen yet.  Because each day's update is the same
+    float64 operation sequence either way, a scan split across any number
+    of resume calls emits events bit-identical to one cold full scan — the
+    property that lets an always-on monitor fold in one epoch per wakeup,
+    and a restarted monitor rebuild its state by advancing a fresh state
+    over the epochs it adopts.
     """
 
     KINDS = ("onset", "offset")
@@ -604,8 +603,8 @@ class CusumChangePointDetector:
     def config_key(self) -> tuple:
         """Hashable identity of this detector's tuning.
 
-        What result caches and checkpoint signatures key on, so retuning a
-        detector can never be served another configuration's events.
+        What result caches key on, so retuning a detector can never be
+        served another configuration's events.
         """
         return (
             type(self).__name__,

@@ -38,17 +38,20 @@ sequence of **epochs** over simulated days:
 the run becomes an incremental, killable monitor loop.  Per epoch the engine
 seals the store's pending rows and folds only the *new* segments into the
 persistent day-bucketed aggregate (the query kernel keeps a fold
-watermark), advances a resumable
-:class:`~repro.core.inference.CusumState` over only the new day columns, and
-checkpoints that state to ``checkpoint_dir/cusum-state.json`` — so per-epoch
-cost stays flat as history grows (``benchmarks/test_bench_monitor.py``,
-``BENCH_monitor.json``).  Each epoch's campaign runs as one inline shard
-with ``worker_spill_dir=checkpoint_dir``: its manifest is keyed by the
-campaign signature (which covers the world config *including the epoch's
-timeline posture*), so a restarted monitor re-adopts completed epochs'
-rows instead of re-executing them, restores the CUSUM state from the
-directory's ``cusum-state.json`` and picks up mid-series, emitting events
-bit-identical to an uninterrupted cold run.  Without a checkpoint
+watermark), and advances a :class:`~repro.core.inference.CusumState` over
+only the new day columns — so per-epoch cost stays flat as history grows
+(``benchmarks/test_bench_monitor.py``, ``BENCH_monitor.json``).  Each
+epoch's campaign runs as one inline shard with
+``worker_spill_dir=checkpoint_dir``: its manifest is keyed by the campaign
+signature (which covers the campaign config and the world config
+*including the epoch's timeline posture*), so a restarted monitor
+re-adopts completed epochs' rows instead of re-executing them.  Those
+epoch commits — manifests and the segments they name — are all a run
+reads from the directory.  The CUSUM state is never stored: every run
+starts from a fresh state and advances it over each epoch it executes or
+adopts, so a restart re-derives the cells, events and adaptive baselines
+from the committed rows and ends bit-identical to an uninterrupted cold
+run of the same epochs.  Without a checkpoint
 directory each epoch is a plain batch campaign.  ``adaptive_baselines=True``
 additionally seeds per-country healthy baselines from
 :meth:`~repro.core.inference.AdaptiveFilteringDetector.country_priors`
@@ -63,9 +66,7 @@ flatness of the incremental monitor loop by
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from repro.censor.policy import PolicyTimeline
 from repro.core.inference import (
@@ -108,10 +109,11 @@ class LongitudinalConfig:
     timing_detector: TimingCusumDetector = field(default_factory=TimingCusumDetector)
     #: Which daily ``elapsed_ms`` quantile the timing detector scans.
     timing_quantile: float = 0.9
-    #: Directory for the always-on monitor's resumable state: per-epoch
-    #: shard manifests (epoch-level crash resume) plus the CUSUM state
-    #: checkpoint, which a run restores whenever it finds one.  ``None``
-    #: (the default) runs the engine statelessly.
+    #: Directory for the always-on monitor's epoch commits: each epoch's
+    #: manifest and the segments it names, which a restart adopts instead
+    #: of re-executing the epoch.  Detection state is rebuilt from the
+    #: adopted rows, never stored.  ``None`` (the default) runs the engine
+    #: statelessly.
     checkpoint_dir: str | None = None
     #: Seed per-country healthy baselines for the CUSUM from
     #: ``AdaptiveFilteringDetector.country_priors`` after the first epoch,
@@ -120,8 +122,8 @@ class LongitudinalConfig:
     #: Telemetry (strictly write-only: rows/events are bit-identical with
     #: tracing on or off).  A :class:`~repro.obs.trace.Tracer` the caller
     #: opens and closes, or ``None`` for the zero-overhead no-op tracer.
-    #: Not part of the monitor signature, so traced and untraced runs
-    #: resume each other's checkpoints.
+    #: Not part of the campaign signature that keys the epoch manifests,
+    #: so traced and untraced runs resume each other's checkpoints.
     tracer: object | None = None
 
     def resolved_epochs(self, timeline: PolicyTimeline) -> int:
@@ -279,12 +281,10 @@ class LongitudinalEngine:
     each epoch's campaign runs as one inline shard with the checkpoint
     directory as its spill root (so completed epochs resume from their
     manifests after a crash), and after each epoch the store's new rows are
-    sealed, folded incrementally into the day-bucketed aggregate, scanned by
-    a resumable CUSUM state, and the state is checkpointed atomically.
+    sealed, folded incrementally into the day-bucketed aggregate and scanned
+    by a CUSUM state.  That state starts fresh on every run and is never
+    written: a restart rebuilds it over the epochs it adopts.
     """
-
-    #: Checkpoint file the resumable CUSUM state lives in.
-    STATE_FILE = "cusum-state.json"
 
     def __init__(self, deployment, timeline: PolicyTimeline,
                  config: LongitudinalConfig | None = None) -> None:
@@ -299,32 +299,9 @@ class LongitudinalEngine:
         if epochs < 1:
             raise ValueError("a longitudinal run needs at least one epoch")
         self._epochs = epochs
-        # Computed before any world mutation, so an interrupted run and its
-        # resume (which both start from the pristine config) agree on it.
-        self._monitor_signature = json.dumps(
-            {
-                "detector": list(self.config.detector.config_key()),
-                "world": asdict(deployment.world.config),
-                # Deliberately NOT the epoch count: a monitor's horizon may
-                # be extended across restarts; per-day content must match.
-                "timeline": [asdict(event) for event in timeline.events],
-                "days_per_epoch": self.config.days_per_epoch,
-                "visits_per_epoch": self.config.visits_per_epoch,
-                "adaptive_baselines": self.config.adaptive_baselines,
-            },
-            sort_keys=True,
-            default=str,
-        )
 
     # ------------------------------------------------------------------
-    def _restore_monitor(self, checkpoint_dir: Path) -> CusumState:
-        """The previous run's checkpointed CUSUM state, or a fresh one."""
-        state_path = checkpoint_dir / self.STATE_FILE
-        if state_path.is_file():
-            return CusumState.load(state_path, self._monitor_signature)
-        return self.config.detector.initial_state()
-
-    def _run_epoch_campaign(self, checkpoint_dir: Path | None, tracer) -> bool:
+    def _run_epoch_campaign(self, tracer) -> bool:
         """Run one epoch's campaign; True when it resumed from its manifest.
 
         A stateless epoch is a batch campaign.  A checkpointed epoch is one
@@ -333,6 +310,7 @@ class LongitudinalEngine:
         bit-identical to the batch campaign's.
         """
         visits = self.config.visits_per_epoch
+        checkpoint_dir = self.config.checkpoint_dir
         if checkpoint_dir is None:
             self.deployment.run_campaign(visits=visits, tracer=tracer)
             return False
@@ -342,7 +320,7 @@ class LongitudinalEngine:
             mode="sharded",
             num_shards=1,
             shard_executor="inline",
-            worker_spill_dir=str(checkpoint_dir),
+            worker_spill_dir=checkpoint_dir,
             progress=lambda shard: resumed.append(shard.resumed),
             tracer=tracer,
         )
@@ -356,14 +334,10 @@ class LongitudinalEngine:
         store = deployment.collection.store
         original_window = (campaign_config.days, campaign_config.day_offset)
         original_rules = world.config.timeline_rules
-        checkpoint_dir = (
-            Path(config.checkpoint_dir) if config.checkpoint_dir is not None else None
+        monitor = (
+            config.detector.initial_state() if config.checkpoint_dir is not None else None
         )
-        monitor: CusumState | None = None
-        if checkpoint_dir is not None:
-            checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            monitor = self._restore_monitor(checkpoint_dir)
-        baselines = monitor.baselines if monitor is not None else None
+        baselines: dict[str, float] | None = None
         summaries: list[EpochSummary] = []
         tracer = config.tracer if config.tracer is not None else NULL_TRACER
         try:
@@ -382,7 +356,7 @@ class LongitudinalEngine:
                     campaign_config.day_offset = first_day
                     before = len(deployment.collection)
                     with tracer.span("epoch", epoch=epoch, first_day=first_day):
-                        resumed = self._run_epoch_campaign(checkpoint_dir, tracer)
+                        resumed = self._run_epoch_campaign(tracer)
                         registry = get_registry()
                         registry.counter("longitudinal.epochs_run").add(1)
                         if resumed:
@@ -402,8 +376,8 @@ class LongitudinalEngine:
                             )
                         )
                         if config.adaptive_baselines and baselines is None:
-                            # Seeded once, from the first epoch's rows; a
-                            # restored monitor brings the ones it seeded.
+                            # Seeded once, from the first epoch's rows,
+                            # executed or adopted alike.
                             baselines = config.detector.seeded_baselines(
                                 grouped_success_counts(store)
                             )
@@ -422,11 +396,6 @@ class LongitudinalEngine:
                             with tracer.span("detect", epoch=epoch):
                                 config.detector.resume(
                                     monitor, grouped_success_counts(store, by_day=True)
-                                )
-                            with tracer.span("checkpoint", epoch=epoch):
-                                monitor.save(
-                                    checkpoint_dir / self.STATE_FILE,
-                                    self._monitor_signature,
                                 )
         finally:
             campaign_config.days, campaign_config.day_offset = original_window

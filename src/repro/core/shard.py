@@ -328,9 +328,10 @@ def write_json_atomic(path: str | Path, payload: dict) -> Path:
     which readers ignore (and which the next write reclaims).  The scratch
     is fsynced before the rename — and the directory entry after it — so
     the committed file survives power loss, not just process death.  Shard
-    manifests, sweep-cell manifests, the longitudinal monitor's CUSUM
-    checkpoint and the scenario suites' QUALITY files all go through here;
-    repro-lint's ``atomic-json-write`` rule keeps it that way.
+    manifests (the longitudinal monitor's epoch commits among them),
+    sweep-cell manifests, ``CusumState.save`` and the scenario suites'
+    QUALITY files all go through here; repro-lint's ``atomic-json-write``
+    rule keeps it that way.
     """
     path = Path(path)
     scratch = path.with_suffix(".tmp")

@@ -19,6 +19,7 @@ from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.shard import MANIFEST_NAME
 from repro.core.targets import TargetList
 from repro.core.task_generation import TaskGenerationLimits, TaskGenerationPipeline
+from repro.obs.trace import TRACE_FILENAME
 from repro.population.world import World, WorldConfig
 
 
@@ -89,6 +90,16 @@ def feasibility_report(feasibility_world: World):
     return pipeline.run(target_list.entries)
 
 
+def committed_segments(root: Path) -> set[Path]:
+    """The segment paths named by the manifests under ``root``."""
+    return {
+        Path(segment["path"])
+        for manifest in root.rglob(MANIFEST_NAME)
+        for block in json.loads(manifest.read_text())["blocks"]
+        for segment in block["segments"]
+    }
+
+
 @pytest.fixture
 def orphan_segments():
     """Lists the segment files under a spill root that no manifest commits.
@@ -98,13 +109,29 @@ def orphan_segments():
     """
 
     def find(root: Path) -> set[Path]:
-        committed = {
-            Path(segment["path"])
-            for manifest in root.rglob(MANIFEST_NAME)
-            for block in json.loads(manifest.read_text())["blocks"]
-            for segment in block["segments"]
-        }
-        return set(root.rglob("*.npz")) - committed
+        return set(root.rglob("*.npz")) - committed_segments(root)
+
+    return find
+
+
+@pytest.fixture
+def stray_files():
+    """Lists the files under a checkpoint directory that no commit explains.
+
+    A committed directory holds manifests, the segments they name and each
+    shard's trace file; anything else, such as a scratch file, an
+    uncommitted segment or a state file, is stray.
+    """
+
+    def find(root: Path) -> list[Path]:
+        committed = committed_segments(root)
+        return sorted(
+            path for path in root.rglob("*")
+            if path.is_file()
+            and path.name != MANIFEST_NAME
+            and path not in committed
+            and not (path.name == TRACE_FILENAME and path.parent.name.startswith("shard-"))
+        )
 
     return find
 

@@ -1,7 +1,8 @@
 """Tests for the longitudinal campaign engine and its detection pipeline."""
 
-import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,14 @@ from repro.core.inference import (
 )
 from repro.core.longitudinal import LongitudinalConfig, LongitudinalEngine
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
+from repro.core.query import grouped_success_counts
 from repro.core.store import DaySeries
 from repro.population.world import World, WorldConfig
+
+#: The CUSUM state file earlier versions of the monitor wrote beside the
+#: epoch commits, as they wrote it after ``TestCheckpointedMonitor``'s
+#: first ``KILL_AFTER`` epochs at seed 41.
+EARLIER_STATE_FILE = Path(__file__).parent / "fixtures" / "monitor-cusum-state.json"
 
 
 def longitudinal_world(seed=7):
@@ -36,6 +43,14 @@ def longitudinal_deployment(world=None, seed=11, country_code="DE"):
         country_code=country_code,
     )
     return EncoreDeployment(world or longitudinal_world(), config)
+
+
+def cold_scan(result):
+    """A fresh CUSUM scan of a checkpointed run's whole store."""
+    return result.detector.detect_events(
+        grouped_success_counts(result.collection.store, by_day=True),
+        result.monitor.baselines,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +300,8 @@ class TestLongitudinalRun:
     #: statistic crosses within two days of data.
     LAG_BOUND = 3
 
-    def run_deployment(self, seed=11, **config_kwargs):
-        deployment = longitudinal_deployment(seed=seed)
+    def run_deployment(self, seed=11, country_code="DE", **config_kwargs):
+        deployment = longitudinal_deployment(seed=seed, country_code=country_code)
         timeline = (
             PolicyTimeline()
             .onset(self.ONSET_DAY, "DE", "facebook.com")
@@ -295,7 +310,12 @@ class TestLongitudinalRun:
         kwargs = {"epochs": self.EPOCHS, "visits_per_epoch": 200}
         kwargs.update(config_kwargs)
         config = LongitudinalConfig(**kwargs)
-        return deployment, deployment.run_longitudinal(timeline, config)
+        result = deployment.run_longitudinal(timeline, config)
+        if result.monitor is not None:
+            # Whatever the directory held, the incremental events are a
+            # cold scan's of the store the run ends with.
+            assert result.events() == cold_scan(result)
+        return deployment, result
 
     def test_scripted_onset_detected_within_lag_bound(self):
         deployment, result = self.run_deployment()
@@ -456,24 +476,10 @@ class TestLongitudinalRun:
         with pytest.raises(ValueError):
             LongitudinalEngine(deployment, timeline, LongitudinalConfig(epochs=0))
 
-    def test_monitor_signature_is_pinned(self):
-        """The signature keys every CUSUM checkpoint; a run setting leaking
-        back into it would make restarts reject their own checkpoints."""
-        engine = LongitudinalEngine(
-            longitudinal_deployment(seed=41),
-            PolicyTimeline()
-            .onset(self.ONSET_DAY, "DE", "facebook.com")
-            .offset(self.OFFSET_DAY, "DE", "facebook.com"),
-            LongitudinalConfig(epochs=self.EPOCHS, visits_per_epoch=200),
-        )
-        digest = hashlib.sha256(engine._monitor_signature.encode()).hexdigest()
-        assert digest == (
-            "035878cbeb2e503100233698f17741b881820942b8bd28f46074603b6c22fb79"
-        )
-
 
 class TestCheckpointedMonitor:
-    """The always-on monitor loop: epoch resume + CUSUM checkpointing."""
+    """The always-on monitor loop: epochs committed to a checkpoint
+    directory, adopted on restart, and detection rebuilt from their rows."""
 
     ONSET_DAY = TestLongitudinalRun.ONSET_DAY
     OFFSET_DAY = TestLongitudinalRun.OFFSET_DAY
@@ -481,11 +487,10 @@ class TestCheckpointedMonitor:
     run_deployment = TestLongitudinalRun.run_deployment
     KILL_AFTER = 9
 
-    def test_monitor_matches_stateless_run(self, tmp_path):
+    def test_monitor_matches_stateless_run(self, tmp_path, stray_files):
         _, stateless = self.run_deployment(seed=41)
-        _, monitored = self.run_deployment(
-            seed=41, checkpoint_dir=str(tmp_path / "monitor")
-        )
+        checkpoint = tmp_path / "monitor"
+        _, monitored = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
         assert monitored.monitor is not None
         assert monitored.monitor.days_processed == self.EPOCHS
         # The incremental per-epoch scan accumulated exactly the cold
@@ -493,33 +498,11 @@ class TestCheckpointedMonitor:
         assert monitored.events() == stateless.events()
         assert monitored.day_counts().as_dict() == stateless.day_counts().as_dict()
         assert not any(epoch.resumed for epoch in monitored.epochs)
-        assert (tmp_path / "monitor" / LongitudinalEngine.STATE_FILE).is_file()
-
-    def test_killed_monitor_resumes_to_identical_events(self, tmp_path):
-        checkpoint = tmp_path / "monitor"
-        _, reference = self.run_deployment(
-            seed=41, checkpoint_dir=str(tmp_path / "reference")
-        )
-        # A monitor killed after KILL_AFTER epochs (a shorter horizon stands
-        # in for the kill: the checkpoint on disk is what a crash leaves).
-        _, killed = self.run_deployment(
-            seed=41, epochs=self.KILL_AFTER, checkpoint_dir=str(checkpoint)
-        )
-        assert killed.monitor.days_processed == self.KILL_AFTER
-        # A fresh process: new deployment (same world/campaign seeds), full
-        # horizon, same checkpoint directory.
-        _, resumed = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
-        assert [e.resumed for e in resumed.epochs[: self.KILL_AFTER]] == (
-            [True] * self.KILL_AFTER
-        )
-        assert not any(e.resumed for e in resumed.epochs[self.KILL_AFTER:])
-        assert resumed.events() == reference.events()
-        assert resumed.day_counts().as_dict() == reference.day_counts().as_dict()
-        assert resumed.monitor.days_processed == self.EPOCHS
-        # The completed epochs' events came from the checkpoint verbatim.
-        assert resumed.monitor.events[: len(killed.monitor.events)] == (
-            killed.monitor.events
-        )
+        # The directory holds one commit per epoch and nothing else.
+        names = [entry.name for entry in checkpoint.iterdir()]
+        assert len(names) == self.EPOCHS
+        assert all(name.startswith("campaign-") for name in names)
+        assert stray_files(checkpoint) == []
 
     @staticmethod
     def monitor_state(deployment, result):
@@ -531,10 +514,41 @@ class TestCheckpointedMonitor:
             deployment.coordination.batched_deliveries_failed,
             deployment.scheduler.replication_report(),
             result.events(),
+            result.baselines,
             result.monitor.days_processed,
         )
 
-    def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, inject):
+    @pytest.mark.parametrize("adaptive_baselines", [False, True])
+    @pytest.mark.parametrize("kill_after", [1, KILL_AFTER, EPOCHS - 1])
+    def test_killed_monitor_resumes_to_identical_events(
+        self, tmp_path, stray_files, kill_after, adaptive_baselines
+    ):
+        run = {"seed": 41, "adaptive_baselines": adaptive_baselines}
+        expected = self.monitor_state(
+            *self.run_deployment(checkpoint_dir=str(tmp_path / "reference"), **run)
+        )
+        checkpoint = tmp_path / "monitor"
+        # A monitor killed after kill_after epochs (a shorter horizon stands
+        # in for the kill: the committed epochs are what a crash leaves).
+        _, killed = self.run_deployment(
+            epochs=kill_after, checkpoint_dir=str(checkpoint), **run
+        )
+        assert killed.monitor.days_processed == kill_after
+        assert stray_files(checkpoint) == []
+        # A fresh process: new deployment (same world/campaign seeds), full
+        # horizon, same checkpoint directory.
+        deployment, resumed = self.run_deployment(checkpoint_dir=str(checkpoint), **run)
+        assert [e.resumed for e in resumed.epochs] == (
+            [True] * kill_after + [False] * (self.EPOCHS - kill_after)
+        )
+        assert self.monitor_state(deployment, resumed) == expected
+        # The killed run's events are the first ones the resumed run rebuilt.
+        assert resumed.monitor.events[: len(killed.monitor.events)] == (
+            killed.monitor.events
+        )
+        assert stray_files(checkpoint) == []
+
+    def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, stray_files, inject):
         """Kill the monitor with ``inject``, resume it, compare with a clean run.
 
         Returns the resumed run's per-epoch ``resumed`` flags and the
@@ -543,6 +557,7 @@ class TestCheckpointedMonitor:
         expected = self.monitor_state(
             *self.run_deployment(seed=41, checkpoint_dir=str(tmp_path / "reference"))
         )
+        assert stray_files(tmp_path / "reference") == []
         checkpoint = tmp_path / "monitor"
         inject(monkeypatch)
         with pytest.raises(OSError, match="injected crash"):
@@ -555,9 +570,12 @@ class TestCheckpointedMonitor:
         assert self.monitor_state(deployment, resumed) == expected
         assert not any(path.exists() for path in orphans)
         assert orphan_segments(checkpoint) == set()
+        assert stray_files(checkpoint) == []
         return [e.resumed for e in resumed.epochs], orphans
 
-    def test_crash_in_a_manifest_write(self, tmp_path, monkeypatch, orphan_segments):
+    def test_crash_in_a_manifest_write(
+        self, tmp_path, monkeypatch, orphan_segments, stray_files
+    ):
         from repro.core import shard as shard_module
 
         real_write = shard_module.write_manifest
@@ -570,7 +588,7 @@ class TestCheckpointedMonitor:
             return real_write(shard_dir, manifest)
 
         resumed, orphans = self.crash_and_resume(
-            tmp_path, monkeypatch, orphan_segments,
+            tmp_path, monkeypatch, orphan_segments, stray_files,
             lambda patch: patch.setattr(shard_module, "write_manifest", write_manifest),
         )
         # Epoch KILL_AFTER spilled its segments but never committed them.
@@ -579,54 +597,84 @@ class TestCheckpointedMonitor:
             self.EPOCHS - self.KILL_AFTER
         )
 
-    def test_crash_in_a_cusum_checkpoint(self, tmp_path, monkeypatch, orphan_segments):
-        real_save = CusumState.save
-        calls = []
-
-        def save(state, path, signature=None):
-            calls.append(path)
-            if len(calls) == self.KILL_AFTER + 1:
-                raise OSError("injected crash")
-            real_save(state, path, signature)
-
-        resumed, orphans = self.crash_and_resume(
-            tmp_path, monkeypatch, orphan_segments,
-            lambda patch: patch.setattr(CusumState, "save", save),
-        )
-        # Epoch KILL_AFTER committed its rows, so the resume adopts them and
-        # re-scans its day from the previous epoch's checkpoint.
-        assert not orphans
-        assert resumed == [True] * (self.KILL_AFTER + 1) + [False] * (
-            self.EPOCHS - self.KILL_AFTER - 1
-        )
-
-    def test_lost_cusum_checkpoint_rescans(self, tmp_path):
+    def test_restart_rescans_the_adopted_epochs(self, tmp_path, stray_files):
         checkpoint = tmp_path / "monitor"
         self.run_deployment(
             seed=41, epochs=self.KILL_AFTER, checkpoint_dir=str(checkpoint)
         )
-        (checkpoint / LongitudinalEngine.STATE_FILE).unlink()
         _, restarted = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
-        # The CUSUM state starts fresh; the epoch campaigns still adopt the
-        # completed epochs' rows from their manifests (that is cheap replay,
-        # not stale state: the fold + scan cover those rows again).
+        # The CUSUM state starts fresh; the epoch campaigns adopt the
+        # completed epochs' rows from their manifests, and the fold + scan
+        # cover those rows again.
         assert [e.resumed for e in restarted.epochs[: self.KILL_AFTER]] == (
             [True] * self.KILL_AFTER
         )
         assert restarted.monitor.days_processed == self.EPOCHS
         _, stateless = self.run_deployment(seed=41)
         assert restarted.events() == stateless.events()
+        assert stray_files(checkpoint) == []
 
-    def test_adaptive_baselines_seed_and_persist(self, tmp_path):
-        _, result = self.run_deployment(
-            seed=43, checkpoint_dir=str(tmp_path), adaptive_baselines=True
+    def test_shorter_rerun_reports_only_its_own_days(self, tmp_path):
+        """A rerun with a shorter horizon adopts its epochs from a longer
+        run's directory and reports what those days show, nothing later."""
+        checkpoint = tmp_path / "monitor"
+        self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
+        _, rerun = self.run_deployment(
+            seed=41, epochs=self.KILL_AFTER, checkpoint_dir=str(checkpoint)
         )
-        baselines = result.monitor.baselines
+        _, stateless = self.run_deployment(seed=41, epochs=self.KILL_AFTER)
+        assert all(epoch.resumed for epoch in rerun.epochs)
+        assert rerun.events() == cold_scan(rerun) == stateless.events()
+        assert [e.kind for e in rerun.events()] == ["onset"]
+
+    def test_rerun_for_another_country_reports_no_event(self, tmp_path):
+        """Another campaign in the same directory commits its own epochs and
+        reports only what its own rows show."""
+        checkpoint = tmp_path / "monitor"
+        self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
+        _, french = self.run_deployment(
+            seed=41, country_code="FR", checkpoint_dir=str(checkpoint)
+        )
+        assert not any(epoch.resumed for epoch in french.epochs)
+        assert {row.country_code for row in french.collection.store.rows()} == {"FR"}
+        assert french.events() == cold_scan(french) == []
+
+    @pytest.mark.parametrize("leftover", ["earlier-version", "garbage"])
+    def test_resume_ignores_a_leftover_state_file(self, tmp_path, stray_files, leftover):
+        """A directory earlier versions wrote holds a CUSUM state file beside
+        the epoch commits; a resume reads only the commits."""
+        expected = self.monitor_state(
+            *self.run_deployment(seed=41, checkpoint_dir=str(tmp_path / "reference"))
+        )
+        checkpoint = tmp_path / "monitor"
+        self.run_deployment(
+            seed=41, epochs=self.KILL_AFTER, checkpoint_dir=str(checkpoint)
+        )
+        state_file = checkpoint / "cusum-state.json"
+        if leftover == "garbage":
+            state_file.write_bytes(b'{"signature": "trunc')
+        else:
+            shutil.copyfile(EARLIER_STATE_FILE, state_file)
+        deployment, resumed = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
+        assert [e.resumed for e in resumed.epochs[: self.KILL_AFTER]] == (
+            [True] * self.KILL_AFTER
+        )
+        assert self.monitor_state(deployment, resumed) == expected
+        assert stray_files(checkpoint) == [state_file]
+
+    def test_adaptive_baselines_seed_and_persist(self, tmp_path, stray_files):
+        run = {"seed": 43, "checkpoint_dir": str(tmp_path), "adaptive_baselines": True}
+        _, first = self.run_deployment(**run)
+        baselines = first.monitor.baselines
         assert baselines
         assert all(0.0 < rate <= 1.0 for rate in baselines.values())
-        restored = CusumState.load(tmp_path / LongitudinalEngine.STATE_FILE)
-        assert restored.baselines == baselines
-
+        # A restart that adopts every epoch re-seeds the same baselines from
+        # the adopted first epoch; nothing on disk carries them.
+        _, restarted = self.run_deployment(**run)
+        assert all(epoch.resumed for epoch in restarted.epochs)
+        assert restarted.baselines == restarted.monitor.baselines == baselines
+        assert restarted.events() == first.events()
+        assert stray_files(tmp_path) == []
 
     def test_adaptive_baselines_apply_with_and_without_a_checkpoint(self, tmp_path):
         # A stateless run seeds the same baselines after its first epoch

@@ -451,15 +451,17 @@ class TestCrashPoints:
             result.detect().detected_pairs(),
         )
 
-    def uninterrupted_state(self, tmp_path):
+    def uninterrupted_state(self, tmp_path, stray_files):
         reference = small_deployment()
-        return self.campaign_state(
+        state = self.campaign_state(
             reference,
             reference.run_campaign(worker_spill_dir=str(tmp_path / "reference"), **self.RUN),
         )
+        assert stray_files(tmp_path / "reference") == []
+        return state
 
-    def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, inject):
-        expected = self.uninterrupted_state(tmp_path)
+    def crash_and_resume(self, tmp_path, monkeypatch, orphan_segments, stray_files, inject):
+        expected = self.uninterrupted_state(tmp_path, stray_files)
         spill = tmp_path / "spill"
         inject(monkeypatch)
         with pytest.raises(OSError, match="injected crash"):
@@ -479,6 +481,7 @@ class TestCrashPoints:
         assert self.campaign_state(resumed, result) == expected
         assert not any(path.exists() for path in orphans)
         assert orphan_segments(spill) == set()
+        assert stray_files(spill) == []
 
     def fail_manifest_write(self, monkeypatch, fail):
         """Make shard 1's manifest write call ``fail()`` instead."""
@@ -497,7 +500,9 @@ class TestCrashPoints:
     def injected_crash():
         raise OSError("injected crash")
 
-    def test_crash_in_a_segment_spill(self, tmp_path, monkeypatch, orphan_segments):
+    def test_crash_in_a_segment_spill(
+        self, tmp_path, monkeypatch, orphan_segments, stray_files
+    ):
         from repro.core import store as store_module
 
         real_spill = store_module._Segment.spill
@@ -513,22 +518,24 @@ class TestCrashPoints:
             real_spill(segment, path)
 
         self.crash_and_resume(
-            tmp_path, monkeypatch, orphan_segments,
+            tmp_path, monkeypatch, orphan_segments, stray_files,
             lambda patch: patch.setattr(store_module._Segment, "spill", spill),
         )
 
-    def test_crash_in_a_manifest_write(self, tmp_path, monkeypatch, orphan_segments):
+    def test_crash_in_a_manifest_write(
+        self, tmp_path, monkeypatch, orphan_segments, stray_files
+    ):
         self.crash_and_resume(
-            tmp_path, monkeypatch, orphan_segments,
+            tmp_path, monkeypatch, orphan_segments, stray_files,
             lambda patch: self.fail_manifest_write(patch, self.injected_crash),
         )
 
     def test_same_deployment_retry_resumes_the_failed_campaign(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, stray_files
     ):
         # The failed run claimed neither the campaign epoch nor the visit
         # range, so the retry is the same campaign, in the same directory.
-        expected = self.uninterrupted_state(tmp_path)
+        expected = self.uninterrupted_state(tmp_path, stray_files)
         spill = tmp_path / "spill"
         deployment = small_deployment()
         self.fail_manifest_write(monkeypatch, self.injected_crash)
@@ -547,6 +554,7 @@ class TestCrashPoints:
         assert deployment.campaigns_run == 1
         assert self.campaign_state(deployment, result) == expected
         assert len(list(spill.glob("campaign-*"))) == 1
+        assert stray_files(spill) == []
 
     def damaged_resume(self, tmp_path, damage):
         """Commit the campaign, ``damage`` shard 1's first segment, resume.
@@ -587,9 +595,9 @@ class TestCrashPoints:
             Path(segment["path"]), segment["rows"], segment["rows"] - 1
         )
 
-    def test_missing_segment_re_executes_its_shard(self, tmp_path):
+    def test_missing_segment_re_executes_its_shard(self, tmp_path, stray_files):
         # A segment that is gone, not damaged, is a cache miss.
-        expected = self.uninterrupted_state(tmp_path)
+        expected = self.uninterrupted_state(tmp_path, stray_files)
         spill = tmp_path / "spill"
         small_deployment().run_campaign(worker_spill_dir=str(spill), **self.RUN)
         (victim,) = spill.glob(f"campaign-*/{self.VICTIM}")
@@ -603,18 +611,21 @@ class TestCrashPoints:
             (0, True), (1, False), (2, True)
         ]
         assert self.campaign_state(resumed, result) == expected
+        assert stray_files(spill) == []
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the patched manifest write reaches workers only through fork",
     )
-    def test_dead_process_worker(self, tmp_path, monkeypatch, orphan_segments):
+    def test_dead_process_worker(
+        self, tmp_path, monkeypatch, orphan_segments, stray_files
+    ):
         # Shard 1's forked worker dies before its manifest lands, which
         # breaks the pool.  Which other shards committed first is a race,
         # so only shard 1's re-execution is asserted.
         from concurrent.futures.process import BrokenProcessPool
 
-        expected = self.uninterrupted_state(tmp_path)
+        expected = self.uninterrupted_state(tmp_path, stray_files)
         run = {**self.RUN, "shard_executor": "process",
                "worker_spill_dir": str(tmp_path / "spill")}
         self.fail_manifest_write(monkeypatch, lambda: os._exit(1))
@@ -628,6 +639,7 @@ class TestCrashPoints:
         assert (1, False) in [(p.shard_index, p.resumed) for p in seen]
         assert self.campaign_state(resumed, result) == expected
         assert orphan_segments(tmp_path / "spill") == set()
+        assert stray_files(tmp_path / "spill") == []
 
 
 class TestStoreMerger:
