@@ -646,10 +646,10 @@ def _forge_cell(payload: dict) -> str:
     """Worker entrypoint: forge one cell's corpus, seal it, commit a manifest.
 
     The forged columns ingest into a cell-private store as one chunk, which
-    spills as one ``.npz`` segment under the cell directory; the manifest —
-    segment path, value tables, counters — is written last via an atomic
-    rename after the segment is flushed, exactly like a campaign shard's,
-    and only its path crosses the process boundary.
+    spills as one ``.npz`` segment in the cell directory; the manifest —
+    segment file name, value tables, counters — is written last via an
+    atomic rename after the segment is flushed, exactly like a campaign
+    shard's, and only its path crosses the process boundary.
     """
     campaign = PoisoningCampaign(
         target_domain=payload["target_domain"],
@@ -662,9 +662,8 @@ def _forge_cell(payload: dict) -> str:
     cell_dir = Path(payload["cell_dir"])
     if cell_dir.exists():
         # No valid manifest means whatever sits here is a dead attempt's
-        # partial output; clear it rather than adopting orphaned segments.
+        # partial output; clear it, and the spill below makes it afresh.
         shutil.rmtree(cell_dir)
-    cell_dir.mkdir(parents=True, exist_ok=True)
     store = MeasurementStore(spill_dir=cell_dir)
     attacker.forge_columns(campaign).append_to(store)
     store.spill()
@@ -677,14 +676,14 @@ def _forge_cell(payload: dict) -> str:
                 "rows": len(store),
                 # One chunk in, so at most one segment out.
                 "segments": [
-                    {"path": str(path), "rows": len(store)} for path in store.segment_files
+                    {"path": path.name, "rows": len(store)} for path in store.segment_files
                 ],
             }
         ],
         "value_tables": serialize_value_tables(store.value_tables()),
         "counters": {"stored": len(store)},
     }
-    _flush_segments(manifest)
+    _flush_segments(cell_dir, manifest)
     return str(write_manifest(cell_dir, manifest))
 
 

@@ -18,9 +18,9 @@ single coherent :class:`~repro.core.store.MeasurementStore`:
    blocks, ingesting into a private collection server whose store seals and
    spills one ``.npz`` segment per block into the worker's shard directory.
    No measurement row ever crosses a process boundary: the only thing a
-   worker sends back is the path of its JSON **manifest** — segment paths,
-   dictionary value tables, and counters — written atomically as the
-   shard's commit marker, which doubles as a crash-resume checkpoint.
+   worker sends back is the path of its JSON **manifest** — segment file
+   names, value tables and counters — written atomically beside them as
+   the shard's commit marker, a crash-resume checkpoint that survives a move.
 3. **Merge.**  A :class:`StoreMerger` mounts every worker's segments into
    the deployment's store by *segment adoption*: the files stay where they
    are, dictionary codes are reconciled through per-shard translation
@@ -47,7 +47,7 @@ import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Callable, Sequence
 
 import multiprocessing
@@ -224,11 +224,11 @@ def execute_shard(
     Every block runs the runner's plan → execute → ingest loop into a
     shard-private collection server; a whole block is one plan, so one
     chunk, and the store spills after each block, so each block with rows
-    becomes exactly one ``.npz`` segment on disk.  The manifest — segment
-    paths, value tables, counters — is written last via an atomic rename
-    (and returned), after every segment it lists is flushed: its presence
-    is the shard's commit marker, and a worker killed mid-shard leaves no
-    manifest and is simply re-executed on resume.
+    becomes exactly one ``.npz`` segment in ``shard_dir``.  The manifest —
+    segment file names, value tables, counters — is written last via an
+    atomic rename (and returned as :func:`read_manifest` reads it), after
+    every segment it lists is flushed: its presence is the commit marker,
+    and a worker killed mid-shard leaves none and is re-executed on resume.
 
     With ``trace`` on, the shard writes its own span stream next to its
     segments; ``run_sharded`` absorbs it into the campaign trace after the
@@ -237,8 +237,8 @@ def execute_shard(
     shard_dir = Path(shard_dir)
     if shard_dir.exists():
         # A shard only (re)executes when it has no valid manifest, so
-        # whatever sits here is a dead attempt's partial output; clear it
-        # rather than letting orphaned segments pile up across retries.
+        # whatever sits here is a dead attempt's partial output; clear it,
+        # or its segments would block this attempt's same-named spills.
         shutil.rmtree(shard_dir)
     shard_dir.mkdir(parents=True, exist_ok=True)
     tracer = Tracer(shard_dir / TRACE_FILENAME) if trace else NULL_TRACER
@@ -283,7 +283,7 @@ def execute_shard(
                     # One chunk in, so at most one segment out, holding
                     # every row the block stored.
                     "segments": [
-                        {"path": str(path), "rows": stored}
+                        {"path": path.name, "rows": stored}
                         for path in store.segment_files[segments_before:]
                     ],
                 }
@@ -305,11 +305,11 @@ def execute_shard(
         "duration_s": monotonic() - started,
     }
     with tracer.span("manifest", shard=assignment.shard_index):
-        _flush_segments(manifest)
-        write_manifest(shard_dir, manifest)
+        _flush_segments(shard_dir, manifest)
+        manifest_path = write_manifest(shard_dir, manifest)
     tracer.record_metrics(scope=f"shard-{assignment.shard_index:03d}")
     tracer.close()
-    return manifest
+    return read_manifest(manifest_path)
 
 
 def serialize_value_tables(tables: dict[str, list]) -> dict[str, list]:
@@ -366,20 +366,16 @@ def _fsync_path(path: Path) -> None:
         os.close(fd)
 
 
-def _flush_segments(manifest: dict) -> None:
-    """fsync every segment ``manifest`` lists and the directories holding them.
+def _flush_segments(directory: Path, manifest: dict) -> None:
+    """fsync every segment ``manifest`` names in ``directory``, then ``directory``.
 
     Run before the manifest is written, so a manifest that survives power
     loss never names a segment that did not.
     """
-    paths = [
-        Path(segment["path"]) for block in manifest["blocks"] for segment in block["segments"]
-    ]
-    directories = {path.parent for path in paths}
-    # Each segment directory is itself an entry of the shard directory.
-    directories |= {directory.parent for directory in directories}
-    for path in paths + sorted(directories):
-        _fsync_path(path)
+    for block in manifest["blocks"]:
+        for segment in block["segments"]:
+            _fsync_path(directory / segment["path"])
+    _fsync_path(directory)
 
 
 def write_manifest(shard_dir: str | Path, manifest: dict) -> Path:
@@ -392,11 +388,25 @@ def write_manifest(shard_dir: str | Path, manifest: dict) -> Path:
 
 
 def read_manifest(path: str | Path) -> dict | None:
-    """The manifest at ``path``, or ``None`` if missing or unparseable."""
+    """The manifest at ``path``, or ``None`` if missing, unparseable or no manifest.
+
+    Anything but a JSON object whose blocks list their segments is no
+    manifest.  Each segment's ``path`` comes back absolute, beside the
+    manifest (in an earlier writer's ``store-*`` directory there): the
+    location its writer recorded is never read, so a moved or copied
+    directory reads its own.
+    """
+    path = Path(path).absolute()
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError):
+        manifest = json.loads(path.read_text())
+        for block in manifest["blocks"]:
+            for segment in block["segments"]:
+                recorded = PurePath(segment["path"])
+                kept = 2 if recorded.parent.name.startswith("store-") else 1
+                segment["path"] = str(path.parent.joinpath(*recorded.parts[-kept:]))
+    except (OSError, ValueError, LookupError, TypeError):
         return None
+    return manifest
 
 
 def manifest_segments_intact(manifest: dict) -> bool:
@@ -442,8 +452,8 @@ def shard_worker(payload: dict) -> str:
         payload["visit_base"],
         trace=payload.get("trace", False),
     )
-    # Only the path crosses the process boundary; the parent re-reads the
-    # committed manifest (never measurement rows) off disk.
+    # Only the path crosses the process boundary; the parent reads the
+    # committed manifest (never measurement rows) back through read_manifest.
     return str(Path(payload["shard_dir"]) / MANIFEST_NAME)
 
 
@@ -762,8 +772,7 @@ def _run_process_pool(
             }
             for future in as_completed(futures):
                 shard_index = futures[future]
-                manifest_path = Path(future.result())
-                manifests[shard_index] = json.loads(manifest_path.read_text())
+                manifests[shard_index] = read_manifest(future.result())
                 note_progress(shard_index)
     finally:
         _FORK_DEPLOYMENT = None

@@ -21,11 +21,11 @@ instead:
   to the one group-by kernel in :mod:`repro.core.query`, whose wrappers
   (``grouped_success_counts`` and friends) are the reduction API.
 * **Committed segments.**  :meth:`MeasurementStore.spill` writes every
-  sealed segment to an ``.npz`` file under the store's ``spill_dir``; a
-  shard worker or a sweep cell does so once per block or cell, and the
-  manifest naming those files is its commit.  Stores that adopt the files
-  read them on demand: queries transparently concatenate spilled and
-  resident segments — and only load the columns they touch, so the
+  sealed segment to an ``.npz`` file in the store's ``spill_dir``; a shard
+  worker or a sweep cell does so once per block or cell, and the manifest
+  beside them, naming each by file name, is its commit.  Stores that adopt
+  the files read them on demand: queries transparently concatenate spilled
+  and resident segments — and only load the columns they touch, so the
   detection pipeline over a merged store never reads the string columns.
 * **One materializer.**  :meth:`rows` builds
   :class:`~repro.core.collection.Measurement` dataclasses on demand, for
@@ -37,7 +37,6 @@ instead:
 
 from __future__ import annotations
 
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -406,7 +405,8 @@ class _Segment:
 
     def spill(self, path: Path) -> None:
         assert self.columns is not None
-        np.savez(path, **self.columns)
+        with open(path, "xb") as handle:
+            np.savez(handle, **self.columns)
         self.path = path
         self.columns = None
         get_registry().counter("store.segments_spilled").add(1)
@@ -426,9 +426,9 @@ class MeasurementStore:
 
     ``segment_rows`` controls how many pending rows are batched before they
     are sealed into an immutable segment.  Rows stay resident until
-    :meth:`spill` writes them under ``spill_dir``, which only a store given
+    :meth:`spill` writes them into ``spill_dir``, which only a store given
     one can do: a shard worker's or a sweep cell's, whose manifest then
-    commits the files.
+    commits the files.  One store owns its ``spill_dir``.
     """
 
     DEFAULT_SEGMENT_ROWS = 65_536
@@ -442,10 +442,6 @@ class MeasurementStore:
             raise ValueError("segment_rows must be positive")
         self.segment_rows = segment_rows or self.DEFAULT_SEGMENT_ROWS
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
-        #: Unique per-store directory under ``spill_dir``, created on first
-        #: spill, so stores sharing one configured directory (e.g. a sweep's
-        #: campaigns) never overwrite each other's segment files.
-        self._spill_subdir: Path | None = None
         self._segments: list[_Segment] = []
         self._pending: list[dict[str, np.ndarray]] = []
         self._pending_rows = 0
@@ -676,13 +672,6 @@ class MeasurementStore:
         self._pending_rows = 0
         get_registry().counter("store.segments_sealed").add(1)
 
-    def _next_spill_path(self) -> Path:
-        if self._spill_subdir is None:
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
-            self._spill_subdir = Path(tempfile.mkdtemp(prefix="store-", dir=self._spill_dir))
-        self._spill_count += 1
-        return self._spill_subdir / f"segment-{self._spill_count:05d}.npz"
-
     def seal_pending(self) -> None:
         """Seal the pending row buffer into an immutable segment now.
 
@@ -698,16 +687,19 @@ class MeasurementStore:
     def spill(self) -> int:
         """Seal pending rows and spill every resident segment; returns spilled count.
 
-        Raises :exc:`ValueError`, before sealing or writing anything, on a
-        store built without a ``spill_dir``.
+        Each segment becomes a new ``spill_dir/segment-NNNNN.npz``; an existing
+        file raises :exc:`FileExistsError`, and a store built without a
+        ``spill_dir`` raises :exc:`ValueError` before sealing or writing anything.
         """
         if self._spill_dir is None:
             raise ValueError("spill() needs a store built with a spill_dir")
         self._seal_pending()
+        self._spill_dir.mkdir(parents=True, exist_ok=True)
         spilled = 0
         for seg in self._segments:
             if not seg.spilled:
-                seg.spill(self._next_spill_path())
+                self._spill_count += 1
+                seg.spill(self._spill_dir / f"segment-{self._spill_count:05d}.npz")
                 spilled += 1
         self._column_cache.clear()
         self._column_cache_version = -1

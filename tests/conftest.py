@@ -8,7 +8,6 @@ that only reads them.  Tests that mutate state build their own objects.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.shard import MANIFEST_NAME
+from repro.core.shard import MANIFEST_NAME, read_manifest
 from repro.core.targets import TargetList
 from repro.core.task_generation import TaskGenerationLimits, TaskGenerationPipeline
 from repro.obs.trace import TRACE_FILENAME
@@ -91,11 +90,11 @@ def feasibility_report(feasibility_world: World):
 
 
 def committed_segments(root: Path) -> set[Path]:
-    """The segment paths named by the manifests under ``root``."""
+    """The segment paths named by the manifests under ``root``, as read."""
     return {
         Path(segment["path"])
         for manifest in root.rglob(MANIFEST_NAME)
-        for block in json.loads(manifest.read_text())["blocks"]
+        for block in read_manifest(manifest)["blocks"]
         for segment in block["segments"]
     }
 
@@ -116,21 +115,25 @@ def orphan_segments():
 
 @pytest.fixture
 def stray_files():
-    """Lists the files under a checkpoint directory that no commit explains.
+    """Lists the entries under a checkpoint directory that no commit explains.
 
-    A committed directory holds manifests, the segments they name and each
-    shard's trace file; anything else, such as a scratch file, an
-    uncommitted segment or a state file, is stray.
+    A committed directory holds manifests, the segments they name beside
+    them and each shard's trace file; anything else, such as a scratch
+    file, an uncommitted segment, a state file or a directory inside a
+    shard or sweep-cell directory, is stray.
     """
 
     def find(root: Path) -> list[Path]:
         committed = committed_segments(root)
         return sorted(
             path for path in root.rglob("*")
-            if path.is_file()
-            and path.name != MANIFEST_NAME
-            and path not in committed
-            and not (path.name == TRACE_FILENAME and path.parent.name.startswith("shard-"))
+            if (path.is_dir() and path.parent.name.startswith(("shard-", "cell-")))
+            or (
+                path.is_file()
+                and path.name != MANIFEST_NAME
+                and path not in committed
+                and not (path.name == TRACE_FILENAME and path.parent.name.startswith("shard-"))
+            )
         )
 
     return find

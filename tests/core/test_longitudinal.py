@@ -17,6 +17,7 @@ from repro.core.inference import (
 from repro.core.longitudinal import LongitudinalConfig, LongitudinalEngine
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.query import grouped_success_counts
+from repro.core.robustness import AdversarySweep
 from repro.core.store import DaySeries
 from repro.population.world import World, WorldConfig
 
@@ -24,6 +25,11 @@ from repro.population.world import World, WorldConfig
 #: epoch commits, as they wrote it after ``TestCheckpointedMonitor``'s
 #: first ``KILL_AFTER`` epochs at seed 41.
 EARLIER_STATE_FILE = Path(__file__).parent / "fixtures" / "monitor-cusum-state.json"
+#: A monitor checkpoint directory as earlier versions wrote it, six epochs
+#: of ``TestMovedCheckpoint.run``: each manifest names its segment by the
+#: absolute path its writer used, in a ``store-*`` directory of the shard
+#: directory, under a root that no longer exists.
+EARLIER_CHECKPOINT = Path(__file__).parent / "fixtures" / "monitor-checkpoint"
 
 
 def longitudinal_world(seed=7):
@@ -32,10 +38,10 @@ def longitudinal_world(seed=7):
     )
 
 
-def longitudinal_deployment(world=None, seed=11, country_code="DE"):
+def longitudinal_deployment(world=None, seed=11, country_code="DE", visits=200):
     """A §7.2-style deployment every visitor of which sits in one country."""
     config = CampaignConfig(
-        visits=200,
+        visits=visits,
         include_testbed=False,
         favicons_only=True,
         target_domains=("facebook.com", "youtube.com", "twitter.com"),
@@ -568,7 +574,6 @@ class TestCheckpointedMonitor:
         # checkpoint directory.
         deployment, resumed = self.run_deployment(seed=41, checkpoint_dir=str(checkpoint))
         assert self.monitor_state(deployment, resumed) == expected
-        assert not any(path.exists() for path in orphans)
         assert orphan_segments(checkpoint) == set()
         assert stray_files(checkpoint) == []
         return [e.resumed for e in resumed.epochs], orphans
@@ -686,6 +691,64 @@ class TestCheckpointedMonitor:
         assert stateless.baselines
         assert stateless.baselines == monitored.baselines == monitored.monitor.baselines
         assert stateless.events() == monitored.events()
+
+
+class TestMovedCheckpoint:
+    """A checkpoint directory holds its segments beside their manifests, so
+    it adopts every committed epoch after a move, as a copy that outlives
+    its original, or from another working directory."""
+
+    EPOCHS = 6
+
+    def run(self, epochs=EPOCHS, checkpoint_dir=None):
+        """The monitoring example's DE-pinned world, with an onset on day 2."""
+        deployment = longitudinal_deployment(longitudinal_world(seed=42), seed=42, visits=100)
+        return deployment.run_longitudinal(
+            PolicyTimeline().onset(2, "DE", "facebook.com"),
+            LongitudinalConfig(
+                epochs=epochs, visits_per_epoch=100, checkpoint_dir=checkpoint_dir
+            ),
+        )
+
+    def test_a_moved_earlier_directory_adopts_every_epoch(self, tmp_path):
+        checkpoint = tmp_path / "monitor"
+        shutil.copytree(EARLIER_CHECKPOINT, checkpoint)
+        resumed = self.run(checkpoint_dir=str(checkpoint))
+        stateless = self.run()
+        assert [epoch.resumed for epoch in resumed.epochs] == [True] * self.EPOCHS
+        assert resumed.collection.store.rows() == stateless.collection.store.rows()
+        assert resumed.events() == stateless.events() != []
+
+    def test_a_copy_outlives_its_original(self, tmp_path, stray_files):
+        original, copy = tmp_path / "original", tmp_path / "copy"
+        self.run(checkpoint_dir=str(original))
+        shutil.copytree(original, copy)
+        resumed = self.run(checkpoint_dir=str(copy))
+        shutil.rmtree(original)
+        stateless = self.run()
+        assert [epoch.resumed for epoch in resumed.epochs] == [True] * self.EPOCHS
+        assert (
+            grouped_success_counts(resumed.collection.store).as_dict()
+            == grouped_success_counts(stateless.collection.store).as_dict()
+        )
+        budgets = [(100, 4), (400, 8)]
+        sweep = AdversarySweep(executor="inline")
+        assert sweep.run(resumed.collection, "facebook.com", "DE", budgets) == sweep.run(
+            stateless.collection, "facebook.com", "DE", budgets
+        )
+        assert stray_files(copy) == []
+
+    def test_a_relative_directory_adopts_from_another_working_directory(
+        self, tmp_path, monkeypatch, stray_files
+    ):
+        (tmp_path / "cwdA").mkdir()
+        monkeypatch.chdir(tmp_path / "cwdA")
+        written = self.run(epochs=4, checkpoint_dir="mon").collection.store.rows()
+        monkeypatch.chdir(tmp_path)
+        resumed = self.run(epochs=4, checkpoint_dir="cwdA/mon")
+        assert [epoch.resumed for epoch in resumed.epochs] == [True] * 4
+        assert resumed.collection.store.rows() == written
+        assert stray_files(tmp_path / "cwdA" / "mon") == []
 
 
 class TestTimelineReportAttribution:

@@ -217,9 +217,10 @@ class TestStoreMatchesRowListSemantics:
         assert len(set(store.segment_files)) == 3
         assert store.rows() == corpus
 
-    def test_stores_sharing_a_spill_dir_do_not_collide(self, tmp_path):
-        # Regression: two stores pointed at one spill_dir (e.g. a sweep's
-        # campaigns) must not overwrite each other's segment files.
+    def test_a_second_store_cannot_spill_over_the_first(self, tmp_path):
+        # A store owns its spill_dir and creates each segment file
+        # exclusively: a second store spilling into the same directory
+        # raises instead of overwriting the first store's segments.
         first_corpus = TestDerivedCaches().make_corpus(10)
         second_corpus = [
             Measurement(**{**m.__dict__, "measurement_id": f"other-{i}"})
@@ -230,7 +231,8 @@ class TestStoreMatchesRowListSemantics:
         first.append_rows(first_corpus)
         second.append_rows(second_corpus)
         first.spill()
-        second.spill()
+        with pytest.raises(FileExistsError):
+            second.spill()
         assert first.rows() == first_corpus
         assert second.rows() == second_corpus
 

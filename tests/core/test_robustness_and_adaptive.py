@@ -17,6 +17,7 @@ from repro.core.robustness import (
     PoisoningCampaign,
     ReputationFilter,
 )
+from repro.core.shard import read_manifest
 from repro.core.store import MeasurementStore, SegmentRowsError
 from repro.population.geoip import GeoIPDatabase
 
@@ -359,9 +360,10 @@ class TestAdversarySweep:
             spill_dir=str(root),
         )
         (manifest_path,) = root.glob("cell-*/manifest.json")
-        (segment,) = json.loads(manifest_path.read_text())["blocks"][0]["segments"]
+        (segment,) = read_manifest(manifest_path)["blocks"][0]["segments"]
         path = Path(segment["path"])
-        assert {path, path.parent, path.parent.parent} <= flushed_before(manifest_path)
+        assert path.parent == manifest_path.parent
+        assert {path, manifest_path.parent} <= flushed_before(manifest_path)
 
     def test_sweep_on_a_spilled_honest_store(self, detection_result, tmp_path):
         """Adopting a spilled honest corpus gives identical verdicts."""
@@ -555,6 +557,24 @@ class TestSweepGuards:
             )
         assert list(root.iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", '{"blocks": 3}'])
+    def test_json_that_is_no_manifest_re_forges_its_cell(
+        self, detection_result, tmp_path, stray_files, text
+    ):
+        # Valid JSON that is not an object, or an object without blocks of
+        # segments, is a cache miss: the cell is forged again and the
+        # sweep's verdicts are unchanged.
+        root = tmp_path / "sweep"
+        budgets = [(100, 4), (400, 8)]
+        run = {"executor": "inline", "seed": 5, "spill_dir": str(root)}
+        first = detection_result.adversary_sweep("facebook.com", "DE", budgets, **run)
+        victim = sorted(root.glob("cell-*/manifest.json"))[1]
+        victim.write_text(text)
+        assert read_manifest(victim) is None
+        assert detection_result.adversary_sweep("facebook.com", "DE", budgets, **run) == first
+        assert read_manifest(victim) is not None
+        assert stray_files(root) == []
+
     @pytest.mark.parametrize("damage", ["20 rows too many", "20 rows too few", "truncated"])
     def test_resumed_sweep_names_a_bad_cached_segment(
         self, detection_result, tmp_path, damage
@@ -565,7 +585,7 @@ class TestSweepGuards:
             "facebook.com", "DE", budgets, executor="inline", spill_dir=str(root)
         )
         (manifest_path,) = root.glob("cell-*/manifest.json")
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_manifest(manifest_path)
         block = manifest["blocks"][0]
         (segment,) = block["segments"]
         path = Path(segment["path"])

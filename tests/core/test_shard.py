@@ -28,6 +28,7 @@ from repro.core.shard import (
     campaign_signature,
     execute_shard,
     load_manifest,
+    read_manifest,
     write_json_atomic,
 )
 from repro.core.query import grouped_success_counts
@@ -230,6 +231,23 @@ class TestShardProgressAndResume:
         (shard_dir / MANIFEST_NAME).write_text(json.dumps(stale))
         assert load_manifest(shard_dir, signature, assignment) is None
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", '{"blocks": 3}'])
+    def test_json_that_is_no_manifest_re_executes_its_shard(self, tmp_path, text):
+        # Valid JSON that is not an object, or an object without blocks of
+        # segments, is a cache miss like a foreign signature: the shard runs
+        # again and the campaign is unchanged.
+        run = {"mode": "sharded", "num_shards": 2, "shard_executor": "inline",
+               "worker_spill_dir": str(tmp_path)}
+        first = small_deployment().run_campaign(**run)
+        victim = sorted(tmp_path.rglob(f"shard-001-*/{MANIFEST_NAME}"))[0]
+        victim.write_text(text)
+        assert read_manifest(victim) is None
+        seen = []
+        result = small_deployment().run_campaign(progress=seen.append, **run)
+        assert [(p.shard_index, p.resumed) for p in seen] == [(0, True), (1, False)]
+        assert measurement_key(result) == measurement_key(first)
+        assert read_manifest(victim) is not None
+
     def test_sharded_campaign_writes_only_segments_and_manifests(self, tmp_path):
         small_deployment().run_campaign(
             mode="sharded", num_shards=3, shard_executor="inline",
@@ -240,11 +258,21 @@ class TestShardProgressAndResume:
             [MANIFEST_NAME] * 3
         )
         assert not list(tmp_path.rglob("campaign.json"))
+        # Each manifest names its segments by file name, and they sit
+        # beside it.
+        for manifest_path in tmp_path.rglob(MANIFEST_NAME):
+            recorded = [
+                segment["path"]
+                for block in json.loads(manifest_path.read_text())["blocks"]
+                for segment in block["segments"]
+            ]
+            assert recorded and all(name == Path(name).name for name in recorded)
+            assert all((manifest_path.parent / name).is_file() for name in recorded)
 
     def test_segments_are_flushed_before_their_manifest_lands(self, tmp_path, flushed_before):
         # A manifest that survives power loss must not name a segment that
-        # did not: each segment file, its directory and that directory's
-        # entry are fsynced before the manifest's rename.
+        # did not: each segment file and the shard directory holding it are
+        # fsynced before the manifest's rename.
         small_deployment().run_campaign(
             mode="sharded", num_shards=3, shard_executor="inline",
             worker_spill_dir=str(tmp_path),
@@ -255,12 +283,13 @@ class TestShardProgressAndResume:
             flushed = flushed_before(manifest_path)
             segments = [
                 Path(segment["path"])
-                for block in json.loads(manifest_path.read_text())["blocks"]
+                for block in read_manifest(manifest_path)["blocks"]
                 for segment in block["segments"]
             ]
             assert segments
             for path in segments:
-                assert {path, path.parent, path.parent.parent} <= flushed
+                assert {path, manifest_path.parent} <= flushed
+                assert path.parent == manifest_path.parent
 
     def test_repartitioned_campaign_keeps_earlier_merge_readable(self, tmp_path):
         # Same campaign, same spill dir, different explicit shard count:
@@ -397,7 +426,7 @@ class TestShardProgressAndResume:
                 for m in store.rows()
             ]
 
-        rebuilt_manifest = json.loads(Path(rebuilt_path).read_text())
+        rebuilt_manifest = read_manifest(rebuilt_path)
         assert rows_of(rebuilt_manifest) == rows_of(shared_manifest)
         # The scheduling counts the parent folds into its replication
         # report are keyed by the same ids.
@@ -411,12 +440,13 @@ class TestShardProgressAndResume:
         manifest = execute_shard(
             deployment, assignment, epoch, 256, tmp_path / "shard-000", signature
         )
-        on_disk = json.loads((tmp_path / "shard-000" / MANIFEST_NAME).read_text())
+        on_disk = read_manifest(tmp_path / "shard-000" / MANIFEST_NAME)
         assert on_disk == manifest
         assert manifest["signature"] == signature
         assert [b["block"] for b in manifest["blocks"]] == list(assignment.block_indices)
         for block in manifest["blocks"]:
             for segment in block["segments"]:
+                assert Path(segment["path"]).parent == tmp_path / "shard-000"
                 assert Path(segment["path"]).is_file()
         assert manifest["counters"]["stored"] == sum(
             b["rows"] for b in manifest["blocks"]
@@ -479,7 +509,6 @@ class TestCrashPoints:
             (0, True), (1, False), (2, False)
         ]
         assert self.campaign_state(resumed, result) == expected
-        assert not any(path.exists() for path in orphans)
         assert orphan_segments(spill) == set()
         assert stray_files(spill) == []
 
@@ -565,7 +594,7 @@ class TestCrashPoints:
         spill = tmp_path / "spill"
         small_deployment().run_campaign(worker_spill_dir=str(spill), **self.RUN)
         (manifest_path,) = spill.glob(f"campaign-*/{self.VICTIM}/{MANIFEST_NAME}")
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_manifest(manifest_path)
         segment = manifest["blocks"][0]["segments"][0]
         damage(manifest_path, manifest, segment)
         resumed = small_deployment()
