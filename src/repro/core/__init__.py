@@ -40,7 +40,6 @@ from repro.core.query import (
     Quantiles,
     QueryResult,
     SuccessCount,
-    Sum,
     distinct_ip_count,
     grouped_success_counts,
     masked_grouped_success_counts,
@@ -110,7 +109,6 @@ __all__ = [
     "Quantiles",
     "QueryResult",
     "SuccessCount",
-    "Sum",
     "distinct_ip_count",
     "grouped_success_counts",
     "masked_grouped_success_counts",

@@ -189,18 +189,14 @@ class CollectionServer:
             ("country",), (Count(),), exclude_automated=False, exclude_inconclusive=False,
         ))
 
-    def success_counts(
-        self, exclude_automated: bool = True
-    ) -> dict[tuple[str, str], tuple[int, int]]:
+    def success_counts(self) -> dict[tuple[str, str], tuple[int, int]]:
         """Per (domain, country): (total measurements, successes).
 
         This is exactly the input the binomial detection test consumes; the
         detector itself prefers the grouped-array form (the query kernel's
         ``grouped_success_counts``) and skips this dict entirely.
         """
-        return grouped_success_counts(
-            self.store, exclude_automated
-        ).as_dict()
+        return grouped_success_counts(self.store).as_dict()
 
     def summary(self) -> dict[str, float]:
         """Campaign-scale headline numbers (paper §7)."""

@@ -107,8 +107,6 @@ class LongitudinalConfig:
     #: The timing-side detector run over per-day ``elapsed_ms`` quantiles —
     #: catches the throttle events success rates cannot see.
     timing_detector: TimingCusumDetector = field(default_factory=TimingCusumDetector)
-    #: Which daily ``elapsed_ms`` quantile the timing detector scans.
-    timing_quantile: float = 0.9
     #: Directory for the always-on monitor's epoch commits: each epoch's
     #: manifest and the segments it names, which a restart adopts instead
     #: of re-executing the epoch.  Detection state is rebuilt from the
@@ -205,15 +203,13 @@ class LongitudinalResult:
         return grouped_success_counts(self.collection.store, by_day=True)
 
     def timing_series(self) -> DaySeries:
-        """Per-(domain, country) day series of the configured timing quantile.
+        """Per-(domain, country) day series of the 0.9 ``elapsed_ms`` quantile.
 
         The query kernel's ``Quantiles("elapsed_ms", ...)`` aggregate over
         the same grouping as :meth:`day_counts` — what the timing detector
         scans.  Cached on the store per version.
         """
-        return timing_day_series(
-            self.collection.store, quantile=self.config.timing_quantile
-        )
+        return timing_day_series(self.collection.store)
 
     def timing_events(self) -> list[CensorshipEvent]:
         """Detected throttle onsets/offsets from the timing CUSUM (cached).
@@ -227,7 +223,6 @@ class LongitudinalResult:
         key = (
             self.collection.store.version,
             self.config.timing_detector.config_key(),
-            self.config.timing_quantile,
         )
         if self._timing_events is None or self._timing_events_key != key:
             self._timing_events = self.config.timing_detector.detect_events(

@@ -6,29 +6,31 @@ series, the distinct-client count — is one call into this module's
 engine:
 
 * **Composable keys.**  Any subset of the dictionary-encoded / small-domain
-  columns — ``domain``, ``country``, ``day``, ``isp``, ``family``, ``task`` —
-  composes into a single flat bincount key (``(((k0 * c1) + k1) * c2) + k2``),
-  reusing the store's dictionary codes, so adding a grouping dimension is a
-  tuple entry, not a new thousand-line reduction.
-* **Pluggable aggregates.**  :class:`Count`, :class:`SuccessCount`, and
-  :class:`Sum` fold segment-by-segment into dense bincount accumulators;
-  :class:`Quantiles` and :class:`DistinctCount` gather per-group values in
-  one streamed pass (per-segment deduplication keeps distinct counting from
-  ever concatenating a full string column).
-* **Row masks.**  An optional boolean mask over the whole store restricts
-  the reduction (the reputation filter's re-detection path) without
-  materializing the surviving rows.
+  columns — ``domain``, ``country``, ``day``, ``family`` — composes into a
+  single flat bincount key (``(((k0 * c1) + k1) * c2) + k2``), reusing the
+  store's dictionary codes.
+* **Four aggregates.**  :class:`Count` and :class:`SuccessCount` fold
+  segment-by-segment into dense bincount accumulators;
+  ``Quantiles("elapsed_ms", qs)`` and ``DistinctCount("client_ip")``
+  gather per-group values in one streamed pass (per-segment deduplication
+  keeps distinct counting from ever concatenating the address column).
+* **Filters and row masks.**  Automated and inconclusive rows are dropped
+  unless ``exclude_automated`` / ``exclude_inconclusive`` say otherwise
+  (the distinct counts keep every row).  An optional boolean mask over the
+  whole store restricts the reduction (the reputation filter's
+  re-detection path) without materializing the surviving rows; a mask of
+  any other dtype raises ``TypeError``.
 * **Fold-once incrementality.**  A maskless query whose aggregates all fold
   rides a persistent per-store accumulator with a sealed-segment watermark
   (``_QueryFoldState``): each sealed segment is folded exactly once over the
   store's lifetime, pending chunks only ever touch a per-call snapshot, so
   an always-on monitor's per-epoch aggregation cost tracks the *new* rows.
-  This is the PR 6 contract, now owned by the kernel and shared by every
-  foldable query with the same signature.
+  The state is shared by every foldable query with the same signature.
 
 The wrappers at the end of this module (:func:`grouped_success_counts`,
 :func:`masked_grouped_success_counts`, :func:`distinct_ip_count`,
-:func:`timing_day_series`) are the reduction API.  They return the
+:func:`timing_day_series`) are the reduction API; all but the distinct
+count keep both exclusions on, as §7.2's test assumes.  They return the
 kernel's own :class:`QueryResult`, or a dense
 :class:`~repro.core.store.DaySeries` per (domain, country) pair for the
 CUSUM detectors, and each is pinned to the one scalar reference
@@ -36,10 +38,9 @@ CUSUM detectors, and each is pinned to the one scalar reference
 ``segment-streaming`` rule keeps new hand-rolled segment loops from
 growing back outside this module.
 
-Telemetry follows the observer-effect ban: the kernel bumps write-only
-counters (``store.query_folds`` and the PR 6 ``store.fold_advances`` /
-``store.segments_folded``) and opens per-aggregate spans only on the tracer
-it is handed — ``NULL_TRACER`` unless a caller opts in.
+Telemetry follows the observer-effect ban: the kernel only bumps
+write-only counters (``store.query_folds``, ``store.fold_advances`` and
+``store.segments_folded``) and opens no spans.
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ import numpy as np
 from repro.core.store import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_SUCCESS,
-    TASK_TYPES,
     DaySeries,
     pair_day_matrices,
 )
 from repro.obs.metrics import get_registry
-from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (store imports us lazily)
     from repro.core.store import MeasurementStore
@@ -67,18 +66,14 @@ KEY_COLUMNS = {
     "domain": "domain",
     "country": "country",
     "day": "day",
-    "isp": "isp",
     "family": "family",
-    "task": "task",
 }
 
-#: Numeric columns :class:`Sum` and :class:`Quantiles` accept.
-NUMERIC_COLUMNS = ("elapsed_ms", "probe_time_ms", "day")
+#: Numeric columns :class:`Quantiles` accepts.
+NUMERIC_COLUMNS = ("elapsed_ms",)
 
-#: Columns :class:`DistinctCount` accepts (strings or small codes).
-DISTINCT_COLUMNS = (
-    "client_ip", "measurement_id", "domain", "country", "isp", "family", "url",
-)
+#: Columns :class:`DistinctCount` accepts.
+DISTINCT_COLUMNS = ("client_ip",)
 
 
 # ----------------------------------------------------------------------
@@ -143,30 +138,6 @@ class SuccessCount(Aggregate):
         return ("success_count",)
 
 
-class Sum(Aggregate):
-    """Per-group sum of a numeric column (float64 accumulator).
-
-    Float addition order follows segment order, so sums are deterministic
-    for a given segmentation but are not pinned bit-identical across
-    different spill layouts (counts are; see ``docs/query_api.md``).
-    """
-
-    foldable = True
-
-    def __init__(self, column: str) -> None:
-        if column not in NUMERIC_COLUMNS:
-            raise ValueError(f"Sum() supports {NUMERIC_COLUMNS}, not {column!r}")
-        self.column = column
-        self.columns = (column,)
-
-    @property
-    def name(self) -> str:
-        return f"sum_{self.column}"
-
-    def state_key(self) -> tuple:
-        return ("sum", self.column)
-
-
 class Quantiles(Aggregate):
     """Per-group interpolated quantiles of a numeric column.
 
@@ -222,39 +193,25 @@ class DistinctCount(Aggregate):
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-class QueryResult:
-    """Per-group aggregate values, one row per non-empty group.
+class _Result:
+    """What both result shapes hold: ``values[i]`` lines up with
+    ``aggregates[i]``, and ``extents[name]`` is each key's axis cardinality
+    at query time — for ``day``, one past the largest day among the rows
+    the query saw."""
 
-    Groups are sorted by their decoded key tuple in declared key order (for
-    the success wrappers, ``(domain, country)``).
-    ``keys[name]`` are the decoded key arrays, ``values[i]`` lines up with
-    ``aggregates[i]`` (a ``(groups, len(qs))`` matrix for
-    :class:`Quantiles`, a 1-D array otherwise), and ``extents[name]`` is the
-    key's axis cardinality at query time — for ``day``, one past the largest
-    day among the rows the query saw.
-    """
-
-    __slots__ = ("key_names", "keys", "aggregates", "values", "extents")
+    __slots__ = ("key_names", "aggregates", "values", "extents")
 
     def __init__(
         self,
         key_names: tuple[str, ...],
-        keys: dict[str, np.ndarray],
         aggregates: tuple[Aggregate, ...],
         values: tuple[np.ndarray, ...],
         extents: dict[str, int],
     ) -> None:
         self.key_names = key_names
-        self.keys = keys
         self.aggregates = aggregates
         self.values = values
         self.extents = extents
-
-    def __len__(self) -> int:
-        return len(self.values[0]) if self.values else 0
-
-    def key(self, name: str) -> np.ndarray:
-        return self.keys[name]
 
     def value(self, aggregate: "Aggregate | str | int") -> np.ndarray:
         """The value array for one aggregate (by spec, name, or position)."""
@@ -264,6 +221,35 @@ class QueryResult:
             if spec == aggregate or spec.name == aggregate:
                 return column
         raise KeyError(f"no aggregate {aggregate!r} in this result")
+
+
+class QueryResult(_Result):
+    """Per-group aggregate values, one row per non-empty group.
+
+    Groups are sorted by their decoded key tuple in declared key order (for
+    the success wrappers, ``(domain, country)``).  ``keys[name]`` are the
+    decoded key arrays; a value is a ``(groups, len(qs))`` matrix for
+    :class:`Quantiles`, a 1-D array otherwise.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(
+        self,
+        key_names: tuple[str, ...],
+        keys: dict[str, np.ndarray],
+        aggregates: tuple[Aggregate, ...],
+        values: tuple[np.ndarray, ...],
+        extents: dict[str, int],
+    ) -> None:
+        super().__init__(key_names, aggregates, values, extents)
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.values[0]) if self.values else 0
+
+    def key(self, name: str) -> np.ndarray:
+        return self.keys[name]
 
     def as_dict(self) -> dict[tuple, tuple]:
         """``{key_tuple: value_tuple}`` with plain Python scalars.
@@ -285,70 +271,41 @@ class QueryResult:
         return out
 
 
-class DenseResult:
+class DenseResult(_Result):
     """Dense per-key-cell accumulator arrays from a foldable, maskless query.
 
-    ``values[i]`` is shaped ``tuple(extents[name] for name in key_names)``
-    and lines up with ``aggregates[i]``; empty cells hold zero.  The arrays
-    are read-only views over the incremental fold state, valid until the
-    store's next append — callers that outlive a mutation copy what they
-    keep (the monitor's day-series wrapper fancy-indexes, which copies).
+    ``values[i]`` is shaped ``tuple(extents[name] for name in key_names)``;
+    empty cells hold zero.  The arrays are read-only views over the
+    incremental fold state, valid until the store's next append — callers
+    that outlive a mutation copy what they keep (the monitor's day-series
+    wrapper fancy-indexes, which copies).
     """
 
-    __slots__ = ("key_names", "aggregates", "values", "extents")
-
-    def __init__(
-        self,
-        key_names: tuple[str, ...],
-        aggregates: tuple[Aggregate, ...],
-        values: tuple[np.ndarray, ...],
-        extents: dict[str, int],
-    ) -> None:
-        self.key_names = key_names
-        self.aggregates = aggregates
-        self.values = values
-        self.extents = extents
-
-    def value(self, aggregate: "Aggregate | str | int") -> np.ndarray:
-        if isinstance(aggregate, int):
-            return self.values[aggregate]
-        for spec, column in zip(self.aggregates, self.values):
-            if spec == aggregate or spec.name == aggregate:
-                return column
-        raise KeyError(f"no aggregate {aggregate!r} in this result")
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
 # Key axes
 # ----------------------------------------------------------------------
-def _axis_tables(store: "MeasurementStore", key: str):
-    tables = {
+def _axis_table(store: "MeasurementStore", key: str) -> list[str]:
+    """The value table of a dictionary key axis."""
+    return {
         "domain": store._domain_values,
         "country": store._country_values,
-        "isp": store._isp_values,
         "family": store._family_values,
-    }
-    return tables.get(key)
+    }[key]
 
 
 def _axis_extent(store: "MeasurementStore", key: str) -> int | None:
     """Current cardinality of a key axis; ``None`` for the dynamic day axis."""
-    if key == "day":
-        return None
-    if key == "task":
-        return len(TASK_TYPES)
-    return len(_axis_tables(store, key))
+    return None if key == "day" else len(_axis_table(store, key))
 
 
 def _decode_axis(store: "MeasurementStore", key: str, codes: np.ndarray) -> np.ndarray:
     """Per-group decoded key values from axis codes."""
     if key == "day":
         return codes
-    if key == "task":
-        table = np.asarray([t.value for t in TASK_TYPES], dtype=np.str_)
-    else:
-        table = np.asarray(_axis_tables(store, key), dtype=np.str_)
-    return table[codes]
+    return np.asarray(_axis_table(store, key), dtype=np.str_)[codes]
 
 
 def _validate(keys, aggregates, mask, shape, store) -> np.ndarray | None:
@@ -374,7 +331,9 @@ def _validate(keys, aggregates, mask, shape, store) -> np.ndarray | None:
         if not all(spec.foldable for spec in aggregates):
             raise ValueError("shape='dense' needs foldable aggregates only")
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise TypeError(f"a query mask must be boolean, not {mask.dtype}")
         if len(mask) != len(store):
             raise ValueError(
                 f"mask has {len(mask)} entries for a store of {len(store)} rows"
@@ -450,10 +409,7 @@ class _QueryFoldState:
         self.capacities = [0] * len(key_names)  #: allocated axis widths
         shape = tuple(self.capacities)
         self.arrays = {
-            spec.state_key(): np.zeros(
-                shape, dtype=np.float64 if isinstance(spec, Sum) else np.int64
-            )
-            for spec in agg_specs
+            spec.state_key(): np.zeros(shape, dtype=np.int64) for spec in agg_specs
         }
 
     def snapshot(self) -> "_QueryFoldState":
@@ -529,12 +485,6 @@ class _QueryFoldState:
             if isinstance(spec, SuccessCount):
                 selected = flat[part["outcome"][valid] == OUTCOME_SUCCESS]
                 flat_view += np.bincount(selected, minlength=minlength)
-            elif isinstance(spec, Sum):
-                flat_view += np.bincount(
-                    flat,
-                    weights=part[spec.column][valid].astype(np.float64, copy=False),
-                    minlength=minlength,
-                )
             else:  # Count
                 flat_view += np.bincount(flat, minlength=minlength)
 
@@ -616,7 +566,6 @@ def run_query(
     exclude_automated: bool = True,
     exclude_inconclusive: bool = True,
     shape: str = "cells",
-    tracer=NULL_TRACER,
 ) -> "QueryResult | DenseResult":
     """Group ``store`` rows by ``keys`` and reduce with ``aggregates``.
 
@@ -638,17 +587,12 @@ def run_query(
         cached = store._derived(cache_key)
         if cached is not None:
             return cached
-    foldable = mask is None and all(spec.foldable for spec in aggregates)
-    with tracer.span(
-        "store.query", keys=",".join(keys), shape=shape,
-        path="fold" if foldable else "stream",
-    ):
-        if foldable:
-            result = _run_fold(store, keys, aggregates, exclude_automated,
-                               exclude_inconclusive, shape)
-        else:
-            result = _run_stream(store, keys, aggregates, mask,
-                                 exclude_automated, exclude_inconclusive, tracer)
+    if mask is None and all(spec.foldable for spec in aggregates):
+        result = _run_fold(store, keys, aggregates, exclude_automated,
+                           exclude_inconclusive, shape)
+    else:
+        result = _run_stream(store, keys, aggregates, mask,
+                             exclude_automated, exclude_inconclusive)
     if cache_key is not None:
         store._derive(cache_key, result)
     return result
@@ -663,7 +607,7 @@ def _empty_result(store, keys, aggregates) -> QueryResult:
     }
     values = tuple(
         np.zeros((0, len(spec.qs))) if isinstance(spec, Quantiles)
-        else np.zeros(0, dtype=np.float64 if isinstance(spec, Sum) else np.int64)
+        else np.zeros(0, dtype=np.int64)
         for spec in aggregates
     )
     return QueryResult(keys, empty_keys, aggregates, values, extents)
@@ -675,10 +619,7 @@ def _run_fold(store, keys, aggregates, exclude_automated, exclude_inconclusive, 
         if shape == "dense":
             extents = {key: (_axis_extent(store, key) or 0) for key in keys}
             values = tuple(
-                np.zeros(
-                    tuple(extents[key] for key in keys),
-                    dtype=np.float64 if isinstance(spec, Sum) else np.int64,
-                )
+                np.zeros(tuple(extents[key] for key in keys), dtype=np.int64)
                 for spec in aggregates
             )
             return DenseResult(keys, aggregates, values, extents)
@@ -737,13 +678,13 @@ def _cells_result(store, keys, aggregates, cells, extents, value_of):
 
 
 def _run_stream(store, keys, aggregates, mask, exclude_automated,
-                exclude_inconclusive, tracer):
+                exclude_inconclusive):
     names = _needed_columns(keys, aggregates, exclude_automated, exclude_inconclusive)
     key_columns = tuple(KEY_COLUMNS[key] for key in keys)
     distinct_specs = [s for s in aggregates if isinstance(s, DistinctCount)]
     gather_columns = []
     for spec in aggregates:
-        if isinstance(spec, (Quantiles, Sum)) and spec.column not in gather_columns:
+        if isinstance(spec, Quantiles) and spec.column not in gather_columns:
             gather_columns.append(spec.column)
     want_success = any(isinstance(spec, SuccessCount) for spec in aggregates)
 
@@ -783,10 +724,7 @@ def _run_stream(store, keys, aggregates, mask, exclude_automated,
     if not n_valid:
         return _empty_result(store, keys, aggregates)
 
-    axis_codes = [
-        np.concatenate(parts) if len(parts) > 1 else parts[0]
-        for parts in axis_parts
-    ]
+    axis_codes = [_concat(parts) for parts in axis_parts]
     extents = []
     for key, codes in zip(keys, axis_codes):
         extent = _axis_extent(store, key)
@@ -796,52 +734,31 @@ def _run_stream(store, keys, aggregates, mask, exclude_automated,
     flat = _compose_key(axis_codes, extents, n_valid)
     minlength = math.prod(extents) if extents else 1
 
-    with tracer.span("query.aggregate", aggregate="count"):
-        count_dense = np.bincount(flat, minlength=minlength)
+    count_dense = np.bincount(flat, minlength=minlength)
     cells = np.flatnonzero(count_dense)
     group_counts = count_dense[cells]
-    # Per-row group index (cells are the sorted unique flat keys).
-    group_of_row: np.ndarray | None = None
-
-    def groups() -> np.ndarray:
-        nonlocal group_of_row
-        if group_of_row is None:
-            group_of_row = np.searchsorted(cells, flat)
-        return group_of_row
 
     computed: dict[tuple, np.ndarray] = {}
     for spec in aggregates:
         state_key = spec.state_key()
         if state_key in computed:
             continue
-        with tracer.span("query.aggregate", aggregate=spec.name):
-            if isinstance(spec, Count):
-                computed[state_key] = group_counts
-            elif isinstance(spec, SuccessCount):
-                success = (
-                    np.concatenate(success_parts)
-                    if len(success_parts) > 1 else success_parts[0]
-                )
-                computed[state_key] = np.bincount(
-                    flat[success], minlength=minlength
-                )[cells]
-            elif isinstance(spec, Sum):
-                values = _concat(gather_parts[spec.column])
-                computed[state_key] = np.bincount(
-                    flat, weights=values.astype(np.float64, copy=False),
-                    minlength=minlength,
-                )[cells]
-            elif isinstance(spec, Quantiles):
-                values = _concat(gather_parts[spec.column]).astype(
-                    np.float64, copy=False
-                )
-                computed[state_key] = _group_quantiles(
-                    values, groups(), group_counts, spec.qs
-                )
-            else:  # DistinctCount
-                computed[state_key] = _distinct_per_group(
-                    distinct_parts[state_key], extents, cells, len(cells)
-                )
+        if isinstance(spec, Count):
+            computed[state_key] = group_counts
+        elif isinstance(spec, SuccessCount):
+            computed[state_key] = np.bincount(
+                flat[_concat(success_parts)], minlength=minlength
+            )[cells]
+        elif isinstance(spec, Quantiles):
+            values = _concat(gather_parts[spec.column]).astype(np.float64, copy=False)
+            # Per-row group index (cells are the sorted unique flat keys).
+            computed[state_key] = _group_quantiles(
+                values, np.searchsorted(cells, flat), group_counts, spec.qs
+            )
+        else:  # DistinctCount
+            computed[state_key] = _distinct_per_group(
+                distinct_parts[state_key], extents, cells, len(cells)
+            )
     return _cells_result(
         store, keys, aggregates, cells, extents,
         lambda spec, order: computed[spec.state_key()][order],
@@ -928,11 +845,11 @@ _COUNT_AGGS = (Count(), SuccessCount())
 
 
 def grouped_success_counts(
-    store: "MeasurementStore", exclude_automated: bool = True, *, by_day: bool = False
+    store: "MeasurementStore", *, by_day: bool = False
 ) -> "QueryResult | DaySeries":
     """Per-(domain, country) totals/successes via the query kernel.
 
-    Inconclusive rows are always excluded, automated ones by default.  The
+    Automated and inconclusive rows are excluded (paper §7.1).  The
     cells are the kernel's own :class:`QueryResult` (keys ``domain`` and
     ``country``, aggregates ``count`` and ``success_count``), sorted by
     ``(domain, country)``.  With ``by_day=True`` the same counts per day
@@ -942,20 +859,13 @@ def grouped_success_counts(
     Both shapes are cached per store version.
     """
     if not by_day:
-        return run_query(
-            store, ("domain", "country"), _COUNT_AGGS,
-            exclude_automated=exclude_automated,
-        )
-    cache_key = ("day_series", exclude_automated)
-    cached = store._derived(cache_key)
+        return run_query(store, ("domain", "country"), _COUNT_AGGS)
+    cached = store._derived("day_series")
     if cached is not None:
         return cached
     if len(store) == 0 or not store._country_values:
-        return store._derive(cache_key, DaySeries.from_dict({}))
-    dense = run_query(
-        store, ("domain", "country", "day"), _COUNT_AGGS,
-        exclude_automated=exclude_automated, shape="dense",
-    )
+        return store._derive("day_series", DaySeries.from_dict({}))
+    dense = run_query(store, ("domain", "country", "day"), _COUNT_AGGS, shape="dense")
     n_days = dense.extents["day"]
     n_countries = dense.extents["country"]
     # Reshape by the explicit pair count: ``(-1, n_days)`` is ambiguous
@@ -975,21 +885,18 @@ def grouped_success_counts(
         successes[pairs[order]],
         n_days,
     )
-    return store._derive(cache_key, series)
+    return store._derive("day_series", series)
 
 
 def masked_grouped_success_counts(
-    store: "MeasurementStore", mask: np.ndarray, exclude_automated: bool = True
+    store: "MeasurementStore", mask: np.ndarray
 ) -> QueryResult:
     """``grouped_success_counts`` restricted to the rows where ``mask`` holds.
 
     What the reputation filter's store verdict re-runs detection over; not
     cached because masks vary call to call.
     """
-    return run_query(
-        store, ("domain", "country"), _COUNT_AGGS,
-        mask=mask, exclude_automated=exclude_automated,
-    )
+    return run_query(store, ("domain", "country"), _COUNT_AGGS, mask=mask)
 
 
 def pair_success_table(
@@ -1051,27 +958,22 @@ def distinct_ip_count(store: "MeasurementStore") -> int:
     return store._derive("distinct_ips", count)
 
 
-def timing_day_series(
-    store: "MeasurementStore",
-    quantile: float = 0.9,
-    exclude_automated: bool = True,
-) -> DaySeries:
+def timing_day_series(store: "MeasurementStore", quantile: float = 0.9) -> DaySeries:
     """Per-(domain, country) day series of an ``elapsed_ms`` quantile.
 
-    The new power the kernel buys: the same grouping as the success-rate
-    day series, but aggregating request timing — what
+    The new power the kernel buys: the same grouping (and exclusions) as
+    the success-rate day series, but aggregating request timing — what
     :class:`repro.core.inference.TimingCusumDetector` scans to catch
     throttling that success rates cannot see.  ``values`` holds the
     quantile, NaN on pair-days without rows.  Cached per store version.
     """
-    cache_key = ("timing_day_series", float(quantile), exclude_automated)
+    cache_key = ("timing_day_series", float(quantile))
     cached = store._derived(cache_key)
     if cached is not None:
         return cached
     result = run_query(
         store, ("domain", "country", "day"),
         (Count(), Quantiles("elapsed_ms", (float(quantile),))),
-        exclude_automated=exclude_automated,
     )
     n_days = result.extents["day"]
     series = DaySeries(
@@ -1087,6 +989,15 @@ def timing_day_series(
 # ----------------------------------------------------------------------
 # Scalar reference twin (equivalence-pinned by tests)
 # ----------------------------------------------------------------------
+#: Key name -> the :class:`Measurement` attribute the reference groups by.
+_REFERENCE_ATTRIBUTES = {
+    "domain": "target_domain",
+    "country": "country_code",
+    "day": "day",
+    "family": "browser_family",
+}
+
+
 def run_query_reference(
     store: "MeasurementStore",
     keys: Sequence[str] = ("domain", "country"),
@@ -1105,22 +1016,7 @@ def run_query_reference(
     keys = tuple(keys)
     aggregates = tuple(aggregates)
 
-    def row_key(m, name: str):
-        if name == "domain":
-            return m.target_domain
-        if name == "country":
-            return m.country_code
-        if name == "day":
-            return m.day
-        if name == "isp":
-            return m.isp
-        if name == "family":
-            return m.browser_family
-        return m.task_type.value  # "task"
-
-    def row_value(m, column: str):
-        return getattr(m, column)
-
+    attributes = tuple(_REFERENCE_ATTRIBUTES[name] for name in keys)
     rows = store.rows()
     if mask is not None:
         rows = [m for m, keep in zip(rows, np.asarray(mask, dtype=bool)) if keep]
@@ -1130,7 +1026,7 @@ def run_query_reference(
             continue
         if exclude_automated and m.is_automated:
             continue
-        groups.setdefault(tuple(row_key(m, name) for name in keys), []).append(m)
+        groups.setdefault(tuple(getattr(m, name) for name in attributes), []).append(m)
     out: dict[tuple, tuple] = {}
     for group in sorted(groups):
         members = groups[group]
@@ -1142,14 +1038,12 @@ def run_query_reference(
                 row.append(
                     sum(1 for m in members if m.outcome.value == "success")
                 )
-            elif isinstance(spec, Sum):
-                row.append(float(sum(row_value(m, spec.column) for m in members)))
             elif isinstance(spec, Quantiles):
                 values = np.asarray(
-                    [row_value(m, spec.column) for m in members], dtype=np.float64
+                    [getattr(m, spec.column) for m in members], dtype=np.float64
                 )
                 row.append(tuple(float(np.quantile(values, q)) for q in spec.qs))
             else:  # DistinctCount
-                row.append(len({row_value(m, spec.column) for m in members}))
+                row.append(len({getattr(m, spec.column) for m in members}))
         out[group] = tuple(row)
     return out

@@ -257,15 +257,13 @@ class StoreReputationReport:
         """Kept row indices, the argument ``MeasurementStore.rows`` materializes."""
         return np.flatnonzero(self.keep_mask)
 
-    def success_counts(self, exclude_automated: bool = True) -> QueryResult:
+    def success_counts(self) -> QueryResult:
         """Per-(domain, country) totals over only the kept rows.
 
         Feed this to ``BinomialFilteringDetector.detect_from_counts`` to
         re-run detection on the filtered corpus without materializing a row.
         """
-        return masked_grouped_success_counts(
-            self.store, self.keep_mask, exclude_automated=exclude_automated
-        )
+        return masked_grouped_success_counts(self.store, self.keep_mask)
 
 
 class ReputationFilter:

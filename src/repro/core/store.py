@@ -1023,21 +1023,20 @@ class MeasurementStore:
         exclude_automated: bool = True,
         exclude_inconclusive: bool = True,
         shape: str = "cells",
-        tracer=None,
     ):
         """Group rows by ``keys`` and reduce with ``aggregates`` — the one
         query surface every reduction goes through.
 
-        ``keys`` is any subset of ``("domain", "country", "day", "isp",
-        "family", "task")``; ``aggregates`` are specs from
-        :mod:`repro.core.query` (:class:`~repro.core.query.Count`,
+        ``keys`` is any subset of ``("domain", "country", "day",
+        "family")``; ``aggregates`` are specs from :mod:`repro.core.query`
+        (:class:`~repro.core.query.Count`,
         :class:`~repro.core.query.SuccessCount`,
-        :class:`~repro.core.query.Sum`,
-        :class:`~repro.core.query.Quantiles`,
-        :class:`~repro.core.query.DistinctCount`), defaulting to
-        ``(Count(), SuccessCount())``.  ``mask`` restricts to a boolean
-        row subset; ``shape="dense"`` returns full key-space accumulator
-        arrays instead of per-group cells (foldable maskless queries only).
+        ``Quantiles("elapsed_ms", qs)``, ``DistinctCount("client_ip")``),
+        defaulting to ``(Count(), SuccessCount())``.  ``mask`` restricts
+        to a row subset and must be a boolean array (a non-boolean one
+        raises ``TypeError``); ``shape="dense"`` returns full key-space
+        accumulator arrays instead of per-group cells (foldable maskless
+        queries only).
         Maskless all-foldable queries advance a fold-once incremental
         accumulator (each sealed segment folded exactly once over the
         store's lifetime), so an always-on monitor's per-call cost tracks
@@ -1054,7 +1053,6 @@ class MeasurementStore:
             exclude_automated=exclude_automated,
             exclude_inconclusive=exclude_inconclusive,
             shape=shape,
-            tracer=_query.NULL_TRACER if tracer is None else tracer,
         )
 
     def _derived(self, key):
@@ -1071,11 +1069,22 @@ class MeasurementStore:
     # Row materialization (the backward-compatible view)
     # ------------------------------------------------------------------
     def rows(self, indices: np.ndarray | Sequence[int] | None = None) -> "list[Measurement]":
-        """Materialize rows as :class:`Measurement` dataclasses, in store order."""
+        """Materialize rows as :class:`Measurement` dataclasses, in store order.
+
+        ``indices`` are row positions (``np.flatnonzero(mask)`` for a
+        :meth:`row_mask`); a boolean array raises ``TypeError`` rather than
+        being read as positions 0 and 1.
+        """
         from repro.core.collection import Measurement  # deferred: collection imports us
 
         if indices is not None:
-            indices = np.asarray(indices, dtype=np.int64)
+            indices = np.asarray(indices)
+            if indices.dtype == bool:
+                raise TypeError(
+                    "rows() takes row indices, not a boolean mask; "
+                    "pass np.flatnonzero(mask)"
+                )
+            indices = indices.astype(np.int64, copy=False)
 
         def pick(name: str) -> list:
             col = self.column(name)

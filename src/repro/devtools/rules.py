@@ -257,13 +257,10 @@ class TelemetryHygieneRule(Rule):
         "event",
         "add",
         "inc",
-        "observe",
-        "set",
         "set_max",
         "record_metrics",
         "counter",
         "gauge",
-        "histogram",
         "close",
         "flush",
         "absorb_file",

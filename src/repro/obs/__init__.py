@@ -15,8 +15,8 @@ Layout:
   deterministic in tests).
 - :mod:`repro.obs.trace` — ``Tracer`` writes nested span records to an
   append-only JSONL stream; ``NullTracer`` is the zero-overhead default.
-- :mod:`repro.obs.metrics` — process-local counters/gauges/histograms,
-  including a peak-RSS gauge via ``resource.getrusage``.
+- :mod:`repro.obs.metrics` — process-local counters and a peak-RSS
+  gauge via ``resource.getrusage``.
 - :mod:`repro.obs.report` + ``python -m repro.obs`` — summarize a trace
   tree (per-phase totals, per-shard critical path) or diff two traces.
 """

@@ -1,7 +1,7 @@
-"""Process-local telemetry metrics: counters, gauges, histograms.
+"""Process-local telemetry metrics: counters and a high-water gauge.
 
 The registry is write-mostly: pipeline code only ever calls ``add`` /
-``set`` / ``set_max`` / ``observe``; reading a value back (``snapshot``)
+``set_max``; reading a value back (``snapshot``)
 is reserved for the obs layer itself, tests, and benchmarks — the
 ``telemetry-hygiene`` lint rule bans read-backs inside ``src/repro/`` so
 telemetry can never steer a campaign (observer-effect ban).
@@ -51,53 +51,24 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (e.g. peak RSS)."""
+    """The highest value seen so far (e.g. peak RSS)."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = value
-
     def set_max(self, value: float) -> None:
         if value > self.value:
             self.value = value
 
 
-class Histogram:
-    """A bounded summary of observations: count / total / min / max.
-
-    Full reservoirs are overkill for the repro's needs; the four running
-    aggregates are enough for rows/sec and per-phase cost reporting while
-    keeping ``observe`` O(1) and allocation-free.
-    """
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-
 class MetricsRegistry:
-    """Named counters, gauges, and histograms for one process."""
+    """Named counters and gauges for one process."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     # -- write API (safe anywhere) -------------------------------------
     def counter(self, name: str) -> Counter:
@@ -112,12 +83,6 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge()
         return instrument
 
-    def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram()
-        return instrument
-
     def update_peak_rss(self) -> None:
         """Refresh ``process.peak_rss_kb`` from ``getrusage`` (write-only)."""
         if resource is None:  # pragma: no cover - non-POSIX
@@ -129,7 +94,6 @@ class MetricsRegistry:
         """Drop every instrument (test isolation only)."""
         self._counters.clear()
         self._gauges.clear()
-        self._histograms.clear()
 
     # -- read API (obs layer, tests, and benchmarks only) --------------
     def snapshot(self) -> dict:
@@ -144,15 +108,6 @@ class MetricsRegistry:
             },
             "gauges": {
                 name: self._gauges[name].value for name in sorted(self._gauges)
-            },
-            "histograms": {
-                name: {
-                    "count": h.count,
-                    "total": h.total,
-                    "min": h.min if h.count else 0.0,
-                    "max": h.max if h.count else 0.0,
-                }
-                for name, h in sorted(self._histograms.items())
             },
         }
 

@@ -174,14 +174,17 @@ class TestStoreMatchesRowListSemantics:
         mask = store.row_mask(**combo)
         assert mask.dtype == bool and len(mask) == len(corpus)
         assert store.rows(np.flatnonzero(mask)) == reference_filtered(corpus, **combo)
+        with pytest.raises(TypeError):
+            store.rows(mask)  # a mask is no index array
 
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_success_counts_equal_seed(self, corpus, exclude_automated):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = grouped_success_counts(store, exclude_automated=exclude_automated)
+        grouped = store.query(exclude_automated=exclude_automated)
         assert grouped.as_dict() == reference_success_counts(corpus, exclude_automated)
+        assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
 
     @given(corpus=corpora)
     @settings(max_examples=40, deadline=None)
@@ -271,11 +274,12 @@ class TestStoreMatchesRowListSemantics:
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
-        grouped = masked_grouped_success_counts(
-            store, mask, exclude_automated=exclude_automated
-        )
+        grouped = store.query(mask=mask, exclude_automated=exclude_automated)
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
         assert grouped.as_dict() == reference_success_counts(kept_rows, exclude_automated)
+        assert masked_grouped_success_counts(store, mask).as_dict() == (
+            reference_success_counts(kept_rows)
+        )
 
     def test_masked_counts_reject_misaligned_mask(self):
         store = MeasurementStore()
@@ -287,29 +291,27 @@ class TestStoreMatchesRowListSemantics:
 class TestDayBucketedCounts:
     """``success_counts(by_day=True)`` vs. the row-list reference, everywhere."""
 
-    @given(corpus=corpora, exclude_automated=st.booleans())
+    @given(corpus=corpora)
     @settings(max_examples=50, deadline=None)
-    def test_by_day_equals_reference(self, corpus, exclude_automated):
+    def test_by_day_equals_reference(self, corpus):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = grouped_success_counts(store, exclude_automated=exclude_automated, by_day=True)
-        assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
+        grouped = grouped_success_counts(store, by_day=True)
+        assert grouped.as_dict() == reference_day_counts(corpus)
         # The day axis ends at the last measured day.
         assert grouped.n_days == max((day + 1 for *_, day in grouped.as_dict()), default=0)
 
-    @given(corpus=corpora, exclude_automated=st.booleans())
+    @given(corpus=corpora)
     @settings(max_examples=30, deadline=None)
-    def test_by_day_streams_spilled_segments(self, corpus, exclude_automated):
+    def test_by_day_streams_spilled_segments(self, corpus):
         with tempfile.TemporaryDirectory() as tmp:
             store = MeasurementStore(segment_rows=8, spill_dir=tmp)
             store.append_rows(corpus)
             store.spill()
             if corpus:
                 assert store.segment_files and store.rows_in_memory == 0
-            grouped = grouped_success_counts(
-                store, exclude_automated=exclude_automated, by_day=True
-            )
-            assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
+            grouped = grouped_success_counts(store, by_day=True)
+            assert grouped.as_dict() == reference_day_counts(corpus)
 
     def test_by_day_on_adopted_segments(self, tmp_path):
         """Adopted segments bucket by day through their code remaps."""
@@ -339,14 +341,11 @@ class TestDayBucketedCounts:
 
     @given(
         corpus=corpora,
-        exclude_automated=st.booleans(),
         segment_rows=st.integers(min_value=1, max_value=16),
         by_day=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_incremental_fold_matches_cold_scan(
-        self, corpus, exclude_automated, segment_rows, by_day
-    ):
+    def test_incremental_fold_matches_cold_scan(self, corpus, segment_rows, by_day):
         """Interleaved append/seal/spill/query folds bit-identical to one cold pass.
 
         The incremental path folds each sealed segment exactly once and
@@ -359,20 +358,20 @@ class TestDayBucketedCounts:
             step = max(1, len(corpus) // 5)
             for start in range(0, len(corpus), step):
                 store.append_rows(corpus[start:start + step])
-                grouped_success_counts(store, exclude_automated, by_day=by_day)
+                grouped_success_counts(store, by_day=by_day)
                 if start % (2 * step) == 0:
                     store.spill()
-                    grouped_success_counts(store, exclude_automated, by_day=by_day)
+                    grouped_success_counts(store, by_day=by_day)
             cold = MeasurementStore()
             cold.append_rows(corpus)
-            incremental = grouped_success_counts(store, exclude_automated, by_day=by_day)
-            reference = grouped_success_counts(cold, exclude_automated, by_day=by_day)
+            incremental = grouped_success_counts(store, by_day=by_day)
+            reference = grouped_success_counts(cold, by_day=by_day)
             assert incremental.as_dict() == reference.as_dict()
             if by_day:
                 # The same pairs, in the same order, with the same day
                 # matrices as the row-list reference densified.
                 expected = DaySeries.from_dict(
-                    reference_day_counts(corpus, exclude_automated),
+                    reference_day_counts(corpus),
                     n_days=reference.n_days,
                 )
                 assert incremental.n_days == reference.n_days
@@ -382,7 +381,7 @@ class TestDayBucketedCounts:
             # sealed segment exactly once.
             if corpus:
                 store.append_rows(corpus[:1])
-                grouped_success_counts(store, exclude_automated, by_day=by_day)
+                grouped_success_counts(store, by_day=by_day)
                 assert store._query_states
                 assert all(
                     state.segments_folded == len(store._segments)

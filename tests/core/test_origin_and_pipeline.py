@@ -11,7 +11,16 @@ from repro.core.coordination import CoordinationServer
 from repro.core.longitudinal import LongitudinalConfig
 from repro.core.origin import OriginSite, client_overhead_report, snippet_overhead_bytes
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.robustness import AdversarySweep
+from repro.core.query import (
+    DISTINCT_COLUMNS,
+    KEY_COLUMNS,
+    NUMERIC_COLUMNS,
+    grouped_success_counts,
+    masked_grouped_success_counts,
+    run_query,
+    timing_day_series,
+)
+from repro.core.robustness import AdversarySweep, StoreReputationReport
 from repro.core.shard import run_sharded
 from repro.core.store import MeasurementStore
 from repro.core.tasks import MeasurementTask, TaskType
@@ -174,8 +183,8 @@ class TestSettableValues:
     def test_longitudinal_config_fields(self):
         assert [field.name for field in dataclasses.fields(LongitudinalConfig)] == [
             "epochs", "days_per_epoch", "visits_per_epoch", "trailing_epochs",
-            "detector", "timing_detector", "timing_quantile", "checkpoint_dir",
-            "adaptive_baselines", "tracer",
+            "detector", "timing_detector", "checkpoint_dir", "adaptive_baselines",
+            "tracer",
         ]
 
     def test_adversary_sweep_parameters(self):
@@ -183,3 +192,25 @@ class TestSettableValues:
             "detector", "reputation", "fabricate_blocking", "executor",
             "spill_dir", "seed", "tracer",
         ]
+
+    def test_query_kernel_parameters(self):
+        query_parameters = [
+            "keys", "aggregates", "mask", "exclude_automated",
+            "exclude_inconclusive", "shape",
+        ]
+        assert self.parameters(run_query) == ["store"] + query_parameters
+        assert self.parameters(MeasurementStore.query) == query_parameters
+
+    def test_query_wrapper_parameters(self):
+        assert self.parameters(grouped_success_counts) == ["store", "by_day"]
+        assert self.parameters(masked_grouped_success_counts) == ["store", "mask"]
+        assert self.parameters(timing_day_series) == ["store", "quantile"]
+        assert self.parameters(StoreReputationReport.success_counts) == []
+        assert self.parameters(CollectionServer.success_counts) == []
+
+    def test_query_kernel_columns(self):
+        assert KEY_COLUMNS == {
+            "domain": "domain", "country": "country", "day": "day", "family": "family",
+        }
+        assert NUMERIC_COLUMNS == ("elapsed_ms",)
+        assert DISTINCT_COLUMNS == ("client_ip",)

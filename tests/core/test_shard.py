@@ -741,7 +741,7 @@ class TestStoreMerger:
         ]
         assert all(isinstance(m.target_url, URL) for m in rows)
         # Grouped queries see one coherent code space.
-        counts = grouped_success_counts(merged, exclude_automated=False).as_dict()
+        counts = merged.query(exclude_automated=False).as_dict()
         assert counts[("alpha.org", "DE")] == (2, 1)
         assert counts[("beta.org", "IR")] == (2, 1)
 
@@ -772,8 +772,8 @@ class TestStoreMerger:
         reference = MeasurementStore()
         reference.append_rows(merged.rows())
         assert (
-            grouped_success_counts(merged, exclude_automated=False).as_dict()
-            == grouped_success_counts(reference, exclude_automated=False).as_dict()
+            merged.query(exclude_automated=False).as_dict()
+            == reference.query(exclude_automated=False).as_dict()
         )
 
 

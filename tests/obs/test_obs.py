@@ -64,24 +64,15 @@ class TestClock:
 
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_gauges(self):
         registry = MetricsRegistry()
         registry.counter("rows").add(3)
         registry.counter("rows").add()
         registry.gauge("rss").set_max(10.0)
         registry.gauge("rss").set_max(4.0)  # lower values never win
-        registry.histogram("lat").observe(2.0)
-        registry.histogram("lat").observe(8.0)
 
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"rows": 4}
-        assert snapshot["gauges"] == {"rss": 10.0}
-        assert snapshot["histograms"]["lat"] == {
-            "count": 2,
-            "total": 10.0,
-            "min": 2.0,
-            "max": 8.0,
-        }
+        assert snapshot == {"counters": {"rows": 4}, "gauges": {"rss": 10.0}}
         # JSON-ready by contract.
         json.dumps(snapshot)
 
@@ -94,11 +85,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("rows").add(1)
         registry.reset()
-        assert registry.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
+        assert registry.snapshot() == {"counters": {}, "gauges": {}}
 
 
 # ----------------------------------------------------------------------
