@@ -1,11 +1,11 @@
 """Always-on monitor loop: incremental per-epoch cost vs. a full rescan.
 
-A checkpointed longitudinal monitor does three things per epoch: seal the
-epoch's pending rows into a segment, fold only that new segment into the
-persistent fold state behind ``grouped_success_counts(store, by_day=True)``
-(one fold watermark), and advance a resumable CUSUM state over only the
-new day columns.  All three
-are O(new data), so per-epoch cost must stay flat as history grows.  The stateless alternative re-reduces the whole corpus and
+A checkpointed longitudinal monitor does two things per epoch after its
+rows land as a new segment: fold only that segment into the persistent
+fold state behind ``grouped_success_counts(store, by_day=True)`` (one fold
+watermark), and advance a resumable CUSUM state over only the new day
+columns.  Both are O(new data), so per-epoch cost must stay flat as
+history grows.  The stateless alternative re-reduces the whole corpus and
 re-scans every day column each epoch — O(history) — which is what always-on
 deployment cannot afford.
 
@@ -117,10 +117,10 @@ class TestMonitorIncrementality:
     def test_per_epoch_cost_flat_and_5x_cheaper_than_full_rescan(
         self, bench_report_writer
     ):
-        # The incremental monitor loop: per epoch, seal + watermark fold +
-        # day series off the accumulator + resumable CUSUM over only the
-        # new day columns.  Generating and appending the epoch's rows
-        # is common to both paths and stays outside the timing.
+        # The incremental monitor loop: per epoch, watermark fold + day
+        # series off the accumulator + resumable CUSUM over only the new
+        # day columns.  Generating and appending the epoch's rows (one
+        # segment) is common to both paths and stays outside the timing.
         rng = np.random.default_rng(2015)
         monitor_detector = detector()
         state = monitor_detector.initial_state()
@@ -131,7 +131,6 @@ class TestMonitorIncrementality:
         for epoch in range(EPOCHS):
             store.append_columns(**epoch_columns(rng, epoch))
             t0 = time.perf_counter()
-            store.seal_pending()
             day_series = grouped_success_counts(store, by_day=True)
             monitor_detector.resume(state, day_series)
             t1 = time.perf_counter()

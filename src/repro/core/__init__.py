@@ -35,7 +35,6 @@ from repro.core.collection import CollectionServer, Measurement
 from repro.core.store import DaySeries, MeasurementStore
 from repro.core.query import (
     Count,
-    DenseResult,
     DistinctCount,
     Quantiles,
     QueryResult,
@@ -104,7 +103,6 @@ __all__ = [
     "MeasurementStore",
     "DaySeries",
     "Count",
-    "DenseResult",
     "DistinctCount",
     "Quantiles",
     "QueryResult",

@@ -21,8 +21,8 @@ sequence of **epochs** over simulated days:
 3. **Aggregate.**  The query kernel
    (:func:`repro.core.query.grouped_success_counts` ``by_day=True``)
    reduces the whole corpus to a dense per-(domain, country)
-   :class:`~repro.core.store.DaySeries` of success counts, folding each
-   sealed segment once, fully vectorized, nothing concatenated.
+   :class:`~repro.core.store.DaySeries` of success counts, folding each of
+   the store's segments once, fully vectorized, nothing concatenated.
 4. **Detect.**  :class:`~repro.core.inference.CusumChangePointDetector`
    scans every cell's daily success-rate series online and emits
    :class:`~repro.core.inference.CensorshipEvent` onsets/offsets with their
@@ -36,10 +36,11 @@ sequence of **epochs** over simulated days:
 
 **Always-on monitoring.**  With ``LongitudinalConfig.checkpoint_dir`` set,
 the run becomes an incremental, killable monitor loop.  Per epoch the engine
-seals the store's pending rows and folds only the *new* segments into the
-persistent day-bucketed aggregate (the query kernel keeps a fold
-watermark), and advances a :class:`~repro.core.inference.CusumState` over
-only the new day columns — so per-epoch cost stays flat as history grows
+folds only the *new* segments (the epoch's committed blocks, adopted as
+they were spilled) into the persistent day-bucketed aggregate (the query
+kernel keeps a fold watermark), and advances a
+:class:`~repro.core.inference.CusumState` over only the new day columns —
+so per-epoch cost stays flat as history grows
 (``benchmarks/test_bench_monitor.py``, ``BENCH_monitor.json``).  Each
 epoch's campaign runs as one inline shard with
 ``worker_spill_dir=checkpoint_dir``: its manifest is keyed by the campaign
@@ -218,7 +219,7 @@ class LongitudinalResult:
         every fetch, so :meth:`events` stays silent while the per-day
         ``elapsed_ms`` quantiles shift by the throttle factor.  Cache keyed
         on the store version and the timing detector's tuning, mirroring
-        :meth:`events`.
+        :meth:`events`; each call returns a new list.
         """
         key = (
             self.collection.store.version,
@@ -229,7 +230,7 @@ class LongitudinalResult:
                 self.timing_series()
             )
             self._timing_events_key = key
-        return self._timing_events
+        return list(self._timing_events)
 
     def events(self) -> list[CensorshipEvent]:
         """Detected censorship onsets/offsets (vectorized CUSUM, cached).
@@ -239,7 +240,8 @@ class LongitudinalResult:
         instead of silently returning the previous detector's events.  A
         checkpointed run's events come straight off its incremental
         :class:`CusumState` (bit-identical to the full scan) for as long as
-        that key holds.
+        that key holds.  Each call returns a new list, so a caller that
+        edits it leaves the cache alone.
         """
         key = (self.collection.store.version, self.detector.config_key())
         if self.monitor is not None and key == self._monitor_key:
@@ -247,7 +249,7 @@ class LongitudinalResult:
         if self._events is None or self._events_key != key:
             self._events = self.detector.detect_events(self.day_counts(), self.baselines)
             self._events_key = key
-        return self._events
+        return list(self._events)
 
     def timeline_report(self):
         """Grade the detected events against the scripted ground truth."""
@@ -275,9 +277,9 @@ class LongitudinalEngine:
     With ``config.checkpoint_dir`` set the engine is an always-on monitor:
     each epoch's campaign runs as one inline shard with the checkpoint
     directory as its spill root (so completed epochs resume from their
-    manifests after a crash), and after each epoch the store's new rows are
-    sealed, folded incrementally into the day-bucketed aggregate and scanned
-    by a CUSUM state.  That state starts fresh on every run and is never
+    manifests after a crash), and after each epoch the store's new segments
+    are folded incrementally into the day-bucketed aggregate and scanned by
+    a CUSUM state.  That state starts fresh on every run and is never
     written: a restart rebuilds it over the epochs it adopts.
     """
 
@@ -379,12 +381,6 @@ class LongitudinalEngine:
                             if monitor is not None:
                                 monitor.baselines = baselines
                         if monitor is not None:
-                            # Seal so the epoch's rows join the store's
-                            # persistent fold state (sealed segments fold
-                            # exactly once); the CUSUM then advances over
-                            # only the new day columns.
-                            with tracer.span("seal", epoch=epoch):
-                                store.seal_pending()
                             # The day series comes straight off the fold
                             # accumulator: the epoch folds only its new rows
                             # and the CUSUM scans only the new day columns.

@@ -21,19 +21,20 @@ engine:
   re-detection path) without materializing the surviving rows; a mask of
   any other dtype raises ``TypeError``.
 * **Fold-once incrementality.**  A maskless query whose aggregates all fold
-  rides a persistent per-store accumulator with a sealed-segment watermark
-  (``_QueryFoldState``): each sealed segment is folded exactly once over the
-  store's lifetime, pending chunks only ever touch a per-call snapshot, so
-  an always-on monitor's per-epoch aggregation cost tracks the *new* rows.
-  The state is shared by every foldable query with the same signature.
+  rides a persistent per-store accumulator with a segment watermark
+  (``_QueryFoldState``): a store is a list of immutable segments, so each
+  is folded exactly once over the store's lifetime, and an always-on
+  monitor's per-epoch aggregation cost tracks the *new* rows.  The state is
+  shared by every foldable query with the same signature.
 
-The wrappers at the end of this module (:func:`grouped_success_counts`,
+Every query returns one result type, :class:`QueryResult`.  The wrappers
+at the end of this module (:func:`grouped_success_counts`,
 :func:`masked_grouped_success_counts`, :func:`distinct_ip_count`,
 :func:`timing_day_series`) are the reduction API; all but the distinct
-count keep both exclusions on, as §7.2's test assumes.  They return the
-kernel's own :class:`QueryResult`, or a dense
-:class:`~repro.core.store.DaySeries` per (domain, country) pair for the
-CUSUM detectors, and each is pinned to the one scalar reference
+count keep both exclusions on, as §7.2's test assumes.  They return a
+:class:`QueryResult`, or a dense :class:`~repro.core.store.DaySeries` per
+(domain, country) pair for the CUSUM detectors (the success series read
+straight off the fold state), and each is pinned to the one scalar reference
 :func:`run_query_reference` by equivalence tests; ``repro-lint``'s
 ``segment-streaming`` rule keeps new hand-rolled segment loops from
 growing back outside this module.
@@ -193,46 +194,19 @@ class DistinctCount(Aggregate):
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-class _Result:
-    """What both result shapes hold: ``values[i]`` lines up with
-    ``aggregates[i]``, and ``extents[name]`` is each key's axis cardinality
-    at query time — for ``day``, one past the largest day among the rows
-    the query saw."""
-
-    __slots__ = ("key_names", "aggregates", "values", "extents")
-
-    def __init__(
-        self,
-        key_names: tuple[str, ...],
-        aggregates: tuple[Aggregate, ...],
-        values: tuple[np.ndarray, ...],
-        extents: dict[str, int],
-    ) -> None:
-        self.key_names = key_names
-        self.aggregates = aggregates
-        self.values = values
-        self.extents = extents
-
-    def value(self, aggregate: "Aggregate | str | int") -> np.ndarray:
-        """The value array for one aggregate (by spec, name, or position)."""
-        if isinstance(aggregate, int):
-            return self.values[aggregate]
-        for spec, column in zip(self.aggregates, self.values):
-            if spec == aggregate or spec.name == aggregate:
-                return column
-        raise KeyError(f"no aggregate {aggregate!r} in this result")
-
-
-class QueryResult(_Result):
+class QueryResult:
     """Per-group aggregate values, one row per non-empty group.
 
     Groups are sorted by their decoded key tuple in declared key order (for
     the success wrappers, ``(domain, country)``).  ``keys[name]`` are the
-    decoded key arrays; a value is a ``(groups, len(qs))`` matrix for
-    :class:`Quantiles`, a 1-D array otherwise.
+    decoded key arrays; ``values[i]`` lines up with ``aggregates[i]`` and
+    is a ``(groups, len(qs))`` matrix for :class:`Quantiles`, a 1-D array
+    otherwise.  ``extents[name]`` is each key's axis cardinality at query
+    time — for ``day``, one past the largest day among the rows the query
+    saw.
     """
 
-    __slots__ = ("keys",)
+    __slots__ = ("key_names", "keys", "aggregates", "values", "extents")
 
     def __init__(
         self,
@@ -242,14 +216,26 @@ class QueryResult(_Result):
         values: tuple[np.ndarray, ...],
         extents: dict[str, int],
     ) -> None:
-        super().__init__(key_names, aggregates, values, extents)
+        self.key_names = key_names
         self.keys = keys
+        self.aggregates = aggregates
+        self.values = values
+        self.extents = extents
 
     def __len__(self) -> int:
         return len(self.values[0]) if self.values else 0
 
     def key(self, name: str) -> np.ndarray:
         return self.keys[name]
+
+    def value(self, aggregate: "Aggregate | str | int") -> np.ndarray:
+        """The value array for one aggregate (by spec, name, or position)."""
+        if isinstance(aggregate, int):
+            return self.values[aggregate]
+        for spec, column in zip(self.aggregates, self.values):
+            if spec == aggregate or spec.name == aggregate:
+                return column
+        raise KeyError(f"no aggregate {aggregate!r} in this result")
 
     def as_dict(self) -> dict[tuple, tuple]:
         """``{key_tuple: value_tuple}`` with plain Python scalars.
@@ -269,19 +255,6 @@ class QueryResult(_Result):
                     row.append(column[index].item())
             out[group] = tuple(row)
         return out
-
-
-class DenseResult(_Result):
-    """Dense per-key-cell accumulator arrays from a foldable, maskless query.
-
-    ``values[i]`` is shaped ``tuple(extents[name] for name in key_names)``;
-    empty cells hold zero.  The arrays are read-only views over the
-    incremental fold state, valid until the store's next append — callers
-    that outlive a mutation copy what they keep (the monitor's day-series
-    wrapper fancy-indexes, which copies).
-    """
-
-    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
@@ -308,9 +281,7 @@ def _decode_axis(store: "MeasurementStore", key: str, codes: np.ndarray) -> np.n
     return np.asarray(_axis_table(store, key), dtype=np.str_)[codes]
 
 
-def _validate(keys, aggregates, mask, shape, store) -> np.ndarray | None:
-    if shape not in ("cells", "dense"):
-        raise ValueError(f"shape must be 'cells' or 'dense', not {shape!r}")
+def _validate(keys, aggregates, mask, store) -> np.ndarray | None:
     seen = []
     for key in keys:
         if key not in KEY_COLUMNS:
@@ -325,11 +296,6 @@ def _validate(keys, aggregates, mask, shape, store) -> np.ndarray | None:
     for spec in aggregates:
         if not isinstance(spec, Aggregate):
             raise TypeError(f"{spec!r} is not an Aggregate")
-    if shape == "dense":
-        if mask is not None:
-            raise ValueError("shape='dense' does not support masks")
-        if not all(spec.foldable for spec in aggregates):
-            raise ValueError("shape='dense' needs foldable aggregates only")
     if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != bool:
@@ -380,10 +346,9 @@ class _QueryFoldState:
     """Persistent fold accumulators for one foldable query signature.
 
     Holds one dense array per foldable aggregate over the composed key
-    space, plus a watermark of how many *sealed* segments have been folded.
-    Sealed segments are immutable, so each is folded exactly once over the
-    store's lifetime; pending chunks are only ever folded into a per-call
-    :meth:`snapshot`.  Dictionary axes are padded when the store's value
+    space, plus a watermark of how many of the store's segments have been
+    folded.  Segments are immutable, so each is folded exactly once over
+    the store's lifetime.  Dictionary axes are padded when the store's value
     tables grow (codes are stable once assigned, so old folds stay valid);
     the day axis grows geometrically so per-segment copies amortize.
     """
@@ -411,17 +376,6 @@ class _QueryFoldState:
         self.arrays = {
             spec.state_key(): np.zeros(shape, dtype=np.int64) for spec in agg_specs
         }
-
-    def snapshot(self) -> "_QueryFoldState":
-        """A deep copy pending chunks can be folded into without corrupting us."""
-        copy = _QueryFoldState(
-            self.key_names, self.agg_specs,
-            self.exclude_automated, self.exclude_inconclusive,
-        )
-        copy.extents = list(self.extents)
-        copy.capacities = list(self.capacities)
-        copy.arrays = {key: array.copy() for key, array in self.arrays.items()}
-        return copy
 
     def grow_axes(self, store: "MeasurementStore") -> None:
         """Pad the non-day axes out to the store's current table sizes."""
@@ -454,7 +408,7 @@ class _QueryFoldState:
         self.extents[axis] = segment_days
 
     def fold(self, part: dict[str, np.ndarray]) -> None:
-        """Accumulate one segment's (or pending chunk's) columns."""
+        """Accumulate one segment's columns."""
         valid = _valid_rows(
             part, None, self.exclude_automated, self.exclude_inconclusive,
             len(part[next(iter(part))]),
@@ -521,13 +475,7 @@ def _advanced_fold_state(
     exclude_automated: bool,
     exclude_inconclusive: bool,
 ) -> _QueryFoldState:
-    """The fold-once accumulator, advanced over all unfolded rows.
-
-    Sealed segments past the watermark fold into the persistent state
-    exactly once; pending chunks (not immutable yet — the next seal rebinds
-    them into a segment) only ever touch a snapshot copy, which is what gets
-    returned in that case.
-    """
+    """The fold-once accumulator, advanced over the segments past its watermark."""
     state_key = _fold_state_key(keys, agg_specs, exclude_automated, exclude_inconclusive)
     state = store._query_states.get(state_key)
     if state is None:
@@ -545,13 +493,7 @@ def _advanced_fold_state(
         registry.counter("store.fold_advances").add(1)
         registry.counter("store.segments_folded").add(unfolded)
         registry.counter("store.query_folds").add(unfolded)
-    view = state
-    if store._pending:
-        view = state.snapshot()
-        for chunk in store._pending:
-            view.fold({name: chunk[name] for name in names})
-        get_registry().counter("store.query_folds").add(len(store._pending))
-    return view
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -565,8 +507,7 @@ def run_query(
     mask: np.ndarray | None = None,
     exclude_automated: bool = True,
     exclude_inconclusive: bool = True,
-    shape: str = "cells",
-) -> "QueryResult | DenseResult":
+) -> QueryResult:
     """Group ``store`` rows by ``keys`` and reduce with ``aggregates``.
 
     The one engine behind every store reduction; see the module docstring
@@ -577,19 +518,19 @@ def run_query(
     """
     keys = tuple(keys)
     aggregates = tuple(aggregates)
-    mask = _validate(keys, aggregates, mask, shape, store)
+    mask = _validate(keys, aggregates, mask, store)
     cache_key = None
     if mask is None:
         cache_key = (
             "query", keys, tuple(spec.state_key() for spec in aggregates),
-            exclude_automated, exclude_inconclusive, shape,
+            exclude_automated, exclude_inconclusive,
         )
         cached = store._derived(cache_key)
         if cached is not None:
             return cached
     if mask is None and all(spec.foldable for spec in aggregates):
         result = _run_fold(store, keys, aggregates, exclude_automated,
-                           exclude_inconclusive, shape)
+                           exclude_inconclusive)
     else:
         result = _run_stream(store, keys, aggregates, mask,
                              exclude_automated, exclude_inconclusive)
@@ -613,28 +554,12 @@ def _empty_result(store, keys, aggregates) -> QueryResult:
     return QueryResult(keys, empty_keys, aggregates, values, extents)
 
 
-def _run_fold(store, keys, aggregates, exclude_automated, exclude_inconclusive, shape):
-    agg_specs = _fold_specs(aggregates)
+def _run_fold(store, keys, aggregates, exclude_automated, exclude_inconclusive):
     if len(store) == 0:
-        if shape == "dense":
-            extents = {key: (_axis_extent(store, key) or 0) for key in keys}
-            values = tuple(
-                np.zeros(tuple(extents[key] for key in keys), dtype=np.int64)
-                for spec in aggregates
-            )
-            return DenseResult(keys, aggregates, values, extents)
         return _empty_result(store, keys, aggregates)
     view = _advanced_fold_state(
-        store, keys, agg_specs, exclude_automated, exclude_inconclusive
+        store, keys, _fold_specs(aggregates), exclude_automated, exclude_inconclusive
     )
-    extents = {key: extent for key, extent in zip(keys, view.extents)}
-    if shape == "dense":
-        values = []
-        for spec in aggregates:
-            array = view.sliced(spec.state_key()).view()
-            array.flags.writeable = False
-            values.append(array)
-        return DenseResult(keys, aggregates, tuple(values), extents)
     count_flat = view.sliced(("count",)).ravel()
     cells = np.flatnonzero(count_flat)
     dense = {
@@ -718,9 +643,7 @@ def _run_stream(store, keys, aggregates, mask, exclude_automated,
                 _unique_rows(part_codes, part[spec.column][valid])
             )
 
-    get_registry().counter("store.query_folds").add(
-        len(store._segments) + len(store._pending)
-    )
+    get_registry().counter("store.query_folds").add(len(store._segments))
     if not n_valid:
         return _empty_result(store, keys, aggregates)
 
@@ -854,7 +777,8 @@ def grouped_success_counts(
     ``country``, aggregates ``count`` and ``success_count``), sorted by
     ``(domain, country)``.  With ``by_day=True`` the same counts per day
     come back as a :class:`DaySeries` read straight off the fold-once
-    accumulator without materializing per-(pair, day) cells, so an
+    accumulator (the state a maskless ``(domain, country, day)`` count
+    query shares) without materializing per-(pair, day) cells, so an
     always-on monitor's per-epoch aggregation folds only the new rows.
     Both shapes are cached per store version.
     """
@@ -865,14 +789,15 @@ def grouped_success_counts(
         return cached
     if len(store) == 0 or not store._country_values:
         return store._derive("day_series", DaySeries.from_dict({}))
-    dense = run_query(store, ("domain", "country", "day"), _COUNT_AGGS, shape="dense")
-    n_days = dense.extents["day"]
-    n_countries = dense.extents["country"]
+    state = _advanced_fold_state(
+        store, ("domain", "country", "day"), _fold_specs(_COUNT_AGGS), True, True
+    )
+    n_domains, n_countries, n_days = state.extents
     # Reshape by the explicit pair count: ``(-1, n_days)`` is ambiguous
     # when every row is excluded and the day axis is empty.
-    n_pairs = dense.extents["domain"] * n_countries
-    totals = dense.value("count").reshape(n_pairs, n_days)
-    successes = dense.value("success_count").reshape(n_pairs, n_days)
+    n_pairs = n_domains * n_countries
+    totals = state.sliced(("count",)).reshape(n_pairs, n_days)
+    successes = state.sliced(("success_count",)).reshape(n_pairs, n_days)
     pairs = np.flatnonzero(totals.any(axis=1))
     domains = np.asarray(store._domain_values, dtype=np.str_)[pairs // n_countries]
     countries = np.asarray(store._country_values, dtype=np.str_)[pairs % n_countries]
@@ -1007,7 +932,7 @@ def run_query_reference(
     exclude_automated: bool = True,
     exclude_inconclusive: bool = True,
 ) -> dict[tuple, tuple]:
-    """Per-row Python reference for :func:`run_query` (``shape="cells"``).
+    """Per-row Python reference for :func:`run_query`.
 
     Materializes every row and reduces with dicts, sets, and per-group
     ``np.quantile`` — the readable twin the equivalence property tests pin

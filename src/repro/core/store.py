@@ -1,4 +1,4 @@
-"""Columnar measurement storage: struct-of-arrays with disk spill.
+"""Columnar measurement storage: an append-only list of sealed segments.
 
 The paper's deployment collected ~141k measurements from 88k clients (§7),
 and every analysis the reproduction runs — filtering, per-region success
@@ -14,6 +14,10 @@ instead:
   are ``bincount`` reductions.  High-cardinality strings (measurement id,
   client IP) stay as numpy unicode arrays; client IPs also get integer
   identity codes on demand (:meth:`MeasurementStore.client_codes`).
+* **Sealed segments.**  Each :meth:`MeasurementStore.append_columns` call
+  seals its chunk as one immutable segment, and adoption mounts another
+  store's segments (or a committed ``.npz``) the same way, so every reader
+  walks one list of segments.
 * **Vectorized queries.**  :meth:`MeasurementStore.row_mask` evaluates
   filter criteria as one boolean row mask; :meth:`MeasurementStore.query`
   hands any keyed reduction over all rows or a mask's rows —
@@ -21,7 +25,7 @@ instead:
   to the one group-by kernel in :mod:`repro.core.query`, whose wrappers
   (``grouped_success_counts`` and friends) are the reduction API.
 * **Committed segments.**  :meth:`MeasurementStore.spill` writes every
-  sealed segment to an ``.npz`` file in the store's ``spill_dir``; a shard
+  resident segment to an ``.npz`` file in the store's ``spill_dir``; a shard
   worker or a sweep cell does so once per block or cell, and the manifest
   beside them, naming each by file name, is its commit.  Stores that adopt
   the files read them on demand: queries transparently concatenate spilled
@@ -119,19 +123,27 @@ class SegmentRowsError(ValueError):
     Raised when a segment ``.npz`` is read, by a query or by
     :func:`verify_segment` before a manifest is adopted: a column whose
     length differs from the rows the segment was mounted with (a manifest
-    declaring too many or too few), or a file that is not a readable
-    archive at all (``found`` is then ``None``).  ``path`` names the
-    segment file.
+    declaring too many or too few), a file that is not a readable archive
+    at all (``found`` is then ``None``), or an archive without one of the
+    store's columns (``missing`` names it, and ``found`` is ``None``).
+    ``path`` names the segment file.
     """
 
-    def __init__(self, path: Path, declared: int, found: int | None) -> None:
-        found_text = "an unreadable archive" if found is None else f"{found} rows"
+    def __init__(self, path: Path, declared: int, found: int | None,
+                 missing: str | None = None) -> None:
+        if missing is not None:
+            found_text = f"no {missing!r} column"
+        elif found is None:
+            found_text = "an unreadable archive"
+        else:
+            found_text = f"{found} rows"
         super().__init__(
             f"segment {path}: declared {declared} rows, found {found_text}"
         )
         self.path = path
         self.declared = declared
         self.found = found
+        self.missing = missing
 
 
 def _check_alignment(n: int, columns: dict) -> None:
@@ -387,14 +399,18 @@ class _Segment:
     def load_columns(self, names: Sequence[str]) -> dict[str, np.ndarray]:
         """Several columns with one file open (streamed aggregation path).
 
-        A spilled column whose length is not the segment's, or a file that
-        is no readable archive, raises :class:`SegmentRowsError`.
+        A spilled column whose length is not the segment's, a file that is
+        no readable archive, or one without every store column raises
+        :class:`SegmentRowsError`.
         """
         if self.columns is not None:
             return {name: self._translated(name, self.columns[name]) for name in names}
         assert self.path is not None
         try:
             with np.load(self.path) as data:
+                missing = [name for name in _COLUMN_NAMES if name not in data.files]
+                if missing:
+                    raise SegmentRowsError(self.path, self.length, None, missing[0])
                 columns = {name: data[name] for name in names}
         except (zipfile.BadZipFile, EOFError) as error:
             raise SegmentRowsError(self.path, self.length, None) from error
@@ -415,36 +431,29 @@ class _Segment:
 def verify_segment(path: str | Path, rows: int) -> None:
     """Raise :class:`SegmentRowsError` unless ``path`` reads back as ``rows`` rows.
 
-    Reads the ``day`` column, which every query reads, so a damaged segment
-    fails here rather than inside the first query.
+    Checks that the archive holds every store column and reads the ``day``
+    column, which every query reads, so a damaged segment fails here
+    rather than inside the first query.
     """
     _Segment(rows, None, Path(path)).load_columns(("day",))
 
 
 class MeasurementStore:
-    """Struct-of-arrays storage for measurements.
+    """Struct-of-arrays storage for measurements: a list of sealed segments.
 
-    ``segment_rows`` controls how many pending rows are batched before they
-    are sealed into an immutable segment.  Rows stay resident until
-    :meth:`spill` writes them into ``spill_dir``, which only a store given
-    one can do: a shard worker's or a sweep cell's, whose manifest then
-    commits the files.  One store owns its ``spill_dir``.
+    Every append seals its rows as one immutable segment.  Rows stay
+    resident until :meth:`spill` writes them into ``spill_dir``, which only
+    a store given one can do: a shard worker's or a sweep cell's, whose
+    manifest then commits the files.  One store owns its ``spill_dir``.
     """
 
-    DEFAULT_SEGMENT_ROWS = 65_536
+    #: Rows of client addresses :meth:`client_codes` encodes per batch on a
+    #: store with spilled segments.
+    CLIENT_ENCODE_ROWS = 65_536
 
-    def __init__(
-        self,
-        segment_rows: int | None = None,
-        spill_dir: str | Path | None = None,
-    ) -> None:
-        if segment_rows is not None and segment_rows < 1:
-            raise ValueError("segment_rows must be positive")
-        self.segment_rows = segment_rows or self.DEFAULT_SEGMENT_ROWS
+    def __init__(self, spill_dir: str | Path | None = None) -> None:
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._segments: list[_Segment] = []
-        self._pending: list[dict[str, np.ndarray]] = []
-        self._pending_rows = 0
         self._length = 0
         self._version = 0
         self._spill_count = 0
@@ -470,7 +479,7 @@ class MeasurementStore:
         # Incremental fold state for the query kernel: unlike
         # ``_derived_cache`` (whole results, discarded on every append)
         # these survive version bumps and track how far into the
-        # sealed-segment list they have folded (repro.core.query).
+        # segment list they have folded (repro.core.query).
         self._query_states: dict[tuple, object] = {}
         # Client identity codes, encoded on demand up to a row watermark
         # (``len(codes)``).  ``_clients_source`` is ``(store, rows)`` when
@@ -509,10 +518,8 @@ class MeasurementStore:
 
     @property
     def rows_in_memory(self) -> int:
-        """Rows currently resident (pending plus unspilled segments)."""
-        return self._pending_rows + sum(
-            seg.length for seg in self._segments if not seg.spilled
-        )
+        """Rows currently resident (those of unspilled segments)."""
+        return sum(seg.length for seg in self._segments if not seg.spilled)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -535,7 +542,7 @@ class MeasurementStore:
         probe_time_ms=None,
         is_automated=None,
     ) -> int:
-        """Append ``n`` rows given column-wise, returning ``n``.
+        """Seal ``n`` rows given column-wise as the next segment; returns ``n``.
 
         Every argument is either a sequence of length ``n`` in
         :class:`Measurement` field semantics or a :class:`DictColumn`
@@ -593,7 +600,7 @@ class MeasurementStore:
                 else np.asarray(is_automated, dtype=bool)
             ),
         }
-        self._append_chunk(chunk, n)
+        self._seal_pending(chunk, n)
         return n
 
     def append_rows(self, measurements: "Iterable[Measurement]") -> int:
@@ -648,52 +655,27 @@ class MeasurementStore:
             out[index] = code
         return out
 
-    def _append_chunk(self, chunk: dict[str, np.ndarray], n: int) -> None:
-        self._pending.append(chunk)
-        self._pending_rows += n
+    def _seal_pending(self, chunk: dict[str, np.ndarray], n: int) -> None:
+        """Seal one appended chunk of ``n`` rows as the store's next segment.
+
+        The name is the one perfbench's ``store.seal`` layer hooks.
+        """
+        self._segments.append(_Segment(n, chunk))
         self._length += n
         self._version += 1
-        get_registry().counter("store.rows_ingested").add(n)
-        if self._pending_rows >= self.segment_rows:
-            self._seal_pending()
-
-    def _seal_pending(self) -> None:
-        if not self._pending:
-            return
-        if len(self._pending) == 1:
-            columns = self._pending[0]
-        else:
-            columns = {
-                name: np.concatenate([chunk[name] for chunk in self._pending])
-                for name in _COLUMN_NAMES
-            }
-        self._segments.append(_Segment(self._pending_rows, columns))
-        self._pending = []
-        self._pending_rows = 0
-        get_registry().counter("store.segments_sealed").add(1)
-
-    def seal_pending(self) -> None:
-        """Seal the pending row buffer into an immutable segment now.
-
-        Sealed segments are folded into the persistent aggregates behind
-        :meth:`query` exactly once; pending rows are re-folded on
-        every call (they are still mutable).  Callers that aggregate after
-        every small append — the longitudinal monitor after each epoch —
-        seal first so per-call work stays proportional to the new rows, not
-        to however many epochs fit under ``segment_rows``.
-        """
-        self._seal_pending()
+        registry = get_registry()
+        registry.counter("store.rows_ingested").add(n)
+        registry.counter("store.segments_sealed").add(1)
 
     def spill(self) -> int:
-        """Seal pending rows and spill every resident segment; returns spilled count.
+        """Spill every resident segment; returns the spilled count.
 
         Each segment becomes a new ``spill_dir/segment-NNNNN.npz``; an existing
         file raises :exc:`FileExistsError`, and a store built without a
-        ``spill_dir`` raises :exc:`ValueError` before sealing or writing anything.
+        ``spill_dir`` raises :exc:`ValueError` before writing anything.
         """
         if self._spill_dir is None:
             raise ValueError("spill() needs a store built with a spill_dir")
-        self._seal_pending()
         self._spill_dir.mkdir(parents=True, exist_ok=True)
         spilled = 0
         for seg in self._segments:
@@ -758,12 +740,10 @@ class MeasurementStore:
         The file stays where it is and is read on demand like any spilled
         segment; ``remap`` (column name -> translation array, typically from
         :meth:`merge_value_table`) reconciles the writer's dictionary codes
-        with this store's at read time.  Pending rows are sealed first so
-        store order stays append-consistent.
+        with this store's at read time.
         """
         if length <= 0:
             return
-        self._seal_pending()
         self._segments.append(_Segment(length, None, Path(path), remap=remap))
         self._length += length
         self._version += 1
@@ -775,7 +755,7 @@ class MeasurementStore:
         """Mount every row of ``other`` into this store without copying any.
 
         The sibling of :meth:`adopt_spilled_segment` for whole stores:
-        resident segments (and pending chunks) are shared by reference,
+        resident segments are shared by reference,
         spilled segments by path, and ``other``'s dictionary codes are
         reconciled through translation arrays applied lazily at read time —
         composed with any remap ``other`` itself carries for segments *it*
@@ -790,7 +770,6 @@ class MeasurementStore:
         """
         if other is self:
             raise ValueError("a store cannot adopt its own segments")
-        self._seal_pending()
         translations = {
             kind: self.merge_value_table(kind, values)
             for kind, values in other.value_tables().items()
@@ -821,19 +800,13 @@ class MeasurementStore:
                 _Segment(seg.length, seg.columns, seg.path, remap=composed_remap(seg.remap))
             )
             adopted += seg.length
-        for chunk in other._pending:
-            length = len(chunk["day"])
-            self._segments.append(_Segment(length, chunk, None, remap=composed_remap(None)))
-            adopted += length
         if not self._length and adopted:
             # Our rows now begin with all of other's: take its client codes.
             self._clients_source = (other, adopted)
         self._length += adopted
         self._version += 1
         registry = get_registry()
-        registry.counter("store.segments_adopted").add(
-            len(other._segments) + len(other._pending)
-        )
+        registry.counter("store.segments_adopted").add(len(other._segments))
         registry.counter("store.rows_adopted").add(adopted)
         return adopted
 
@@ -855,7 +828,6 @@ class MeasurementStore:
         cached = self._column_cache.get(name)
         if cached is None:
             parts = [seg.column(name) for seg in self._segments]
-            parts.extend(chunk[name] for chunk in self._pending)
             if not parts:
                 cached = np.empty(0, dtype=_COLUMN_DTYPES[name])
             elif len(parts) == 1:
@@ -874,27 +846,22 @@ class MeasurementStore:
     def columns_from(self, names: Sequence[str], start: int) -> dict[str, np.ndarray]:
         """Rows ``start`` onward of each column in ``names``, reading only their segments.
 
-        Segments (and pending chunks) wholly before ``start`` are never
-        opened, and each one after it is opened once for all ``names`` —
-        how an adversarial sweep reads a poisoned store's forged rows
-        without re-reading the honest segments in front of them.
+        Segments wholly before ``start`` are never opened, and each one
+        after it is opened once for all ``names`` — how an adversarial sweep
+        reads a poisoned store's forged rows without re-reading the honest
+        segments in front of them.
         """
         for name in names:
             if name not in _COLUMN_DTYPES:
                 raise KeyError(f"unknown column {name!r}")
-        sources = [(seg.length, seg.load_columns) for seg in self._segments]
-        sources += [
-            (len(chunk["day"]), lambda wanted, chunk=chunk: {n: chunk[n] for n in wanted})
-            for chunk in self._pending
-        ]
         pieces: dict[str, list[np.ndarray]] = {name: [] for name in names}
         offset = 0
-        for length, load in sources:
-            if offset + length > start:
-                part = load(names)
+        for seg in self._segments:
+            if offset + seg.length > start:
+                part = seg.load_columns(names)
                 for name in names:
                     pieces[name].append(part[name][max(start - offset, 0):])
-            offset += length
+            offset += seg.length
         return {
             name: np.concatenate(parts) if parts else np.empty(0, dtype=_COLUMN_DTYPES[name])
             for name, parts in pieces.items()
@@ -925,24 +892,22 @@ class MeasurementStore:
         if start == self._length:
             return clients.codes
         # A resident store encodes in one batch.  A spilled one encodes a
-        # batch whenever the segments read reach ``segment_rows``, so it
-        # holds about one segment of its address strings at a time.
+        # batch whenever the segments read reach ``CLIENT_ENCODE_ROWS``, so
+        # it holds about that many address strings at a time.
         limit = self._length
         if any(seg.spilled for seg in self._segments):
-            limit = self.segment_rows
-        readers = [(seg.length, seg.column) for seg in self._segments]
-        readers += [(len(chunk["day"]), chunk.__getitem__) for chunk in self._pending]
+            limit = self.CLIENT_ENCODE_ROWS
         codes = [clients.codes]
         batch: list[np.ndarray] = []
         batched = offset = 0
-        for length, read in readers:
-            if offset + length > start:  # segments wholly encoded are never read
-                batch.append(_ascii_bytes(read("client_ip")[max(start - offset, 0):]))
+        for seg in self._segments:
+            if offset + seg.length > start:  # segments wholly encoded are never read
+                batch.append(_ascii_bytes(seg.column("client_ip")[max(start - offset, 0):]))
                 batched += len(batch[-1])
                 if batched >= limit:
                     codes.append(clients.encode(np.concatenate(batch)))
                     batch, batched = [], 0
-            offset += length
+            offset += seg.length
         if batch:
             codes.append(clients.encode(np.concatenate(batch)))
         clients.codes = np.concatenate(codes)
@@ -998,7 +963,7 @@ class MeasurementStore:
         return mask
 
     def _segment_chunks(self, names: Sequence[str]):
-        """Yield ``(offset, length, columns)`` segment-by-segment (pending too).
+        """Yield ``(offset, length, columns)`` segment by segment.
 
         The query kernel's streaming surface: each spilled ``.npz`` is
         opened once for all requested columns, nothing is ever concatenated
@@ -1009,10 +974,6 @@ class MeasurementStore:
         for seg in self._segments:
             yield offset, seg.length, seg.load_columns(names)
             offset += seg.length
-        for chunk in self._pending:
-            length = len(chunk["day"])
-            yield offset, length, {name: chunk[name] for name in names}
-            offset += length
 
     def query(
         self,
@@ -1022,7 +983,6 @@ class MeasurementStore:
         mask: np.ndarray | None = None,
         exclude_automated: bool = True,
         exclude_inconclusive: bool = True,
-        shape: str = "cells",
     ):
         """Group rows by ``keys`` and reduce with ``aggregates`` — the one
         query surface every reduction goes through.
@@ -1034,13 +994,11 @@ class MeasurementStore:
         ``Quantiles("elapsed_ms", qs)``, ``DistinctCount("client_ip")``),
         defaulting to ``(Count(), SuccessCount())``.  ``mask`` restricts
         to a row subset and must be a boolean array (a non-boolean one
-        raises ``TypeError``); ``shape="dense"`` returns full key-space
-        accumulator arrays instead of per-group cells (foldable maskless
-        queries only).
+        raises ``TypeError``).
         Maskless all-foldable queries advance a fold-once incremental
-        accumulator (each sealed segment folded exactly once over the
-        store's lifetime), so an always-on monitor's per-call cost tracks
-        the new rows.  See ``docs/query_api.md`` for the model and the
+        accumulator (each segment folded exactly once over the store's
+        lifetime), so an always-on monitor's per-call cost tracks the new
+        rows.  See ``docs/query_api.md`` for the model and the
         kernel's wrappers.
         """
         from repro.core import query as _query
@@ -1052,7 +1010,6 @@ class MeasurementStore:
             mask=mask,
             exclude_automated=exclude_automated,
             exclude_inconclusive=exclude_inconclusive,
-            shape=shape,
         )
 
     def _derived(self, key):

@@ -508,9 +508,9 @@ class ReferencePairingRule(Rule):
 class SegmentStreamingRule(Rule):
     """Segment iteration belongs to the store and the query kernel alone.
 
-    The query kernel (PR 9) is the one engine that may walk a store's
-    sealed segments and pending chunks: it owns the fold-once watermark,
-    the mask offsets, and the spill streaming.  A reduction that re-rolls
+    The query kernel is the one engine that may walk a store's segments:
+    it owns the fold-once watermark, the mask offsets, and the spill
+    streaming.  A reduction that re-rolls
     its own segment loop elsewhere silently forks those invariants — it
     rescans history every call and bypasses the incremental fold state —
     so reaching for the segment surface outside ``store.py``/``query.py``

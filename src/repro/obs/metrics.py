@@ -11,12 +11,12 @@ Metric names in use across the tree (dotted, lowercase):
 =============================  =====================================================
 ``store.rows_ingested``        rows appended to a :class:`MeasurementStore`
 ``store.rows_adopted``         rows arriving via segment adoption (shard merge)
-``store.segments_sealed``      pending chunks sealed into columnar segments
+``store.segments_sealed``      appended chunks, each sealed as one segment
 ``store.segments_spilled``     segments written to ``.npz`` spill files
 ``store.segments_adopted``     spilled/resident segments adopted zero-copy
 ``store.fold_advances``        fold-once query watermark advances
 ``store.segments_folded``      segments folded into incremental count state
-``store.query_folds``          segment/pending chunks the query kernel folded
+``store.query_folds``          segments the query kernel folded or streamed
 ``store.client_codes_encoded``  rows whose client identity code was computed
 ``store.client_codes_reused``   rows whose codes an adopter took from its source
 ``runner.blocks_planned``      visit blocks planned from scratch

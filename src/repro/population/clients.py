@@ -151,8 +151,6 @@ class ClientFactory:
         self.geoip = geoip or GeoIPDatabase()
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self._ids = itertools.count(1)
-        #: Spawned lazily on the first sample_batch call (one per field).
-        self._field_rngs: list[np.random.Generator] | None = None
         self._codes, self._shares = visit_share_distribution()
         self._profiles: dict[str, CountryProfile] = {c.code: c for c in all_countries()}
         # --- Lookup tables for vectorized batch sampling -------------------
@@ -239,9 +237,9 @@ class ClientFactory:
         count: int,
         country_code: str | None = None,
         *,
-        rng: np.random.Generator | None = None,
-        first_id: int | None = None,
-        host_base: int | None = None,
+        rng: np.random.Generator,
+        first_id: int,
+        host_base: int,
     ) -> ClientBatch:
         """Sample ``count`` visitors at once with vectorized draws.
 
@@ -251,48 +249,29 @@ class ClientFactory:
         instead of ``count`` scalar calls, which is where the batched
         campaign runner gets most of its sampling speedup.
 
-        With the default arguments the factory's own sequential streams and
-        counters are consumed, so successive batches continue one campaign-
-        long client sequence.  The block-keyed campaign planner instead
-        passes an explicit ``rng`` (field streams are spawned from it, the
-        factory state is untouched), ``first_id`` (client ids numbered from
-        the block's first visit), and ``host_base`` (IP addresses taken at
-        the visitors' *global visit indices* inside each country's space via
-        :meth:`GeoIPDatabase.ips_at`) — which together make the batch a pure
-        function of its arguments, the property process-sharded campaigns
-        are built on.
+        The field streams are spawned from ``rng``, client ids are numbered
+        from ``first_id``, and IP addresses are taken at the visitors'
+        *global visit indices* (``host_base`` onward) inside each country's
+        space via :meth:`GeoIPDatabase.ips_at`; together they make the batch
+        a pure function of its arguments, with no factory state consumed —
+        the property block-keyed and sharded campaigns are built on.
         """
-        if rng is not None:
-            (country_rng, isp_rng, browser_rng, link_rng,
-             roll_rng, span_rng, automated_rng) = rng.spawn(7)
-        else:
-            if self._field_rngs is None:
-                # One independent stream per sampled field.  Consuming each
-                # field's stream sequentially makes a campaign's client sequence
-                # a function of the seed alone, not of how visits are chunked
-                # into batches.
-                self._field_rngs = self._rng.spawn(7)
-            (country_rng, isp_rng, browser_rng, link_rng,
-             roll_rng, span_rng, automated_rng) = self._field_rngs
+        (country_rng, isp_rng, browser_rng, link_rng,
+         roll_rng, span_rng, automated_rng) = rng.spawn(7)
         if country_code is not None:
             country_idx = np.full(count, self._code_index[country_code], dtype=np.int64)
         else:
             country_idx = country_rng.choice(len(self._codes), size=count, p=self._shares_array)
         codes = [self._codes[i] for i in country_idx]
 
-        # IPs: either allocate per country in visit order, advancing the same
-        # GeoIP counters the scalar path uses, or (with ``host_base``) read
-        # the addresses at the visitors' global visit indices without
-        # touching shared state.
+        # IPs: the addresses at the visitors' global visit indices, read
+        # without touching shared state.
         ips: list[str | None] = [None] * count
         for code_id in np.unique(country_idx):
             where = np.flatnonzero(country_idx == code_id)
-            if host_base is not None:
-                allocated = self.geoip.ips_at(
-                    self._codes[code_id], (host_base + where).tolist()
-                )
-            else:
-                allocated = self.geoip.allocate_ips(self._codes[code_id], len(where))
+            allocated = self.geoip.ips_at(
+                self._codes[code_id], (host_base + where).tolist()
+            )
             for position, address in zip(where, allocated):
                 ips[position] = address
 
@@ -320,10 +299,7 @@ class ClientFactory:
             default=60.0 + span_u * (900.0 - 60.0),
         )
         automated = automated_rng.random(count) < self.AUTOMATED_FRACTION
-        if first_id is not None:
-            ids = np.arange(first_id, first_id + count, dtype=np.int64)
-        else:
-            ids = np.fromiter(itertools.islice(self._ids, count), dtype=np.int64, count=count)
+        ids = np.arange(first_id, first_id + count, dtype=np.int64)
 
         return ClientBatch(
             client_ids=ids,

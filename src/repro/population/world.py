@@ -224,15 +224,15 @@ class World:
         count: int,
         country_code: str | None = None,
         *,
-        rng=None,
-        first_id: int | None = None,
-        host_base: int | None = None,
+        rng,
+        first_id: int,
+        host_base: int,
     ):
         """Sample a vectorized :class:`~repro.population.clients.ClientBatch`.
 
         ``rng``/``first_id``/``host_base`` are the block-keyed sampling
-        arguments of :meth:`ClientFactory.sample_batch`: with them the batch
-        is a pure function of the arguments and no world state moves.
+        arguments of :meth:`ClientFactory.sample_batch`: the batch is a pure
+        function of the arguments and no world state moves.
         """
         return self.clients.sample_batch(
             count, country_code, rng=rng, first_id=first_id, host_base=host_base

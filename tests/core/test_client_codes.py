@@ -102,8 +102,9 @@ def merged(rows, directory: Path) -> MeasurementStore:
     for index, part in enumerate((rows[: len(rows) // 2], rows[len(rows) // 2:])):
         if not part:
             continue
-        shard = MeasurementStore(segment_rows=5, spill_dir=directory / f"shard-{index}")
-        shard.append_rows(part)
+        shard = MeasurementStore(spill_dir=directory / f"shard-{index}")
+        for start in range(0, len(part), 5):
+            shard.append_rows(part[start:start + 5])
         shard.spill()
         manifests.append({
             "shard_index": index,
@@ -126,8 +127,9 @@ def source_store(rows, layout: str, directory: Path) -> MeasurementStore:
     if layout == "merged":
         return merged(rows, directory)
     spilled = layout == "spilled"
-    store = MeasurementStore(segment_rows=7, spill_dir=directory)
-    store.append_rows(rows)
+    store = MeasurementStore(spill_dir=directory)
+    for start in range(0, len(rows), 7):
+        store.append_rows(rows[start:start + 7])
     if spilled:
         store.spill()
     return store
@@ -270,7 +272,7 @@ class TestClientCodeCache:
                               for a in ADDRESSES[:6] * 2], "a")
         second = measurements([("youtube.com", "DE", a, TaskOutcome.FAILURE)
                                for a in ADDRESSES[3:]], "b")
-        store = MeasurementStore(segment_rows=5)
+        store = MeasurementStore()
         encoded, _ = counters()
         store.append_rows(first)
         assert counters()[0] == encoded
@@ -287,7 +289,7 @@ class TestClientCodeCache:
     def test_spilled_store_encodes_a_segment_at_a_time(self, tmp_path, monkeypatch):
         rows = measurements([("facebook.com", "US", a, TaskOutcome.SUCCESS)
                              for a in ADDRESSES * 3], "s")
-        store = MeasurementStore(segment_rows=4, spill_dir=tmp_path)
+        store = MeasurementStore(spill_dir=tmp_path)
         for start in range(0, len(rows), 3):
             store.append_rows(rows[start:start + 3])
         store.spill()
@@ -301,6 +303,8 @@ class TestClientCodeCache:
             return encode(self, addresses)
 
         monkeypatch.setattr(_ClientCodes, "encode", recording)
+        # A batch closes at each 3-row segment instead of at 65,536 rows.
+        monkeypatch.setattr(MeasurementStore, "CLIENT_ENCODE_ROWS", 3)
         assert_codes_identify(store)
         assert batches == segments
         assert store.rows() == rows

@@ -472,6 +472,23 @@ class TestLongitudinalRun:
         result.config.detector = default_detector
         assert result.events() == default_events
 
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_each_call_returns_a_new_event_list(self, tmp_path, checkpointed):
+        """Regression: a stateless run handed out its cache, so a caller
+        that emptied ``events()`` or grew ``timing_events()`` changed what
+        every later call returned."""
+        kwargs = {"checkpoint_dir": str(tmp_path)} if checkpointed else {}
+        _, result = self.run_deployment(seed=47, **kwargs)
+        events = result.events()
+        assert events
+        expected = list(events)
+        events.clear()
+        assert result.events() == expected
+        timing = result.timing_events()
+        expected_timing = list(timing)
+        timing.append(expected[0])
+        assert result.timing_events() == expected_timing
+
     def test_validation(self):
         deployment = longitudinal_deployment(seed=37)
         timeline = PolicyTimeline()

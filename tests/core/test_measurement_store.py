@@ -119,6 +119,17 @@ def reference_detect(counts, success_prior=0.7, significance=0.05, min_measureme
     return detected
 
 
+def chunked_store(corpus, chunk, **kwargs):
+    """A store holding ``corpus`` appended ``chunk`` rows at a time.
+
+    Every append seals one segment, so the store spans several.
+    """
+    store = MeasurementStore(**kwargs)
+    for start in range(0, len(corpus), chunk):
+        store.append_rows(corpus[start:start + chunk])
+    return store
+
+
 # ----------------------------------------------------------------------
 # Random corpora
 # ----------------------------------------------------------------------
@@ -169,8 +180,7 @@ class TestStoreMatchesRowListSemantics:
     @given(corpus=corpora, combo=filter_combos)
     @settings(max_examples=60, deadline=None)
     def test_row_mask_equals_seed_filtered(self, corpus, combo):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         mask = store.row_mask(**combo)
         assert mask.dtype == bool and len(mask) == len(corpus)
         assert store.rows(np.flatnonzero(mask)) == reference_filtered(corpus, **combo)
@@ -180,8 +190,7 @@ class TestStoreMatchesRowListSemantics:
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_success_counts_equal_seed(self, corpus, exclude_automated):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         grouped = store.query(exclude_automated=exclude_automated)
         assert grouped.as_dict() == reference_success_counts(corpus, exclude_automated)
         assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
@@ -189,16 +198,14 @@ class TestStoreMatchesRowListSemantics:
     @given(corpus=corpora)
     @settings(max_examples=40, deadline=None)
     def test_rows_round_trip_field_for_field(self, corpus):
-        store = MeasurementStore(segment_rows=8)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 8)
         assert store.rows() == corpus
 
     @given(corpus=corpora, combo=filter_combos)
     @settings(max_examples=30, deadline=None)
     def test_spilled_store_answers_identically(self, corpus, combo):
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=8, spill_dir=tmp)
-            store.append_rows(corpus)
+            store = chunked_store(corpus, 8, spill_dir=tmp)
             store.spill()
             if corpus:
                 assert store.segment_files, "expected .npz segments on disk"
@@ -212,7 +219,7 @@ class TestStoreMatchesRowListSemantics:
         # Regression: spilling several resident segments in one call must
         # write one .npz per segment, not overwrite a single path.
         corpus = TestDerivedCaches().make_corpus(30)
-        store = MeasurementStore(segment_rows=10, spill_dir=tmp_path)
+        store = MeasurementStore(spill_dir=tmp_path)
         for start in (0, 10, 20):
             store.append_rows(corpus[start:start + 10])
         assert store.spill() == 3
@@ -242,8 +249,7 @@ class TestStoreMatchesRowListSemantics:
     @given(corpus=corpora)
     @settings(max_examples=40, deadline=None)
     def test_distinct_counters_equal_seed(self, corpus):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
         collection = CollectionServer("http://collector.encore-measurement.org/submit",
                                       store=store)
@@ -261,8 +267,7 @@ class TestStoreMatchesRowListSemantics:
         # Spill-aware path: per-segment uniques folded into one set, never
         # concatenating the full string column across segments.
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=8, spill_dir=tmp)
-            store.append_rows(corpus)
+            store = chunked_store(corpus, 8, spill_dir=tmp)
             store.spill()
             assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
             # The count is cached until the next append invalidates it.
@@ -271,8 +276,7 @@ class TestStoreMatchesRowListSemantics:
     @given(corpus=corpora, exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_masked_counts_equal_seed_subset(self, corpus, exclude_automated, mask_seed):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
         grouped = store.query(mask=mask, exclude_automated=exclude_automated)
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
@@ -294,8 +298,7 @@ class TestDayBucketedCounts:
     @given(corpus=corpora)
     @settings(max_examples=50, deadline=None)
     def test_by_day_equals_reference(self, corpus):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         grouped = grouped_success_counts(store, by_day=True)
         assert grouped.as_dict() == reference_day_counts(corpus)
         # The day axis ends at the last measured day.
@@ -305,8 +308,7 @@ class TestDayBucketedCounts:
     @settings(max_examples=30, deadline=None)
     def test_by_day_streams_spilled_segments(self, corpus):
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=8, spill_dir=tmp)
-            store.append_rows(corpus)
+            store = chunked_store(corpus, 8, spill_dir=tmp)
             store.spill()
             if corpus:
                 assert store.segment_files and store.rows_in_memory == 0
@@ -317,11 +319,9 @@ class TestDayBucketedCounts:
         """Adopted segments bucket by day through their code remaps."""
         own = TestStoreAdoption().make_corpus(18, "own")
         other_rows = TestStoreAdoption().make_corpus(33, "other")
-        other = MeasurementStore(segment_rows=10, spill_dir=tmp_path)
-        other.append_rows(other_rows)
+        other = chunked_store(other_rows, 10, spill_dir=tmp_path)
         other.spill()
-        store = MeasurementStore(segment_rows=10)
-        store.append_rows(own)
+        store = chunked_store(own, 10)
         store.adopt_segments_from(other)
         grouped = grouped_success_counts(store, by_day=True)
         assert grouped.as_dict() == reference_day_counts(own + other_rows)
@@ -341,25 +341,24 @@ class TestDayBucketedCounts:
 
     @given(
         corpus=corpora,
-        segment_rows=st.integers(min_value=1, max_value=16),
+        chunk=st.integers(min_value=1, max_value=16),
         by_day=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_incremental_fold_matches_cold_scan(self, corpus, segment_rows, by_day):
-        """Interleaved append/seal/spill/query folds bit-identical to one cold pass.
+    def test_incremental_fold_matches_cold_scan(self, corpus, chunk, by_day):
+        """Interleaved append/spill/query folds bit-identical to one cold pass.
 
-        The incremental path folds each sealed segment exactly once and
-        re-folds pending rows per call; querying between appends (with
-        segments spilled as they go, so they stream back off disk) must
-        leave the final answer identical to a fresh store's single full scan.
+        The incremental path folds each segment exactly once; querying
+        between appends of ``chunk`` rows (with segments spilled as they
+        go, so they stream back off disk) must leave the final answer
+        identical to a fresh store's single full scan.
         """
         with tempfile.TemporaryDirectory() as tmp:
-            store = MeasurementStore(segment_rows=segment_rows, spill_dir=tmp)
-            step = max(1, len(corpus) // 5)
-            for start in range(0, len(corpus), step):
-                store.append_rows(corpus[start:start + step])
+            store = MeasurementStore(spill_dir=tmp)
+            for index, start in enumerate(range(0, len(corpus), chunk)):
+                store.append_rows(corpus[start:start + chunk])
                 grouped_success_counts(store, by_day=by_day)
-                if start % (2 * step) == 0:
+                if index % 2 == 0:
                     store.spill()
                     grouped_success_counts(store, by_day=by_day)
             cold = MeasurementStore()
@@ -378,7 +377,7 @@ class TestDayBucketedCounts:
                 for mine, theirs in zip(incremental.cell_series(), expected.cell_series()):
                     assert np.array_equal(mine, theirs)
             # After any cache-missing query, the fold watermark covers every
-            # sealed segment exactly once.
+            # segment exactly once.
             if corpus:
                 store.append_rows(corpus[:1])
                 grouped_success_counts(store, by_day=by_day)
@@ -394,16 +393,14 @@ class TestDayBucketedCounts:
         """Adopting a store mid-stream keeps the incremental fold exact.
 
         Queries before the merge prime the fold state; the adopted segments
-        (pre-merge pending chunks included, read through their code remaps)
-        must then fold in once, and later appends on top of the merged store
-        must keep agreeing with the row-list reference.
+        (resident ones, read through their code remaps) must then fold in
+        once, and later appends on top of the merged store must keep
+        agreeing with the row-list reference.
         """
         split = min(split, len(corpus))
         own, other_rows = corpus[:split], corpus[split:]
-        other = MeasurementStore(segment_rows=7)
-        other.append_rows(other_rows)
-        store = MeasurementStore(segment_rows=5)
-        store.append_rows(own)
+        other = chunked_store(other_rows, 7)
+        store = chunked_store(own, 5)
         grouped_success_counts(store, by_day=True)  # prime the fold state pre-merge
         grouped_success_counts(store)
         store.adopt_segments_from(other)
@@ -419,8 +416,7 @@ class TestDayBucketedCounts:
     @given(corpus=corpora, exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_masked_by_day_equals_reference_subset(self, corpus, exclude_automated, mask_seed):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
         grouped = run_query(
             store, ("domain", "country", "day"), mask=mask,
@@ -432,8 +428,7 @@ class TestDayBucketedCounts:
     @given(corpus=corpora)
     @settings(max_examples=30, deadline=None)
     def test_cell_series_round_trips_the_cells(self, corpus):
-        store = MeasurementStore(segment_rows=16)
-        store.append_rows(corpus)
+        store = chunked_store(corpus, 16)
         grouped = grouped_success_counts(store, by_day=True)
         domains, countries, totals, successes = grouped.cell_series()
         assert totals.shape == (len(domains), grouped.n_days)
@@ -474,7 +469,7 @@ class TestDayBucketedCounts:
     def test_by_day_growing_day_axis_across_ordered_chunks(self):
         """Day-ordered ingestion (the longitudinal pattern) grows the
         accumulator's day axis geometrically without losing cells."""
-        store = MeasurementStore(segment_rows=4)
+        store = MeasurementStore()
         corpus = []
         base = TestDerivedCaches().make_corpus(4)
         for day in range(9):
@@ -504,8 +499,7 @@ class TestStoreAdoption:
     def test_adopted_rows_follow_own_rows(self, tmp_path, spill_other):
         own = self.make_corpus(12, "own")
         other_rows = self.make_corpus(25, "other")
-        other = MeasurementStore(segment_rows=10, spill_dir=tmp_path)
-        other.append_rows(other_rows)
+        other = chunked_store(other_rows, 10, spill_dir=tmp_path)
         if spill_other:
             other.spill()
         store = MeasurementStore()
@@ -541,13 +535,17 @@ class TestStoreAdoption:
         store.adopt_segments_from(other)
         assert store.rows()[3:] == other_rows + third_rows
 
-    def test_adopting_pending_rows_shares_chunks(self):
-        other = MeasurementStore()  # never sealed: everything stays pending
-        other_rows = self.make_corpus(7, "pending")
-        other.append_rows(other_rows)
+    def test_adopting_resident_segments_shares_their_columns(self):
+        other_rows = self.make_corpus(7, "resident")
+        other = chunked_store(other_rows, 4)  # never spilled: both segments resident
         store = MeasurementStore()
         store.adopt_segments_from(other)
         assert store.rows() == other_rows
+        assert len(store._segments) == 2
+        assert all(
+            mine.columns is theirs.columns
+            for mine, theirs in zip(store._segments, other._segments)
+        )
 
     def test_store_cannot_adopt_itself(self):
         store = MeasurementStore()

@@ -24,6 +24,7 @@ from repro.core.robustness import AdversarySweep, StoreReputationReport
 from repro.core.shard import run_sharded
 from repro.core.store import MeasurementStore
 from repro.core.tasks import MeasurementTask, TaskType
+from repro.population.clients import ClientFactory
 from repro.population.world import World, WorldConfig
 
 
@@ -160,7 +161,7 @@ class TestSettableValues:
         ]
 
     def test_store_and_collection_server_parameters(self):
-        assert self.parameters(MeasurementStore.__init__) == ["segment_rows", "spill_dir"]
+        assert self.parameters(MeasurementStore.__init__) == ["spill_dir"]
         assert self.parameters(CollectionServer.__init__) == ["submit_url", "geoip", "store"]
 
     def test_coordination_server_parameters(self):
@@ -196,10 +197,22 @@ class TestSettableValues:
     def test_query_kernel_parameters(self):
         query_parameters = [
             "keys", "aggregates", "mask", "exclude_automated",
-            "exclude_inconclusive", "shape",
+            "exclude_inconclusive",
         ]
         assert self.parameters(run_query) == ["store"] + query_parameters
         assert self.parameters(MeasurementStore.query) == query_parameters
+
+    def test_client_batch_sampling_parameters(self):
+        # Every batch is block-keyed: no factory-state sampling mode.
+        sampling = ["count", "country_code", "rng", "first_id", "host_base"]
+        assert self.parameters(ClientFactory.sample_batch) == sampling
+        assert self.parameters(World.sample_client_batch) == sampling
+        for function in (ClientFactory.sample_batch, World.sample_client_batch):
+            signature = inspect.signature(function)
+            assert all(
+                signature.parameters[name].default is inspect.Parameter.empty
+                for name in ("rng", "first_id", "host_base")
+            )
 
     def test_query_wrapper_parameters(self):
         assert self.parameters(grouped_success_counts) == ["store", "by_day"]

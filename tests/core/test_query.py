@@ -99,15 +99,16 @@ query_combos = st.fixed_dictionaries(
 )
 
 
-def build_store(corpus, **kwargs):
-    store = MeasurementStore(segment_rows=16, **kwargs)
-    store.append_rows(corpus)
+def build_store(corpus, chunk=16, **kwargs):
+    """``corpus`` appended ``chunk`` rows at a time: one segment per append."""
+    store = MeasurementStore(**kwargs)
+    for start in range(0, len(corpus), chunk):
+        store.append_rows(corpus[start:start + chunk])
     return store
 
 
 def build_spilled_store(corpus, tmp):
-    store = MeasurementStore(segment_rows=8, spill_dir=tmp)
-    store.append_rows(corpus)
+    store = build_store(corpus, 8, spill_dir=tmp)
     store.spill()
     return store
 
@@ -116,8 +117,7 @@ def build_adopted_store(corpus, split, tmp):
     """A store that adopted another worker's spilled segments."""
     split = min(split, len(corpus))
     store = build_store(corpus[:split])
-    other = MeasurementStore(segment_rows=8, spill_dir=tmp)
-    other.append_rows(corpus[split:])
+    other = build_store(corpus[split:], 8, spill_dir=tmp)
     other.spill()
     store.adopt_segments_from(other)
     return store
@@ -322,8 +322,7 @@ class TestWrappersPinned:
 class TestFoldOnceAndTelemetry:
     def test_query_folds_each_sealed_segment_once(self):
         corpus = _timing_corpus(n=64)
-        store = MeasurementStore(segment_rows=8)
-        store.append_rows(corpus[:40])
+        store = build_store(corpus[:40], 8)
         first = store.query(keys=("domain", "country", "day")).as_dict()
         assert store._query_states
         assert all(
@@ -334,17 +333,18 @@ class TestFoldOnceAndTelemetry:
         counter = get_registry().counter("store.query_folds")
         segments_before = len(store._segments)
         folds_before = counter.value
-        store.append_rows(corpus[40:])
+        for start in range(40, len(corpus), 8):
+            store.append_rows(corpus[start:start + 8])
         second = store.query(keys=("domain", "country", "day"))
         assert all(
             state.segments_folded == len(store._segments)
             for state in store._query_states.values()
         )
-        new_segments = len(store._segments) - segments_before
-        pending = len(store._pending)
-        assert counter.value - folds_before == new_segments + pending
+        # One fold per new segment: each of the three appends sealed one.
+        assert len(store._segments) - segments_before == 3
+        assert counter.value - folds_before == 3
         # The incremental result equals a cold store over the same rows.
-        cold = MeasurementStore(segment_rows=8)
+        cold = MeasurementStore()
         cold.append_rows(corpus)
         assert second.as_dict() == cold.query(keys=("domain", "country", "day")).as_dict()
         assert first == run_query_reference(

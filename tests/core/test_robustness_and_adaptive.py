@@ -118,7 +118,7 @@ class TestForgeColumnsEquivalence:
     def test_forge_columns_ingests_into_spilled_store(self, tmp_path):
         campaign = PoisoningCampaign("facebook.com", "DE", submissions=300, client_identities=6)
         rows = PoisoningAttacker(rng=33).forge_measurements(campaign)
-        store = MeasurementStore(segment_rows=64, spill_dir=tmp_path)
+        store = MeasurementStore(spill_dir=tmp_path)
         PoisoningAttacker(rng=33).forge_columns(campaign).append_to(store)
         store.spill()
         assert store.segment_files and store.rows_in_memory == 0
@@ -575,7 +575,9 @@ class TestSweepGuards:
         assert read_manifest(victim) is not None
         assert stray_files(root) == []
 
-    @pytest.mark.parametrize("damage", ["20 rows too many", "20 rows too few", "truncated"])
+    @pytest.mark.parametrize(
+        "damage", ["20 rows too many", "20 rows too few", "truncated", "only a day column"]
+    )
     def test_resumed_sweep_names_a_bad_cached_segment(
         self, detection_result, tmp_path, damage
     ):
@@ -589,10 +591,16 @@ class TestSweepGuards:
         block = manifest["blocks"][0]
         (segment,) = block["segments"]
         path = Path(segment["path"])
+        missing = None
         if damage == "truncated":
             data = path.read_bytes()
             path.write_bytes(data[: len(data) // 2])
             declared, found = 500, None
+        elif damage == "only a day column":
+            with np.load(path) as data:
+                day = data["day"]
+            np.savez(path, day=day)
+            declared, found, missing = 500, None, "measurement_id"
         else:
             shift = 20 if damage == "20 rows too many" else -20
             segment["rows"] += shift
@@ -604,5 +612,7 @@ class TestSweepGuards:
                 "facebook.com", "DE", budgets, executor="inline", spill_dir=str(root)
             )
         error = raised.value
-        assert (error.path, error.declared, error.found) == (path, declared, found)
+        assert (error.path, error.declared, error.found, error.missing) == (
+            path, declared, found, missing
+        )
         assert str(path) in str(error)

@@ -307,7 +307,9 @@ class TestSchedulerBatchEquivalence:
 
     def test_assign_batch_matches_sequential_schedule(self):
         world = World(WorldConfig(seed=3, target_list_total=12, target_list_online=10))
-        batch = world.sample_client_batch(600)
+        batch = world.sample_client_batch(
+            600, rng=np.random.default_rng(3), first_id=1, host_base=0
+        )
         clients = batch.clients()
         pools = self.make_pools()
         reference = Scheduler(pools, rng=np.random.default_rng(5))
@@ -327,7 +329,9 @@ class TestSchedulerBatchEquivalence:
 class TestClientBatchEquivalence:
     def test_materialized_clients_match_columns(self):
         world = World(WorldConfig(seed=19, target_list_total=12, target_list_online=10))
-        batch = world.sample_client_batch(200)
+        batch = world.sample_client_batch(
+            200, rng=np.random.default_rng(19), first_id=1, host_base=0
+        )
         for index in (0, 7, 131, 199):
             client = batch.client(index)
             assert client.country_code == batch.country_codes[index]
@@ -341,7 +345,9 @@ class TestClientBatchEquivalence:
 
     def test_pinned_country_batch(self):
         world = World(WorldConfig(seed=19, target_list_total=12, target_list_online=10))
-        batch = world.sample_client_batch(50, country_code="IR")
+        batch = world.sample_client_batch(
+            50, "IR", rng=np.random.default_rng(19), first_id=1, host_base=0
+        )
         assert set(batch.country_codes) == {"IR"}
         assert all(world.geoip.lookup(ip) == "IR" for ip in batch.ip_addresses)
 

@@ -113,7 +113,9 @@ class TestBatchedSchedulerRegression:
         from repro.population.world import World, WorldConfig
 
         world = World(WorldConfig(seed=101, target_list_total=12, target_list_online=10))
-        batch = world.clients.sample_batch(10_000)
+        batch = world.clients.sample_batch(
+            10_000, rng=np.random.default_rng(101), first_id=1, host_base=0
+        )
         scheduler = self.make_scheduler(np.random.default_rng(101))
         _, _, pool = scheduler.assign_batch(batch)
         assigned = [scheduler.pools[index].name for index in pool if index >= 0]
@@ -125,7 +127,9 @@ class TestBatchedSchedulerRegression:
         from repro.population.world import World, WorldConfig
 
         world = World(WorldConfig(seed=103, target_list_total=12, target_list_online=10))
-        batch = world.clients.sample_batch(10_000)
+        batch = world.clients.sample_batch(
+            10_000, rng=np.random.default_rng(103), first_id=1, host_base=0
+        )
         scheduler = self.make_scheduler(np.random.default_rng(103))
         scheduler.assign_batch(batch)
         counts = scheduler.replication_report()
@@ -152,7 +156,9 @@ class TestBatchedSchedulerRegression:
         from repro.population.world import World, WorldConfig
 
         world = World(WorldConfig(seed=107, target_list_total=12, target_list_online=10))
-        batch = world.clients.sample_batch(2_000)
+        batch = world.clients.sample_batch(
+            2_000, rng=np.random.default_rng(107), first_id=1, host_base=0
+        )
         pools = self.make_pools()
         sequential = self.make_scheduler(np.random.default_rng(107), pools)
         batched = self.make_scheduler(np.random.default_rng(107), pools)

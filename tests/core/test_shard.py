@@ -15,6 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.collection import CollectionServer
@@ -623,6 +624,21 @@ class TestCrashPoints:
         assert (error.path, error.declared, error.found) == (
             Path(segment["path"]), segment["rows"], segment["rows"] - 1
         )
+
+    def test_segment_without_a_column_fails_the_resume(self, tmp_path):
+        # The declared rows of ``day``, and no other column: it used to be
+        # adopted, and the first query raised a KeyError naming no segment.
+        def strip(manifest_path, manifest, segment):
+            path = Path(segment["path"])
+            with np.load(path) as data:
+                day = data["day"]
+            np.savez(path, day=day)
+
+        error, segment = self.damaged_resume(tmp_path, strip)
+        assert (error.path, error.declared, error.found, error.missing) == (
+            Path(segment["path"]), segment["rows"], None, "measurement_id"
+        )
+        assert "'measurement_id'" in str(error)
 
     def test_missing_segment_re_executes_its_shard(self, tmp_path, stray_files):
         # A segment that is gone, not damaged, is a cache miss.
